@@ -35,7 +35,6 @@ from .model import (
     MultiIndex,
     eval_model_basis,
     eval_model_bergman,
-    eval_model_heat,
     model_kernel_from_basis,
 )
 from .weights import (

@@ -120,27 +120,18 @@ def _run_model(cfg: ParsedConfig) -> ExperimentResult:
         # the quadrature weights carry e^{-2|lam||z|^2} dV, so strip the
         # Gaussian from the basis values to avoid counting it twice
         undo = np.exp(abs(lam) * np.abs(z) ** 2)
-        basis = np.array(
-            [[eval_model_basis(spec, a, p) for p in z] for a in alphas]
-        ) * undo[None, :]
+        basis = eval_model_basis(spec, alphas, z[:, None]) * undo[None, :]
         gram = (basis * wt[None, :]) @ basis.conj().T
         dev = float(np.abs(gram - np.eye(len(alphas))).max())
         ortho_dev = max(ortho_dev, dev)
         rows.append(("orthonormality", f"lambda={lam:g}", dev))
 
     spec1 = ModelSpectrum((1.0,))
-    pts = kernel_grid(sec["grid_points"], sec["grid_radius"])
-    closed = np.array(
-        [[eval_model_bergman(spec1, 0, z, w).value for w in pts] for z in pts]
-    )
+    pts = kernel_grid(sec["grid_points"], sec["grid_radius"])[:, None]
+    closed = eval_model_bergman(spec1, 0, pts, pts).value
     expansion_dev = math.inf
     for degree in sec["degrees"]:
-        approx = np.array(
-            [
-                [model_kernel_from_basis(spec1, 0, degree, z, w).value for w in pts]
-                for z in pts
-            ]
-        )
+        approx = model_kernel_from_basis(spec1, 0, degree, pts, pts).value
         expansion_dev = float(np.abs(approx - closed).max())
         rows.append(("expansion", f"degree={degree}", expansion_dev))
 

@@ -19,6 +19,13 @@ degree q = q0 has the explicit value
                   - sum_i |lambda_i| (|z^i|^2 + |w^i|^2)),
 
 and is identically zero in every other degree.
+
+Point arguments are point sets: an ``(m, n)`` array of m points in C^n, or for
+n = 1 any 1-D array of m complex points.  A single point (shape ``(n,)``, or a
+scalar when n = 1) is also accepted; note that for n = 1 a length-1 1-D array
+is read as that single point.  The kernels return the ``(m_z, m_w)`` matrix
+K[i, j] = K(z_i, w_j) as their principal entry, and a complex number when both
+arguments are single points.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -37,7 +44,6 @@ __all__ = [
     "eval_model_bergman",
     "eval_model_basis",
     "model_kernel_from_basis",
-    "eval_model_heat",
     "multi_indices",
 ]
 
@@ -101,44 +107,70 @@ class MultiIndex:
 class FormKernelValue:
     """Kernel coefficients of a (0,q)-form kernel on dzbar^I (x) (d/dwbar)^J.
 
-    ``entries`` maps strictly increasing index pairs (I, J) to complex values;
-    absent entries are zero.  For the diagonal model kernels only the principal
-    entry I = J = (0..q-1) occurs.
+    ``entries`` maps strictly increasing index pairs (I, J) to values; absent
+    entries are zero.  A value is a complex number at a single point pair and
+    the ``(m_z, m_w)`` matrix on point sets.  For the diagonal model kernels
+    only the principal entry I = J = (0..q-1) occurs.
     """
 
     q: int
-    entries: dict[tuple[tuple[int, ...], tuple[int, ...]], complex] = field(default_factory=dict)
+    entries: dict[tuple[tuple[int, ...], tuple[int, ...]], complex | np.ndarray] = field(
+        default_factory=dict
+    )
 
     @classmethod
     def zero(cls, q: int) -> "FormKernelValue":
         return cls(q=q, entries={})
 
     @classmethod
-    def principal(cls, q: int, value: complex) -> "FormKernelValue":
+    def principal(cls, q: int, value: complex | np.ndarray) -> "FormKernelValue":
         idx = tuple(range(q))
-        return cls(q=q, entries={(idx, idx): complex(value)})
+        value = complex(value) if np.ndim(value) == 0 else np.asarray(value, dtype=complex)
+        return cls(q=q, entries={(idx, idx): value})
 
     @property
-    def value(self) -> complex:
+    def value(self) -> complex | np.ndarray:
         """The principal (I, J) = ((0..q-1), (0..q-1)) coefficient."""
         idx = tuple(range(self.q))
         return self.entries.get((idx, idx), 0j)
 
     @property
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.entries.values())
+        return not any(np.any(v) for v in self.entries.values())
 
     def conjugate_transpose(self) -> "FormKernelValue":
         """Swap the (I, J) roles and conjugate, i.e. the kernel of the adjoint."""
-        swapped = {(j, i): complex(np.conj(v)) for (i, j), v in self.entries.items()}
+        swapped = {
+            (j, i): np.conj(v).T if np.ndim(v) else complex(np.conj(v))
+            for (i, j), v in self.entries.items()
+        }
         return FormKernelValue(q=self.q, entries=swapped)
 
 
-def _point(z: complex | Sequence[complex], n: int) -> np.ndarray:
-    pt = np.atleast_1d(np.asarray(z, dtype=complex))
-    if pt.shape != (n,):
-        raise ValueError(f"expected a point in C^{n}, got shape {pt.shape}")
-    return pt
+def _points(z, n: int) -> tuple[np.ndarray, bool]:
+    """Points as an (m, n) array, and whether ``z`` was a single point."""
+    pts = np.asarray(z, dtype=complex)
+    single = pts.shape == (n,) or (pts.ndim == 0 and n == 1)
+    if single or (n == 1 and pts.ndim == 1):
+        pts = pts.reshape(-1, n)
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise ValueError(f"expected points in C^{n}, got shape {pts.shape}")
+    return pts, single
+
+
+def _kernel_points(spec: ModelSpectrum, q: int, z, w) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Validated degree and point arrays of a kernel call; True for one point pair."""
+    if not 0 <= q <= spec.n:
+        raise ValueError(f"form degree q={q} outside [0, {spec.n}]")
+    zp, z_single = _points(z, spec.n)
+    wp, w_single = _points(w, spec.n)
+    return zp, wp, z_single and w_single
+
+
+def _zero_kernel(q: int, zp: np.ndarray, wp: np.ndarray, single: bool) -> FormKernelValue:
+    if single:
+        return FormKernelValue.zero(q)
+    return FormKernelValue.principal(q, np.zeros((len(zp), len(wp)), dtype=complex))
 
 
 def multi_indices(n: int, max_order: int) -> Iterator[tuple[int, ...]]:
@@ -151,99 +183,73 @@ def multi_indices(n: int, max_order: int) -> Iterator[tuple[int, ...]]:
             yield tuple(alpha)
 
 
-def eval_model_bergman(
-    spec: ModelSpectrum, q: int, z: complex | Sequence[complex], w: complex | Sequence[complex]
-) -> FormKernelValue:
-    """Exact model projector kernel in degree q at (z, w).
+def eval_model_bergman(spec: ModelSpectrum, q: int, z, w) -> FormKernelValue:
+    """Exact model projector kernel in degree q on the point sets z and w.
 
-    Returns the zero kernel for every q != q0 (the model Laplacian has trivial
-    kernel there), and the closed-form Gaussian value for q = q0.
+    The principal entry is the (m_z, m_w) matrix K[i, j] = P(z_i, w_j), or a
+    complex number when z and w are single points.  Every q != q0 gives the
+    zero kernel (the model Laplacian has trivial kernel there): a zero matrix
+    of shape (m_z, m_w) on point sets, no entries at a single point pair.
     """
-    if not 0 <= q <= spec.n:
-        raise ValueError(f"form degree q={q} outside [0, {spec.n}]")
+    zp, wp, single = _kernel_points(spec, q, z, w)
     if q != spec.q0:
-        return FormKernelValue.zero(q)
-    zp = _point(z, spec.n)
-    wp = _point(w, spec.n)
+        return _zero_kernel(q, zp, wp, single)
     lam = np.abs(np.asarray(spec.lambdas))
+    zb, wb = zp[:, None, :], wp[None, :, :]
     cross = np.where(
-        np.arange(spec.n) < spec.q0, lam * np.conj(zp) * wp, lam * zp * np.conj(wp)
-    ).sum()
-    quad = (lam * (np.abs(zp) ** 2 + np.abs(wp) ** 2)).sum()
+        np.arange(spec.n) < spec.q0, lam * np.conj(zb) * wb, lam * zb * np.conj(wb)
+    ).sum(axis=-1)
+    quad = (lam * (np.abs(zb) ** 2 + np.abs(wb) ** 2)).sum(axis=-1)
     prefactor = float(np.prod(lam)) / math.pi ** spec.n
-    return FormKernelValue.principal(q, prefactor * np.exp(2.0 * cross - quad))
+    kern = prefactor * np.exp(2.0 * cross - quad)
+    return FormKernelValue.principal(q, kern[0, 0] if single else kern)
 
 
-def eval_model_basis(
-    spec: ModelSpectrum, alpha: MultiIndex | Sequence[int], z: complex | Sequence[complex]
-) -> complex:
-    """Orthonormal kernel basis element Psi_alpha(z), a coefficient on dzbar^1..dzbar^q0.
+def _basis_matrix(spec: ModelSpectrum, alphas, zp: np.ndarray) -> np.ndarray:
+    """B[alpha, p] = Psi_alpha(z_p) for an (m, n) point array."""
+    table = [MultiIndex(tuple(a)).entries for a in alphas]
+    if any(len(a) != spec.n for a in table):
+        raise ValueError(f"multi-index length does not match n={spec.n}")
+    lam = np.abs(np.asarray(spec.lambdas))
+    norms = np.empty(len(table))
+    for k, a in enumerate(table):
+        norm2 = 2.0 ** sum(a) * float(np.prod(lam ** (np.asarray(a) + 1)))
+        norm2 /= math.pi ** spec.n * float(np.prod([math.factorial(ai) for ai in a]))
+        norms[k] = math.sqrt(norm2)
+    coords = np.where(np.arange(spec.n) < spec.q0, np.conj(zp), zp)
+    exps = np.asarray(table, dtype=int).reshape(len(table), spec.n)
+    mono = np.prod(coords[None, :, :] ** exps[:, None, :], axis=-1)
+    gauss = np.exp(-(lam * np.abs(zp) ** 2).sum(axis=-1))
+    return norms[:, None] * mono * gauss[None, :]
+
+
+def eval_model_basis(spec: ModelSpectrum, alpha, z) -> complex | np.ndarray:
+    """Orthonormal kernel basis elements Psi_alpha, coefficients on dzbar^1..dzbar^q0.
 
     Psi_alpha = sqrt(2^|alpha| prod_i |lambda_i|^(alpha_i + 1) / (pi^n alpha!))
                 * z_q^alpha * e^{-sum_i |lambda_i| |z^i|^2},
 
     where the mixed monomial z_q^alpha conjugates the first q0 coordinates.
+    ``alpha`` is one multi-index or a sequence of them, and ``z`` a point set.
+    Returns the (len(alphas), m) matrix B[alpha, p] = Psi_alpha(z_p), or a
+    complex number for a single multi-index at a single point.
     """
-    a = tuple(MultiIndex(tuple(alpha)).entries)
-    if len(a) != spec.n:
-        raise ValueError(f"multi-index length {len(a)} does not match n={spec.n}")
-    zp = _point(z, spec.n)
-    lam = np.abs(np.asarray(spec.lambdas))
-    coords = np.where(np.arange(spec.n) < spec.q0, np.conj(zp), zp)
-    norm2 = 2.0 ** sum(a) * float(np.prod(lam ** (np.asarray(a) + 1)))
-    norm2 /= math.pi ** spec.n * float(np.prod([math.factorial(ai) for ai in a]))
-    mono = np.prod(coords ** np.asarray(a))
-    return complex(math.sqrt(norm2) * mono * np.exp(-(lam * np.abs(zp) ** 2).sum()))
+    single_alpha = isinstance(alpha, MultiIndex) or all(np.isscalar(a) for a in alpha)
+    zp, z_single = _points(z, spec.n)
+    basis = _basis_matrix(spec, [alpha] if single_alpha else alpha, zp)
+    return complex(basis[0, 0]) if single_alpha and z_single else basis
 
 
-def model_kernel_from_basis(
-    spec: ModelSpectrum,
-    q: int,
-    degree: int,
-    z: complex | Sequence[complex],
-    w: complex | Sequence[complex],
-) -> FormKernelValue:
+def model_kernel_from_basis(spec: ModelSpectrum, q: int, degree: int, z, w) -> FormKernelValue:
     """Truncated basis expansion sum_{|alpha| <= degree} Psi_alpha(z) Psi_alpha(w)*.
 
-    Independent oracle for :func:`eval_model_bergman`; converges to it as
-    degree grows, uniformly on compact sets.  Zero kernel when q != q0.
+    Independent oracle for :func:`eval_model_bergman`, with the same point
+    shapes and return values; converges to it as degree grows, uniformly on
+    compact sets.  Zero kernel when q != q0.
     """
-    if not 0 <= q <= spec.n:
-        raise ValueError(f"form degree q={q} outside [0, {spec.n}]")
+    zp, wp, single = _kernel_points(spec, q, z, w)
     if q != spec.q0:
-        return FormKernelValue.zero(q)
-    total = 0j
-    for alpha in multi_indices(spec.n, degree):
-        total += eval_model_basis(spec, alpha, z) * np.conj(eval_model_basis(spec, alpha, w))
-    return FormKernelValue.principal(q, total)
-
-
-def eval_model_heat(
-    spec: ModelSpectrum,
-    q: int,
-    t: float,
-    z: complex,
-    w: complex,
-    degree: int = 24,
-    quad_order: int | None = None,
-) -> FormKernelValue:
-    """Heat kernel e^{-t box} of the model Laplacian at (z, w), n = 1 only.
-
-    No closed form is assumed: the value is the eigen-expansion
-    sum_j e^{-t mu_j} psi_j(z) psi_j(w)* of the Galerkin discretization at the
-    given truncation degree.  As t -> infinity it converges to
-    :func:`eval_model_bergman` (to the projector onto the numerical kernel).
-    """
-    if spec.n != 1:
-        raise ValueError("heat kernel eigen-expansion is restricted to n = 1")
-    if not t > 0:
-        raise ValueError("heat time must be positive")
-    if q not in (0, 1):
-        raise ValueError(f"form degree q={q} outside [0, 1]")
-
-    from . import galerkin
-    from .weights import WeightPolynomial
-
-    weight = WeightPolynomial.quadratic((spec.lambdas[0],))
-    system = galerkin.build_system(weight, q, degree, quad_order=quad_order, reference=spec)
-    return galerkin.heat_kernel_numeric(system, t, z, w)
+        return _zero_kernel(q, zp, wp, single)
+    alphas = tuple(multi_indices(spec.n, degree))
+    kern = _basis_matrix(spec, alphas, zp).T @ _basis_matrix(spec, alphas, wp).conj()
+    return FormKernelValue.principal(q, kern[0, 0] if single else kern)

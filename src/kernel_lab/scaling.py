@@ -125,14 +125,6 @@ def _extended(family: WeightFamily, k: int, epsilon: float) -> ExtendedWeight:
     )
 
 
-def _model_matrix(spec: ModelSpectrum, q: int, grid: np.ndarray) -> np.ndarray:
-    out = np.empty((grid.size, grid.size), dtype=complex)
-    for i, z in enumerate(grid):
-        for j, w in enumerate(grid):
-            out[i, j] = eval_model_bergman(spec, q, z, w).value
-    return out
-
-
 def scaled_bergman_convergence(
     family: WeightFamily,
     ks: tuple[int, ...] = DEFAULT_KS,
@@ -155,7 +147,7 @@ def scaled_bergman_convergence(
         raise ValueError("scaled Bergman convergence needs lambda > 0")
     _require_gauge_normal(family)
     pts = kernel_grid() if grid is None else np.asarray(grid, dtype=complex).ravel()
-    model = _model_matrix(spec, 0, pts)
+    model = eval_model_bergman(spec, 0, pts[:, None], pts[:, None]).value
 
     kept: list[int] = []
     errors: list[float] = []
@@ -220,7 +212,7 @@ def vanishing_convergence(
     if q is None:
         q = 1 - spec.q0
     pts = kernel_grid() if grid is None else np.asarray(grid, dtype=complex).ravel()
-    model = _model_matrix(spec, q, pts)
+    model = eval_model_bergman(spec, q, pts[:, None], pts[:, None]).value
 
     kept: list[int] = []
     errors: list[float] = []

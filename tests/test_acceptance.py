@@ -90,9 +90,7 @@ def test_criterion_02_basis_orthonormality(capsys):
         z, wt = gauss_hermite_nodes(16, lam)
         # quadrature weights absorb e^{-2 lam |z|^2} dV; strip the basis Gaussian
         undo = np.exp(lam * np.abs(z) ** 2)
-        basis = np.array(
-            [[eval_model_basis(spec, a, p) for p in z] for a in alphas]
-        ) * undo[None, :]
+        basis = eval_model_basis(spec, alphas, z) * undo[None, :]
         gram = (basis * wt[None, :]) @ basis.conj().T
         worst = max(worst, float(np.abs(gram - np.eye(len(alphas))).max()))
     elapsed = time.monotonic() - t0
@@ -111,12 +109,8 @@ def test_criterion_03_expansion_consistency(capsys):
     t0 = time.monotonic()
     spec = ModelSpectrum((1.0,))
     pts = kernel_grid(5, 1.0)
-    closed = np.array(
-        [[eval_model_bergman(spec, 0, z, w).value for w in pts] for z in pts]
-    )
-    partial = np.array(
-        [[model_kernel_from_basis(spec, 0, 40, z, w).value for w in pts] for z in pts]
-    )
+    closed = eval_model_bergman(spec, 0, pts, pts).value
+    partial = model_kernel_from_basis(spec, 0, 40, pts, pts).value
     dev = float(np.abs(partial - closed).max())
     elapsed = time.monotonic() - t0
     ok = dev <= 1e-6 and elapsed < 5.0
@@ -138,9 +132,7 @@ def test_criterion_04_galerkin_vs_closed_form(capsys):
         hol = holomorphic_subsystem(WeightPolynomial.quadratic([lam]), 30)
         numeric = bergman_kernel_numeric(hol, pts, pts)
         spec = ModelSpectrum((lam,))
-        closed = np.array(
-            [[eval_model_bergman(spec, 0, z, w).value for w in pts] for z in pts]
-        )
+        closed = eval_model_bergman(spec, 0, pts, pts).value
         worst = max(worst, float(np.abs(numeric - closed).max()))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-6 and elapsed < 10.0

@@ -12,7 +12,7 @@ from kernel_lab import (
     MultiIndex,
     eval_model_basis,
     eval_model_bergman,
-    eval_model_heat,
+    heat_kernel_numeric,
     model_kernel_from_basis,
 )
 from kernel_lab.galerkin import build_system, gauss_hermite_nodes
@@ -103,8 +103,7 @@ def test_basis_orthonormality_by_quadrature():
     alphas = [(a,) for a in range(7)]
     z, wt = gauss_hermite_nodes(16, 1.0)
     undo = np.exp(np.abs(z) ** 2)
-    basis = np.array([[eval_model_basis(spec, a, p) for p in z] for a in alphas])
-    basis = basis * undo[None, :]
+    basis = eval_model_basis(spec, alphas, z) * undo[None, :]
     gram = (basis * wt[None, :]) @ basis.conj().T
     assert np.abs(gram - np.eye(7)).max() <= 1e-8
 
@@ -138,22 +137,26 @@ def test_reproducing_property():
         assert abs(reproduced - u(z)) <= 1e-6
 
 
-def test_heat_long_time_limit():
+def _model_system(q: int, degree: int = 24):
+    """Galerkin system of the unit model weight |z|^2, the heat kernel's source."""
     spec = ModelSpectrum((1.0,))
-    value = eval_model_heat(spec, 0, 40.0, 0.0, 0.0).value
+    return build_system(WeightPolynomial.quadratic((1.0,)), q, degree, reference=spec)
+
+
+def test_heat_long_time_limit():
+    value = heat_kernel_numeric(_model_system(0), 40.0, 0.0, 0.0).value
     assert value == pytest.approx(1.0 / math.pi, abs=1e-12)
 
 
 def test_heat_monotone_window():
-    spec = ModelSpectrum((1.0,))
-    t0 = eval_model_heat(spec, 0, 1e-6, 0.0, 0.0).value.real
-    t1 = eval_model_heat(spec, 0, 1.0, 0.0, 0.0).value.real
+    system = _model_system(0)
+    t0 = heat_kernel_numeric(system, 1e-6, 0.0, 0.0).value.real
+    t1 = heat_kernel_numeric(system, 1.0, 0.0, 0.0).value.real
     assert 1.0 / math.pi < t1 < t0
 
 
 def test_heat_mismatched_degree_decays():
-    spec = ModelSpectrum((1.0,))
-    value = eval_model_heat(spec, 1, 5.0, 0.0, 0.0, degree=16).value
+    value = heat_kernel_numeric(_model_system(1, degree=16), 5.0, 0.0, 0.0).value
     system = build_system(WeightPolynomial.quadratic([1.0]), q=1, degree=16)
     trace = float(np.sum(np.abs(system.eval_modes(0.0)) ** 2))
     assert abs(value) <= math.exp(-10.0) * trace
@@ -161,7 +164,58 @@ def test_heat_mismatched_degree_decays():
 
 def test_heat_rejects_nonpositive_time():
     with pytest.raises(ValueError):
-        eval_model_heat(ModelSpectrum((1.0,)), 0, 0.0, 0.0, 0.0)
+        heat_kernel_numeric(_model_system(0), 0.0, 0.0, 0.0)
+
+
+def _mixed_spectrum(n: int, q0: int, rng) -> ModelSpectrum:
+    mags = rng.uniform(0.3, 3.0, n)
+    return ModelSpectrum(tuple(-m for m in mags[:q0]) + tuple(mags[q0:]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_array_calls_match_single_points(n):
+    rng = np.random.default_rng(11 + n)
+    alphas = tuple(multi_indices(n, 4))
+    for q0 in range(n + 1):
+        spec = _mixed_spectrum(n, q0, rng)
+        z = 0.6 * (rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n)))
+        w = 0.6 * (rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n)))
+        kern = eval_model_bergman(spec, q0, z, w).value
+        single = [[eval_model_bergman(spec, q0, a, b).value for b in w] for a in z]
+        assert kern.shape == (6, 4)
+        assert np.array_equal(kern, np.array(single))
+        basis = eval_model_basis(spec, alphas, z)
+        single = [[eval_model_basis(spec, a, p) for p in z] for a in alphas]
+        assert basis.shape == (len(alphas), 6)
+        assert np.array_equal(basis, np.array(single))
+        expansion = model_kernel_from_basis(spec, q0, 4, z, w).value
+        single = [[model_kernel_from_basis(spec, q0, 4, a, b).value for b in w] for a in z]
+        assert np.abs(expansion - np.array(single)).max() <= 1e-15
+        for q in set(range(n + 1)) - {q0}:
+            for oracle in (
+                eval_model_bergman(spec, q, z, w),
+                model_kernel_from_basis(spec, q, 4, z, w),
+            ):
+                assert oracle.is_zero
+                assert oracle.value.shape == (6, 4)
+        for bad in (np.zeros((3, n + 1)), np.zeros((3, n - 1))):
+            with pytest.raises(ValueError):
+                eval_model_bergman(spec, q0, bad, w)
+            with pytest.raises(ValueError):
+                eval_model_basis(spec, alphas, bad)
+            with pytest.raises(ValueError):
+                model_kernel_from_basis(spec, q0, 4, z, bad)
+
+
+def test_one_dimensional_point_arrays():
+    spec = ModelSpectrum((1.0,))
+    pts = np.array([0.0, 0.5 - 0.2j, -0.3j])
+    flat = eval_model_bergman(spec, 0, pts, pts).value
+    column = eval_model_bergman(spec, 0, pts[:, None], pts[:, None]).value
+    assert flat.shape == (3, 3)
+    assert np.array_equal(flat, column)
+    assert np.array_equal(flat, flat.conj().T)
+    assert eval_model_bergman(spec, 0, pts[:1], pts[:1]).value == flat[0, 0]
 
 
 _POINTS = st.complex_numbers(
