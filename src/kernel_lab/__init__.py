@@ -66,9 +66,7 @@ from .galerkin import (
 )
 from .scaling import (
     ConvergenceReport,
-    DiagonalScanReport,
     HeatRouteReport,
-    diagonal_bound_scan,
     fit_loglog,
     heat_route_comparison,
     kernel_grid,

@@ -105,8 +105,8 @@ def _run_model(cfg: ParsedConfig) -> ExperimentResult:
         mags = rng.uniform(0.3, 3.0, n)
         lams = tuple(-m for m in mags[:q0]) + tuple(mags[q0:])
         spec = ModelSpectrum(lams)
-        origin = np.zeros(n, dtype=complex)
-        value = eval_model_bergman(spec, q0, origin, origin).value
+        origin = np.zeros((1, n), dtype=complex)
+        value = eval_model_bergman(spec, q0, origin, origin).value[0, 0]
         expected = float(np.prod(np.abs(lams))) / math.pi**n
         prefactor_dev = max(prefactor_dev, abs(value - expected) / expected)
     rows.append(("prefactor", f"spectra={sec['spectra']}", prefactor_dev))

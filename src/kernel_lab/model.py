@@ -21,11 +21,10 @@ degree q = q0 has the explicit value
 and is identically zero in every other degree.
 
 Point arguments are point sets: an ``(m, n)`` array of m points in C^n, or for
-n = 1 any 1-D array of m complex points.  A single point (shape ``(n,)``, or a
-scalar when n = 1) is also accepted; note that for n = 1 a length-1 1-D array
-is read as that single point.  The kernels return the ``(m_z, m_w)`` matrix
-K[i, j] = K(z_i, w_j) as their principal entry, and a complex number when both
-arguments are single points.
+n = 1 any 1-D array of m complex points, including m = 1.  A single point is
+shape ``(n,)`` for n > 1 and a 0-d scalar for n = 1.  The kernels return the
+``(m_z, m_w)`` matrix K[i, j] = K(z_i, w_j) as their principal entry, and a
+complex number when both arguments are single points.
 """
 
 from __future__ import annotations
@@ -150,7 +149,7 @@ class FormKernelValue:
 def _points(z, n: int) -> tuple[np.ndarray, bool]:
     """Points as an (m, n) array, and whether ``z`` was a single point."""
     pts = np.asarray(z, dtype=complex)
-    single = pts.shape == (n,) or (pts.ndim == 0 and n == 1)
+    single = pts.ndim == 0 if n == 1 else pts.shape == (n,)
     if single or (n == 1 and pts.ndim == 1):
         pts = pts.reshape(-1, n)
     if pts.ndim != 2 or pts.shape[1] != n:

@@ -250,83 +250,6 @@ def vanishing_convergence(
 
 
 @dataclass(frozen=True, eq=False)
-class DiagonalScanReport:
-    """Per-k maxima of the scaled projector kernel on the diagonal."""
-
-    ks: tuple[int, ...]
-    c_values: tuple[float, ...]
-    per_k: tuple[float, ...]
-    maximum: float
-    growing: bool
-    points: np.ndarray
-    threshold_exponent: float
-    failures: tuple[str, ...] = ()
-
-
-def diagonal_bound_scan(
-    family: WeightFamily,
-    ks: tuple[int, ...] = DEFAULT_KS,
-    degree: int = DEFAULT_DEGREE,
-    points: np.ndarray | None = None,
-    *,
-    q: int | None = None,
-    d: float = 1.0,
-    epsilon: float = DEFAULT_EPSILON,
-    quad_order: int = DEFAULT_QUAD_ORDER,
-) -> DiagonalScanReport:
-    """Scan of C_k^{-n} |K(p, p)| over scaled points p and all k.
-
-    Uses the spectral projector at the C_k^{-d} threshold, so the matched run
-    tends to |lambda| / pi at every point and the mismatched run to 0.  The
-    ``growing`` flag fires when the per-k maxima increase by more than one
-    part in 1e6 across each of the last three k: a bounded, converging
-    sequence stays under that, an unbounded one does not.
-    """
-    spec = family.model_spectrum()
-    if spec.n != 1:
-        raise ValueError("diagonal scan is implemented for n = 1")
-    _require_gauge_normal(family)
-    if q is None:
-        q = spec.q0
-    pts = kernel_grid() if points is None else np.asarray(points, dtype=complex).ravel()
-
-    kept: list[int] = []
-    per_k: list[float] = []
-    failures: list[str] = []
-    for k in ks:
-        ck = family.c_value(k)
-        try:
-            system = build_system(
-                _extended(family, k, epsilon), q=q, degree=degree, quad_order=quad_order
-            )
-        except GramConditioningError as err:
-            failures.append(f"k={k}: {err}")
-            continue
-        diat = [
-            abs(spectral_projector_kernel(system, ck ** (-d) / ck, p, p).value)
-            for p in pts
-        ]
-        kept.append(k)
-        per_k.append(float(max(diat)))
-
-    growing = False
-    if len(per_k) >= 3:
-        a, b, c = per_k[-3:]
-        scale = max(c, 1e-300)
-        growing = (b - a) > 1e-6 * scale and (c - b) > 1e-6 * scale
-    return DiagonalScanReport(
-        ks=tuple(kept),
-        c_values=tuple(family.c_value(k) for k in kept),
-        per_k=tuple(per_k),
-        maximum=max(per_k) if per_k else 0.0,
-        growing=growing,
-        points=pts,
-        threshold_exponent=float(d),
-        failures=tuple(failures),
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class HeatRouteReport:
     """Sup-grid gaps between heat kernels and the kernel projector.
 

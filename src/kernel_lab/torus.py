@@ -148,16 +148,13 @@ def morse_integrals(
     k: int,
     q: int,
     grid_n: int = DEFAULT_GRID,
-    window: tuple[float, float, float, float] | None = None,
 ) -> float:
     """Morse integral (k / 2 pi) * integral over M(q) of |R| dV at level k.
 
     Riemann sums on the periodic lattice grid are spectrally accurate while
     M(q) is the whole torus; once {R = 0} cuts through the grid the error
     drops to first order and a BoundaryCrossingWarning carries a rough
-    estimate (sign-boundary cell count * cell volume * max |R|).  ``window``
-    restricts the integral to a sub-rectangle [x0, x1) x [y0, y1) in lattice
-    coordinates (half-open, within the unit square).
+    estimate (sign-boundary cell count * cell volume * max |R|).
     """
     if q not in (0, 1):
         raise ValueError("torus Morse integrals take q in {0, 1}")
@@ -165,12 +162,6 @@ def morse_integrals(
         raise ValueError("level k must be nonzero")
     field = curvature_field(bundle, grid_n)
     mask = field.labels == q
-    if window is not None:
-        x0, x1, y0, y1 = map(float, window)
-        if not (0.0 <= x0 < x1 <= 1.0 and 0.0 <= y0 < y1 <= 1.0):
-            raise ValueError("window must be a nonempty sub-rectangle of [0, 1]^2")
-        x, y = _lattice_grid(grid_n)
-        mask = mask & (x >= x0) & (x < x1) & (y >= y0) & (y < y1)
     if field.sign_changing:
         cell = bundle.area / grid_n**2
         crossings = int(

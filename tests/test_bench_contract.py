@@ -1,17 +1,23 @@
 """The benchmark's per-layer trace names package attributes; they must all exist.
 
 ``bench/tracing.py`` rebinds the functions, methods and LAPACK entry points
-listed in its ``_FUNCTIONS``, ``_METHODS`` and ``_LAPACK`` tables by name.  A
-refactor that renames or deletes one of them breaks ``bench/run.py --trace 1``
-without failing anything else, so the tables are checked here.  The file is
-read, never edited.
+listed in its ``_FUNCTIONS``, ``_METHODS`` and ``_LAPACK`` tables by name, and
+its counters read arguments of those calls by name and fields of the systems
+they return.  A refactor that renames or deletes one of them breaks
+``bench/run.py --trace 1`` without failing anything else, so the tables and
+the counters' reads are checked here.  The file is read, never edited.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.linalg
+
+from kernel_lab import WeightPolynomial, galerkin
 
 _TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -40,3 +46,29 @@ def test_traced_method_exists(module_name, cls_name, attr):
     cls = getattr(importlib.import_module(module_name), cls_name)
     # install() rebinds vars(cls)[attr], so the method must be defined on the class itself
     assert callable(vars(cls).get(attr))
+
+
+def test_build_counter_reads_a_built_system():
+    # count_build sizes basis and quad_order and hashes gram and laplacian
+    system = galerkin.build_system(WeightPolynomial.quadratic([1.0]), q=0, degree=4)
+    assert isinstance(system.gram, np.ndarray)
+    assert isinstance(system.laplacian, np.ndarray)
+    tracer = _tracing.Tracer()
+    tracer.count_build(None, system)
+    assert tracer.counts["galerkin.build_system.distinct"] == 1
+    assert tracer.counts["galerkin.build_system.assembly_gflop"] == pytest.approx(
+        16 * system.quad_order**2 * len(system.basis) ** 2 / 1e9
+    )
+
+
+def test_counters_read_call_arguments_by_name():
+    # the wrappers bind call arguments and read build_system's degree,
+    # eigh's first argument a, and the kernels' point sets z and w
+    assert "degree" in inspect.signature(galerkin.build_system).parameters
+    assert next(iter(inspect.signature(scipy.linalg.eigh).parameters)) == "a"
+    for kernel in (
+        galerkin.bergman_kernel_numeric,
+        galerkin.spectral_projector_kernel,
+        galerkin.heat_kernel_numeric,
+    ):
+        assert {"z", "w"} <= set(inspect.signature(kernel).parameters)

@@ -1,6 +1,7 @@
 """Command line behavior: listing, runs, artifacts, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -135,3 +136,20 @@ def test_failed_check_exits_two(model_config, tmp_path, capsys):
     assert summary["passed"] is False
     failed = [c for c in summary["checks"] if not c["passed"]]
     assert any(c["name"] == "orthonormality" for c in failed)
+
+
+def test_readme_gap_override_runs(tmp_path):
+    # the degree override shown in README, cut to one k to stay fast
+    config = Path(__file__).resolve().parents[1] / "configs" / "gap-cubic.ini"
+    out = tmp_path / "gap"
+    code = main(
+        [
+            "run", "--config", str(config), "--out", str(out),
+            "--override", "gap.degree_fine=36", "--override", "run.seed=7",
+            "--override", "gap.ks=1",
+        ]
+    )
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["passed"] is True
+    assert summary["config"]["gap"]["degree_fine"] == 36

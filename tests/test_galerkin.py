@@ -1,4 +1,4 @@
-"""Galerkin systems: Gram exactness, spectra, kernels, Hodge identity, guards."""
+"""Galerkin systems: Gram exactness, spectra, kernels, Hodge identity, refusals."""
 
 import math
 
@@ -26,10 +26,13 @@ UNIT = WeightPolynomial.quadratic([1.0])
 
 
 def test_gram_constant_section_norm():
-    hol = holomorphic_subsystem(UNIT, 0)
-    assert hol.gram[0, 0].real == pytest.approx(math.pi, rel=1e-12)
-    system = build_system(UNIT, q=0, degree=0)
-    assert system.gram[0, 0].real == pytest.approx(math.pi, rel=1e-12)
+    # both bases are orthonormal for the model weight; the dV = 2 dm
+    # convention itself is pinned by test_quadrature_moment_exactness
+    hol = holomorphic_subsystem(UNIT, 12)
+    assert np.abs(hol.gram - np.eye(13)).max() <= 1e-12
+    system = build_system(UNIT, q=0, degree=12)
+    assert np.abs(system.gram - np.eye(len(system.basis))).max() <= 1e-12
+    assert system.gram_defect <= 1e-12
 
 
 def test_quadrature_moment_exactness():
@@ -176,9 +179,23 @@ def test_hodge_rejects_degree_mismatch():
         hodge_residual(None, s0, build_system(UNIT, q=1, degree=9))
 
 
-def test_gram_guard_trips_at_large_degree():
+def test_high_degree_builds_and_low_order_refused():
+    system = build_system(UNIT, q=0, degree=40)
+    assert system.kernel_dimension() == 41
+    assert system.gram_defect <= 1e-12
     with pytest.raises(GramConditioningError):
-        build_system(UNIT, q=0, degree=36)
+        build_system(UNIT, q=0, degree=12, quad_order=12)
+    # one node more than D already integrates the Gram matrix exactly
+    assert build_system(UNIT, q=0, degree=12, quad_order=13).gram_defect <= 1e-12
+
+
+@pytest.mark.parametrize("q, degree", [(0, 16), (1, 16), (0, 32), (1, 32), (0, 48), (1, 48), (0, 64)])
+def test_model_spectrum_exact_at_every_mode(q, degree):
+    # the model Laplacian on |z|^2 has eigenvalue 2(b + q) with multiplicity
+    # D + 1 - b in the truncated space, b = 0..D; every mode is checked
+    system = build_system(UNIT, q=q, degree=degree)
+    exact = np.repeat(2.0 * (np.arange(degree + 1) + q), np.arange(degree + 1, 0, -1))
+    assert np.abs(system.eigenvalues - exact).max() <= 1e-10
 
 
 def test_assembled_matrices_hermitian():

@@ -180,16 +180,18 @@ def test_array_calls_match_single_points(n):
         spec = _mixed_spectrum(n, q0, rng)
         z = 0.6 * (rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n)))
         w = 0.6 * (rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n)))
+        # a single point is a row for n > 1 and a 0-d scalar for n = 1
+        zs, ws = (z[:, 0], w[:, 0]) if n == 1 else (z, w)
         kern = eval_model_bergman(spec, q0, z, w).value
-        single = [[eval_model_bergman(spec, q0, a, b).value for b in w] for a in z]
+        single = [[eval_model_bergman(spec, q0, a, b).value for b in ws] for a in zs]
         assert kern.shape == (6, 4)
         assert np.array_equal(kern, np.array(single))
         basis = eval_model_basis(spec, alphas, z)
-        single = [[eval_model_basis(spec, a, p) for p in z] for a in alphas]
+        single = [[eval_model_basis(spec, a, p) for p in zs] for a in alphas]
         assert basis.shape == (len(alphas), 6)
         assert np.array_equal(basis, np.array(single))
         expansion = model_kernel_from_basis(spec, q0, 4, z, w).value
-        single = [[model_kernel_from_basis(spec, q0, 4, a, b).value for b in w] for a in z]
+        single = [[model_kernel_from_basis(spec, q0, 4, a, b).value for b in ws] for a in zs]
         assert np.abs(expansion - np.array(single)).max() <= 1e-15
         for q in set(range(n + 1)) - {q0}:
             for oracle in (
@@ -215,7 +217,8 @@ def test_one_dimensional_point_arrays():
     assert flat.shape == (3, 3)
     assert np.array_equal(flat, column)
     assert np.array_equal(flat, flat.conj().T)
-    assert eval_model_bergman(spec, 0, pts[:1], pts[:1]).value == flat[0, 0]
+    one = eval_model_bergman(spec, 0, pts[:1], pts[:1]).value
+    assert one.shape == (1, 1) and one[0, 0] == flat[0, 0]
 
 
 _POINTS = st.complex_numbers(

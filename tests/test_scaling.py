@@ -1,4 +1,4 @@
-"""Scaling runs: kernel convergence, vanishing, diagonal bounds, heat route."""
+"""Scaling runs: kernel convergence, vanishing, heat route."""
 
 import math
 
@@ -11,7 +11,6 @@ from kernel_lab import (
     ModelSpectrum,
     WeightFamily,
     WeightPolynomial,
-    diagonal_bound_scan,
     fit_loglog,
     heat_route_comparison,
     kernel_grid,
@@ -115,24 +114,6 @@ def test_vanishing_matched_control_keeps_kernel(quadratic_family):
     # the truncated kernel holds every holomorphic monomial
     assert report.ranks == (31, 31)
     assert max(report.errors) <= 1e-6
-
-
-def test_diagonal_scan_matched(quadratic_family):
-    report = diagonal_bound_scan(quadratic_family, ks=(1, 2, 3, 4), degree=16)
-    assert report.maximum == pytest.approx(1.0 / math.pi, rel=1e-6)
-    assert not report.growing
-
-
-def test_diagonal_scan_mismatched(quadratic_family):
-    report = diagonal_bound_scan(quadratic_family, ks=(1, 2, 3), degree=16, q=1)
-    assert report.maximum == 0.0
-
-
-def test_diagonal_scan_cubic_bounded(cubic_family):
-    report = diagonal_bound_scan(cubic_family, ks=(1, 2, 3, 4, 5), degree=30)
-    last = report.per_k[-1]
-    assert last <= 1.0 / math.pi + 1.0 / math.sqrt(cubic_family.c_value(5))
-    assert not report.growing
 
 
 def test_heat_route_model_spectrum():

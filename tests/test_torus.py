@@ -80,12 +80,6 @@ def test_morse_integrals_flat(flat_torus):
     assert morse_integrals(flat_torus, 5, 1) == 0.0
 
 
-def test_morse_integrals_window(flat_torus):
-    full = morse_integrals(flat_torus, 4, 0)
-    half = morse_integrals(flat_torus, 4, 0, window=(0.0, 0.5, 0.0, 1.0))
-    assert half == pytest.approx(full / 2.0, abs=1e-12)
-
-
 def test_morse_integrals_sign_changing_exceeds_mean(wavy_torus):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryCrossingWarning)
