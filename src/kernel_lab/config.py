@@ -298,7 +298,33 @@ def _parse_section(section: str, raw: Mapping[str, str]) -> dict[str, object]:
     elif extra:
         key = sorted(extra)[0]
         raise ConfigError(f"{section}.{key}: unknown key")
+    _check_truncation(section, out)
     return out
+
+
+def _check_truncation(section: str, values: Mapping[str, object]) -> None:
+    """Degree and quadrature-order rules of the Galerkin sections.
+
+    An order-m rule integrates the Gram matrix of degree D only when m > D,
+    and the gap experiment solves its coarse degree as a leading block of the
+    fine one.
+    """
+    if section == "gap":
+        if values["degree_coarse"] > values["degree_fine"]:
+            raise ConfigError(
+                f"gap.degree_coarse: must not exceed degree_fine"
+                f" ({values['degree_fine']}), got {values['degree_coarse']}"
+            )
+        top = "degree_fine"
+    elif section in ("converge", "vanish", "heat"):
+        top = "degree"
+    else:
+        return
+    if values["quad_order"] <= values[top]:
+        raise ConfigError(
+            f"{section}.quad_order: must exceed {top} ({values[top]}),"
+            f" got {values['quad_order']}"
+        )
 
 
 def _jsonable(value):

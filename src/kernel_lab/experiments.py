@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError, ParsedConfig
-from .galerkin import build_system, gauss_hermite_nodes, spectral_gap
+from .galerkin import build_system, gauss_hermite_nodes, leading_block, spectral_gap
 from .model import (
     ModelSpectrum,
     eval_model_basis,
@@ -252,6 +252,16 @@ def _run_vanish(cfg: ParsedConfig) -> ExperimentResult:
     )
 
 
+def _coarse_and_fine_gaps(scaled, q: int, sec: dict) -> tuple[float, float]:
+    """Spectral gaps at both degrees from one build at ``degree_fine``.
+
+    The coarse system is the fine one's leading block.  The fine system is
+    released on return, before the next k is built.
+    """
+    fine = build_system(scaled, q=q, degree=sec["degree_fine"], quad_order=sec["quad_order"])
+    return spectral_gap(leading_block(fine, sec["degree_coarse"])), spectral_gap(fine)
+
+
 def _run_gap(cfg: ParsedConfig) -> ExperimentResult:
     family = cfg.family()
     sec = cfg.values["gap"]
@@ -262,13 +272,7 @@ def _run_gap(cfg: ParsedConfig) -> ExperimentResult:
     fine_gaps: list[float] = []
     for k in sec["ks"]:
         ck = family.c_value(k)
-        scaled = scale_weight(family, k)
-        coarse = spectral_gap(
-            build_system(scaled, q=q, degree=sec["degree_coarse"], quad_order=sec["quad_order"])
-        )
-        fine = spectral_gap(
-            build_system(scaled, q=q, degree=sec["degree_fine"], quad_order=sec["quad_order"])
-        )
+        coarse, fine = _coarse_and_fine_gaps(scale_weight(family, k), q, sec)
         rel = abs(coarse - fine) / fine
         rows.append((k, ck, coarse, fine, rel, ck * fine))
         rels.append(rel)

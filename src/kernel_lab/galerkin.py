@@ -20,7 +20,10 @@ exactly once m > D, and the Laplacian of a polynomial weight of degree p once
 m >= D + p; blended weights get a dense rule.  Orders m <= D are refused with
 GramConditioningError; above that the Gram defect max|G - I| is reported, not
 guarded.  On the model weight |z|^2 every eigenvalue is then exact to roundoff
-(2(b + q) with multiplicity D + 1 - b) up to at least D = 64.  Because the basis
+(2(b + q) with multiplicity D + 1 - b) up to at least D = 64.  The basis is
+graded by i + j, so with the same rule the degree-D' matrices are the leading
+(D'+1)(D'+2)/2 blocks of the degree-D ones for any D' <= D: ``leading_block``
+solves a lower truncation from them without assembling again.  Because the basis
 carries the reference Gaussian rather than e^{-phi}, negative-curvature
 weights pose no integrability problem: the true weight enters only through its
 derivatives.
@@ -35,7 +38,7 @@ raises GramConditioningError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -50,6 +53,7 @@ __all__ = [
     "GalerkinSystem",
     "HolomorphicBasis",
     "build_system",
+    "leading_block",
     "holomorphic_subsystem",
     "bergman_kernel_numeric",
     "spectral_projector_kernel",
@@ -167,13 +171,14 @@ class GalerkinBasis:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def tabulate(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Polynomial factors P of b = P e^{-lam_ref |z|^2} and their Wirtinger derivatives.
+    def tabulate(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Polynomial factors P of b = P e^{-lam_ref |z|^2} and the derivative dbar_s or dbar_s^* needs.
 
-        Returns (P, dP/dz, dP/dzbar), each of shape (len(z), len(self)).  The
-        normalized Hermite polynomials p_i (orthonormal against e^{-t^2} dt)
-        come from the three-term recurrence at t = sqrt(2 lam_ref) (x, y),
-        with p_i' = sqrt(2i) p_{i-1}.  P is real, so dP/dz = conj(dP/dzbar).
+        Returns (P, dP/dzbar) for q = 0 and (P, dP/dz) for q = 1, each of shape
+        (len(z), len(self)).  The normalized Hermite polynomials p_i
+        (orthonormal against e^{-t^2} dt) come from the three-term recurrence at
+        t = sqrt(2 lam_ref) (x, y), with p_i' = sqrt(2i) p_{i-1}.  P is real, so
+        dP/dz = conj(dP/dzbar).
         """
         z = np.asarray(z, dtype=complex).ravel()
         scale = math.sqrt(2.0 * self.lam_ref)
@@ -189,8 +194,10 @@ class GalerkinBasis:
         i, j = np.array(self.pairs).T
         norm = math.sqrt(self.lam_ref)
         values = norm * (p[i, 0] * p[j, 1]).T
-        d_zbar = 0.5 * scale * norm * (dp[i, 0] * p[j, 1] + 1j * p[i, 0] * dp[j, 1]).T
-        return values, d_zbar.conj(), d_zbar
+        deriv = 0.5 * scale * norm * (dp[i, 0] * p[j, 1] + 1j * p[i, 0] * dp[j, 1]).T
+        if self.q == 1:
+            np.conjugate(deriv, out=deriv)
+        return values, deriv
 
     def functions(self, z: np.ndarray) -> np.ndarray:
         """Basis values b_ij(z) including the reference Gaussian factor."""
@@ -203,10 +210,10 @@ def _dbar_image(basis: GalerkinBasis, w: _Weight1D, z: np.ndarray) -> tuple[np.n
 
     Both come without the reference Gaussian, which the quadrature carries.
     """
-    values, d_z, d_zbar = basis.tabulate(z)
+    values, deriv = basis.tabulate(z)
     if basis.q == 0:
-        return values, d_zbar + (w.d_zbar(z) - basis.lam_ref * z)[:, None] * values
-    return values, -d_z + (w.d_z(z) + basis.lam_ref * np.conj(z))[:, None] * values
+        return values, deriv + (w.d_zbar(z) - basis.lam_ref * z)[:, None] * values
+    return values, (w.d_z(z) + basis.lam_ref * np.conj(z))[:, None] * values - deriv
 
 
 @dataclass(frozen=True)
@@ -289,18 +296,36 @@ def build_system(
             f" integrate the Gram matrix (needs more than D = {degree})"
         )
 
-    z, wt = gauss_hermite_nodes(order, lam_ref)
+    gram, lap = _assemble(basis, w, order)
+    return _solve(basis, w, gram, lap, order)
+
+
+def _assemble(basis: GalerkinBasis, w: _Weight1D, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gram and Laplacian matrices by the order-``order`` tensor rule.
+
+    The node tables are released on return, before any eigensolve.
+    """
+    z, wt = gauss_hermite_nodes(order, basis.lam_ref)
     values, op = _dbar_image(basis, w, z)
     gram = (values.T * wt) @ values
-    lap = (op.conj().T * wt) @ op
-    gram = 0.5 * (gram + gram.T)
-    lap = 0.5 * (lap + lap.conj().T)
+    del values
+    weighted = op.conj()
+    weighted *= wt[:, None]
+    lap = weighted.T @ op
+    del op, weighted
+    return 0.5 * (gram + gram.T), 0.5 * (lap + lap.conj().T)
 
+
+def _solve(
+    basis: GalerkinBasis, w: _Weight1D, gram: np.ndarray, lap: np.ndarray, order: int
+) -> GalerkinSystem:
+    """Eigenpairs of the Laplacian, which must be positive semidefinite."""
     mu, vecs = scipy.linalg.eigh(lap)
     top = max(abs(mu[-1]), 1.0)
     if mu[0] < -1e-9 * top:
         raise GramConditioningError(
-            f"build_system(q={q}, D={degree}): spectrum not PSD, min eigenvalue {mu[0]:.3e}"
+            f"Galerkin system (q={basis.q}, D={basis.degree}): spectrum not PSD,"
+            f" min eigenvalue {mu[0]:.3e}"
         )
     return GalerkinSystem(
         basis=basis,
@@ -311,6 +336,29 @@ def build_system(
         eigenvectors=vecs,
         gram_defect=float(np.abs(gram - np.eye(len(basis))).max()),
         quad_order=order,
+    )
+
+
+def leading_block(system: GalerkinSystem, degree: int) -> GalerkinSystem:
+    """The system truncated at a lower degree, solved from its leading blocks.
+
+    The basis is graded by i + j, so the degree-``degree`` basis spans the
+    first (degree + 1)(degree + 2)/2 functions of the system's; with the same
+    weight and quadrature rule, its Gram and Laplacian are the leading blocks
+    of the system's, and only the eigensolve is repeated.
+    """
+    if not 0 <= degree <= system.degree:
+        raise ValueError(
+            f"leading block degree must lie in [0, {system.degree}], got {degree}"
+        )
+    basis = replace(system.basis, degree=degree, pairs=basis_pairs(degree))
+    n = len(basis)
+    return _solve(
+        basis,
+        system.weight,
+        system.gram[:n, :n].copy(),
+        system.laplacian[:n, :n].copy(),
+        system.quad_order,
     )
 
 

@@ -11,6 +11,10 @@ squares slopes of log(error) against log(C_k) over the largest k values.  A
 term of total order m in the weight scales as C_k^{gamma - m/2}, so any
 perturbation with gamma < 1 and order >= 2 decays and the errors should
 shrink; the fitted slope measures how fast.
+
+Sweeps build one Galerkin system per distinct blended weight: when the scaled
+weight is its own quadratic model, as for a pure quadratic base, every k
+blends to that model and one system serves the whole run of k.
 """
 
 from __future__ import annotations
@@ -125,6 +129,29 @@ def _extended(family: WeightFamily, k: int, epsilon: float) -> ExtendedWeight:
     )
 
 
+class _SweepBuilds:
+    """``build_system`` over a k sweep, reusing the last system for an equal blend.
+
+    A blended weight whose scaled part is its model (``delta`` has no terms)
+    is that model everywhere, whatever C_k and epsilon, so consecutive such k
+    share one build.  Any other blend is built anew, and only the last system
+    is held.
+    """
+
+    def __init__(self, **options) -> None:
+        self.options = options
+        self.model: WeightPolynomial | None = None
+        self.system: GalerkinSystem | None = None
+
+    def __call__(self, blend: ExtendedWeight) -> GalerkinSystem:
+        model = None if blend.delta.coeffs else blend.model
+        if self.system is None or model is None or model != self.model:
+            self.system = None
+            self.system = build_system(blend, **self.options)
+            self.model = model
+        return self.system
+
+
 def scaled_bergman_convergence(
     family: WeightFamily,
     ks: tuple[int, ...] = DEFAULT_KS,
@@ -218,12 +245,11 @@ def vanishing_convergence(
     errors: list[float] = []
     ranks: list[int] = []
     failures: list[str] = []
+    builds = _SweepBuilds(q=q, degree=degree, quad_order=quad_order)
     for k in ks:
         ck = family.c_value(k)
         try:
-            system = build_system(
-                _extended(family, k, epsilon), q=q, degree=degree, quad_order=quad_order
-            )
+            system = builds(_extended(family, k, epsilon))
         except GramConditioningError as err:
             failures.append(f"k={k}: {err}")
             continue
@@ -287,8 +313,9 @@ def heat_route_comparison(
 
     Requires the matched signature q = q0 so that P is a genuine limit; the
     decay of |H(t) - P| in t then measures the spectral gap.  ``source`` may
-    be a weight family (one system per k) or a bare model spectrum (a single
-    exactly quadratic system, reported as k = 1).
+    be a weight family (one system per distinct blended weight, built as the
+    sweep reaches it) or a bare model spectrum (a single exactly quadratic
+    system, reported as k = 1).
     """
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t schedule must be strictly increasing")
@@ -312,12 +339,8 @@ def heat_route_comparison(
             raise ValueError("heat route comparison needs the matched q = q0")
         _require_gauge_normal(source)
         kss = DEFAULT_KS if ks is None else tuple(ks)
-        systems = [
-            build_system(
-                _extended(source, k, epsilon), q=q, degree=degree, quad_order=quad_order
-            )
-            for k in kss
-        ]
+        builds = _SweepBuilds(q=q, degree=degree, quad_order=quad_order)
+        systems = (builds(_extended(source, k, epsilon)) for k in kss)
         cs = tuple(source.c_value(k) for k in kss)
 
     pts = kernel_grid() if grid is None else np.asarray(grid, dtype=complex).ravel()

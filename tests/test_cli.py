@@ -8,6 +8,8 @@ import pytest
 from kernel_lab.config import EXPERIMENTS
 from kernel_lab.cli import main
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 MODEL_INI = """\
 [run]
 experiment = model
@@ -63,13 +65,28 @@ def test_run_model(model_config, tmp_path, capsys):
     ]
 
 
-def test_reruns_are_byte_identical(model_config, tmp_path):
+@pytest.mark.parametrize(
+    "config, override",
+    [
+        ("model", None),
+        # the solve configs, cut to two k, cover the reused and leading-block systems
+        ("gap-cubic", "gap.ks=1,2"),
+        ("heat-quadratic", "heat.ks=1,2"),
+        ("vanish-mismatched", "vanish.ks=1,2"),
+    ],
+    ids=["model", "gap-cubic", "heat-quadratic", "vanish-mismatched"],
+)
+def test_reruns_are_byte_identical(config, override, model_config, tmp_path):
+    path = model_config if config == "model" else str(CONFIGS / f"{config}.ini")
+    extra = ["--override", override] if override else []
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert main(["run", "--config", model_config, "--out", str(out1)]) == 0
-    assert main(["run", "--config", model_config, "--out", str(out2)]) == 0
-    assert (out1 / "model.csv").read_bytes() == (out2 / "model.csv").read_bytes()
-    assert (
-        out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+    assert main(["run", "--config", path, "--out", str(out1), *extra]) == 0
+    assert main(["run", "--config", path, "--out", str(out2), *extra]) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    assert "summary.json" in names and len(names) == 2
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_seed_flag_overrides_config(model_config, tmp_path):
@@ -140,7 +157,7 @@ def test_failed_check_exits_two(model_config, tmp_path, capsys):
 
 def test_readme_gap_override_runs(tmp_path):
     # the degree override shown in README, cut to one k to stay fast
-    config = Path(__file__).resolve().parents[1] / "configs" / "gap-cubic.ini"
+    config = CONFIGS / "gap-cubic.ini"
     out = tmp_path / "gap"
     code = main(
         [
@@ -153,3 +170,22 @@ def test_readme_gap_override_runs(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["passed"] is True
     assert summary["config"]["gap"]["degree_fine"] == 36
+
+
+@pytest.mark.parametrize(
+    "config, override",
+    [
+        ("gap-cubic", "gap.quad_order=30"),
+        ("gap-cubic", "gap.degree_coarse=40"),
+        ("vanish-mismatched", "vanish.quad_order=20"),
+    ],
+)
+def test_invalid_truncation_is_usage_error(config, override, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(
+        ["run", "--config", str(CONFIGS / f"{config}.ini"), "--out", str(out),
+         "--override", override]
+    )
+    assert code == 1
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()

@@ -237,3 +237,34 @@ def test_gap_section_schema(tmp_path):
     assert sec["q"] is None
     assert sec["stability_tolerance"] == pytest.approx(0.02)
     assert sec["linearity_tolerance"] == pytest.approx(0.05)
+
+
+def _family_config(tmp_path, experiment):
+    return write(tmp_path, f"[run]\nexperiment = {experiment}\n[family]\nbase = 1;1;1\n")
+
+
+@pytest.mark.parametrize(
+    "experiment, override",
+    [
+        ("converge", "converge.quad_order=30"),
+        ("vanish", "vanish.quad_order=20"),
+        ("heat", "heat.quad_order=24"),
+        ("gap", "gap.quad_order=32"),
+        ("gap", "gap.degree_coarse=33"),
+    ],
+)
+def test_truncation_rules(tmp_path, experiment, override):
+    key = override.split("=")[0]
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        load_config(_family_config(tmp_path, experiment), overrides=(override,))
+
+
+def test_truncation_limits_accepted(tmp_path):
+    for experiment, overrides in [
+        ("converge", ("converge.quad_order=31",)),
+        ("vanish", ("vanish.quad_order=31",)),
+        ("heat", ("heat.quad_order=25",)),
+        ("gap", ("gap.quad_order=33", "gap.degree_coarse=32")),
+    ]:
+        cfg = load_config(_family_config(tmp_path, experiment), overrides=overrides)
+        assert cfg.experiment == experiment

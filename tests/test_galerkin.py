@@ -20,7 +20,8 @@ from kernel_lab import (
     spectral_gap,
     spectral_projector_kernel,
 )
-from kernel_lab.galerkin import gauss_hermite_nodes
+from kernel_lab.galerkin import gauss_hermite_nodes, leading_block
+from kernel_lab.weights import scale_weight
 
 UNIT = WeightPolynomial.quadratic([1.0])
 
@@ -203,3 +204,40 @@ def test_assembled_matrices_hermitian():
     system = build_system(weight, q=1, degree=10)
     assert np.abs(system.gram - system.gram.conj().T).max() == 0.0
     assert np.abs(system.laplacian - system.laplacian.conj().T).max() == 0.0
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_leading_block_matches_independent_build(cubic_family, q):
+    # the degree-24 basis is the leading block of the degree-32 one and both
+    # use the same rule, so only the eigensolve differs from a fresh build
+    weight = scale_weight(cubic_family, 2)
+    block = leading_block(build_system(weight, q=q, degree=32, quad_order=44), 24)
+    fresh = build_system(weight, q=q, degree=24, quad_order=44)
+    assert block.basis == fresh.basis
+    assert block.quad_order == fresh.quad_order == 44
+    assert np.abs(block.gram - fresh.gram).max() <= 1e-13
+    if q == 1:
+        # no zero band: every eigenvalue agrees to 1e-12 relative
+        np.testing.assert_allclose(block.eigenvalues, fresh.eigenvalues, rtol=1e-12, atol=0.0)
+    else:
+        top = np.abs(fresh.eigenvalues).max()
+        assert np.abs(block.eigenvalues - fresh.eigenvalues).max() <= 1e-12 * top
+    assert spectral_gap(block) == pytest.approx(spectral_gap(fresh), rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_leading_block_model_spectrum_exact(q):
+    block = leading_block(build_system(UNIT, q=q, degree=32), 20)
+    assert block.degree == 20 and len(block.basis) == 231
+    exact = np.repeat(2.0 * (np.arange(21) + q), np.arange(21, 0, -1))
+    assert np.abs(block.eigenvalues - exact).max() <= 1e-10
+
+
+def test_leading_block_rejects_degree_outside_system():
+    system = build_system(UNIT, q=0, degree=8)
+    with pytest.raises(ValueError):
+        leading_block(system, 9)
+    with pytest.raises(ValueError):
+        leading_block(system, -1)
+    whole = leading_block(system, 8)
+    assert np.array_equal(whole.laplacian, system.laplacian)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kernel_lab import scaling
 from kernel_lab import (
     CkRule,
     ConvergenceReport,
@@ -142,3 +143,59 @@ def test_heat_route_requires_matched_degree(quadratic_family):
 
 def test_route_equivalence(cubic_family):
     assert route_equivalence_gap(cubic_family, 2, degree=16) <= 1e-10
+
+
+def _count_builds(monkeypatch) -> list[int]:
+    degrees: list[int] = []
+    build = scaling.build_system
+
+    def counted(*args, **kwargs):
+        degrees.append(kwargs["degree"])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(scaling, "build_system", counted)
+    return degrees
+
+
+def test_vanishing_builds_once_per_distinct_weight(quadratic_family, monkeypatch):
+    ks = (1, 2, 3, 4, 5)
+    builds = _count_builds(monkeypatch)
+    report = vanishing_convergence(quadratic_family, ks=ks, degree=16)
+    # every k of the pure quadratic family blends to the model weight itself
+    assert builds == [16]
+    # the same report as one system per k, bit for bit
+    single = [vanishing_convergence(quadratic_family, ks=(k,), degree=16) for k in ks]
+    assert len(builds) == 1 + len(ks)
+    assert report.ks == ks
+    assert report.c_values == tuple(r.c_values[0] for r in single)
+    assert report.errors == tuple(r.errors[0] for r in single)
+    assert report.ranks == tuple(r.ranks[0] for r in single)
+    assert (report.slope, report.slope_residual) == fit_loglog(report.c_values, report.errors)
+    assert report.failures == ()
+
+
+def test_heat_route_builds_once_per_distinct_weight(quadratic_family, monkeypatch):
+    ks = (1, 2, 3, 4, 5)
+    ts = (1.0, 2.0, 4.0)
+    builds = _count_builds(monkeypatch)
+    report = heat_route_comparison(quadratic_family, ks=ks, ts=ts, degree=16)
+    assert builds == [16]
+    single = [heat_route_comparison(quadratic_family, ks=(k,), ts=ts, degree=16) for k in ks]
+    assert len(builds) == 1 + len(ks)
+    diffs = np.vstack([r.diffs for r in single])
+    assert report.diffs.tobytes() == diffs.tobytes()
+    assert report.gaps == tuple(r.gaps[0] for r in single)
+    assert report.slopes == tuple(r.slopes[0] for r in single)
+    assert report.trace_bounds == tuple(r.trace_bounds[0] for r in single)
+    assert report.c_values == tuple(r.c_values[0] for r in single)
+    assert report.spread_per_t == tuple(
+        float(diffs[:, j].max() - diffs[:, j].min()) for j in range(len(ts))
+    )
+
+
+def test_cubic_family_builds_once_per_k(cubic_family, monkeypatch):
+    builds = _count_builds(monkeypatch)
+    vanishing_convergence(cubic_family, ks=(1, 2, 3), degree=12)
+    assert builds == [12, 12, 12]
+    heat_route_comparison(cubic_family, ks=(1, 2, 3), ts=(1.0, 2.0), degree=12)
+    assert builds == [12] * 6
