@@ -30,9 +30,7 @@ if _threads.isdigit() and int(_threads) > 0:
         _os.environ.setdefault(_var, _threads)
 
 from .model import (
-    FormKernelValue,
     ModelSpectrum,
-    MultiIndex,
     eval_model_basis,
     eval_model_bergman,
     model_kernel_from_basis,

@@ -26,8 +26,6 @@ from .weights import CkRule, Perturbation, WeightFamily, WeightPolynomial, real_
 
 EXPERIMENTS = ("converge", "gap", "heat", "model", "torus-audit", "vanish")
 
-_FAMILY_SECTIONS = {"converge": "converge", "gap": "gap", "heat": "heat", "vanish": "vanish"}
-
 
 class ConfigError(ValueError):
     """Invalid configuration; the message starts with the offending key path."""
@@ -76,6 +74,20 @@ def _ints(text: str) -> tuple[int, ...]:
     if not parts:
         raise ValueError("empty list")
     return tuple(int(p) for p in parts)
+
+
+def _increasing_ints(text: str) -> tuple[int, ...]:
+    v = _ints(text)
+    if any(b <= a for a, b in zip(v, v[1:])):
+        raise ValueError(f"must be strictly increasing, got {', '.join(map(str, v))}")
+    return v
+
+
+def _form_degree(text: str) -> int:
+    v = _int(text)
+    if v not in (0, 1):
+        raise ValueError(f"must be 0 or 1, got {v}")
+    return v
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -171,7 +183,6 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "seed": _Key(_nonneg_int, "0"),
     },
     "family": {
-        "dimension": _Key(_positive_int, "1"),
         "ck_rule": _Key(_ck_rule, "4^k"),
         "base": _Key(_terms, None),
     },
@@ -188,7 +199,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "expansion_tolerance": _Key(_positive_float, "1e-6"),
     },
     "converge": {
-        "ks": _Key(_ints, "1, 2, 3, 4, 5, 6, 7"),
+        "ks": _Key(_increasing_ints, "1, 2, 3, 4, 5, 6, 7"),
         "degree": _Key(_positive_int, "30"),
         "quad_order": _Key(_positive_int, "44"),
         "epsilon": _Key(_positive_float, _EPS_DEFAULT),
@@ -200,12 +211,12 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         **_GRID_KEYS,
     },
     "vanish": {
-        "ks": _Key(_ints, "1, 2, 3, 4, 5, 6, 7"),
+        "ks": _Key(_increasing_ints, "1, 2, 3, 4, 5, 6, 7"),
         "degree": _Key(_positive_int, "30"),
         "quad_order": _Key(_positive_int, "44"),
         "epsilon": _Key(_positive_float, _EPS_DEFAULT),
         "d": _Key(_positive_float, "1"),
-        "q": _Key(_optional(_nonneg_int), ""),
+        "q": _Key(_optional(_form_degree), ""),
         "min_ck": _Key(_positive_float, "16"),
         "kernel_tolerance": _Key(_positive_float, "1e-8"),
         **_GRID_KEYS,
@@ -215,7 +226,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "degree_coarse": _Key(_positive_int, "24"),
         "degree_fine": _Key(_positive_int, "32"),
         "quad_order": _Key(_positive_int, "44"),
-        "q": _Key(_optional(_nonneg_int), ""),
+        "q": _Key(_optional(_form_degree), ""),
         "stability_tolerance": _Key(_positive_float, "0.02"),
         "linearity_tolerance": _Key(_positive_float, "0.05"),
     },
@@ -253,7 +264,7 @@ def sections_for(experiment: str) -> tuple[str, ...]:
         return ("run", "model")
     if experiment == "torus-audit":
         return ("run", "torus")
-    return ("run", "family", _FAMILY_SECTIONS[experiment])
+    return ("run", "family", experiment)
 
 
 def _parse_section(section: str, raw: Mapping[str, str]) -> dict[str, object]:
@@ -353,11 +364,10 @@ class ParsedConfig:
 
     def family(self) -> WeightFamily:
         sec = self.values["family"]
-        n = sec["dimension"]
         try:
-            base = _poly_from_terms(n, sec["base"])
+            base = _poly_from_terms(sec["base"])
             perturbations = tuple(
-                Perturbation(_poly_from_terms(n, terms), gamma)
+                Perturbation(_poly_from_terms(terms), gamma)
                 for terms, gamma in sec["perturbations"]
             )
             return WeightFamily(
@@ -380,14 +390,13 @@ class ParsedConfig:
             raise ConfigError(f"torus: {err}") from None
 
 
-def _poly_from_terms(n: int, terms) -> WeightPolynomial:
-    total = WeightPolynomial.zero(n)
+def _poly_from_terms(terms) -> WeightPolynomial:
+    """The terms summed into a weight on C; families are one-dimensional."""
+    total = WeightPolynomial.zero(1)
     for alpha, beta, amp in terms:
-        if len(alpha) != n or len(beta) != n:
-            raise ValueError(
-                f"term z^{alpha} zbar^{beta} does not match dimension {n}"
-            )
-        total = total + real_term(n, alpha, beta, amp)
+        if len(alpha) != 1 or len(beta) != 1:
+            raise ValueError(f"term z^{alpha} zbar^{beta} does not match dimension 1")
+        total = total + real_term(1, alpha, beta, amp)
     return total
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, ParsedConfig
+from .config import ParsedConfig
 from .galerkin import build_system, gauss_hermite_nodes, leading_block, spectral_gap
 from .model import (
     ModelSpectrum,
@@ -81,14 +81,6 @@ def _is_pure_quadratic(family: WeightFamily) -> bool:
     return not family.perturbations and family.base == family.model_weight()
 
 
-def _resolve_q(requested: int | None, q0: int, matched: bool) -> int:
-    if requested is None:
-        return q0 if matched else 1 - q0
-    if requested not in (0, 1):
-        raise ConfigError(f"q must be 0 or 1, got {requested}")
-    return requested
-
-
 def _slope_so_far(cs, errors, i) -> float | None:
     return fit_loglog(cs[: i + 1], errors[: i + 1])[0]
 
@@ -106,7 +98,7 @@ def _run_model(cfg: ParsedConfig) -> ExperimentResult:
         lams = tuple(-m for m in mags[:q0]) + tuple(mags[q0:])
         spec = ModelSpectrum(lams)
         origin = np.zeros((1, n), dtype=complex)
-        value = eval_model_bergman(spec, q0, origin, origin).value[0, 0]
+        value = eval_model_bergman(spec, q0, origin, origin)[0, 0]
         expected = float(np.prod(np.abs(lams))) / math.pi**n
         prefactor_dev = max(prefactor_dev, abs(value - expected) / expected)
     rows.append(("prefactor", f"spectra={sec['spectra']}", prefactor_dev))
@@ -120,18 +112,18 @@ def _run_model(cfg: ParsedConfig) -> ExperimentResult:
         # the quadrature weights carry e^{-2|lam||z|^2} dV, so strip the
         # Gaussian from the basis values to avoid counting it twice
         undo = np.exp(abs(lam) * np.abs(z) ** 2)
-        basis = eval_model_basis(spec, alphas, z[:, None]) * undo[None, :]
+        basis = eval_model_basis(spec, alphas, z) * undo[None, :]
         gram = (basis * wt[None, :]) @ basis.conj().T
         dev = float(np.abs(gram - np.eye(len(alphas))).max())
         ortho_dev = max(ortho_dev, dev)
         rows.append(("orthonormality", f"lambda={lam:g}", dev))
 
     spec1 = ModelSpectrum((1.0,))
-    pts = kernel_grid(sec["grid_points"], sec["grid_radius"])[:, None]
-    closed = eval_model_bergman(spec1, 0, pts, pts).value
+    pts = kernel_grid(sec["grid_points"], sec["grid_radius"])
+    closed = eval_model_bergman(spec1, 0, pts, pts)
     expansion_dev = math.inf
     for degree in sec["degrees"]:
-        approx = model_kernel_from_basis(spec1, 0, degree, pts, pts).value
+        approx = model_kernel_from_basis(spec1, 0, degree, pts, pts)
         expansion_dev = float(np.abs(approx - closed).max())
         rows.append(("expansion", f"degree={degree}", expansion_dev))
 
@@ -207,7 +199,7 @@ def _run_vanish(cfg: ParsedConfig) -> ExperimentResult:
     family = cfg.family()
     sec = cfg.values["vanish"]
     spec = family.model_spectrum()
-    q = _resolve_q(sec["q"], spec.q0, matched=False)
+    q = 1 - spec.q0 if sec["q"] is None else sec["q"]
     matched = q == spec.q0
     grid = kernel_grid(sec["grid_points"], sec["grid_radius"])
     rep = vanishing_convergence(
@@ -266,7 +258,7 @@ def _run_gap(cfg: ParsedConfig) -> ExperimentResult:
     family = cfg.family()
     sec = cfg.values["gap"]
     spec = family.model_spectrum()
-    q = _resolve_q(sec["q"], spec.q0, matched=False)
+    q = 1 - spec.q0 if sec["q"] is None else sec["q"]
     rows: list[tuple] = []
     rels: list[float] = []
     fine_gaps: list[float] = []

@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .model import FormKernelValue, ModelSpectrum
+from .model import ModelSpectrum, _points
 from .weights import ExtendedWeight, WeightPolynomial, curvature_matrix
 
 __all__ = [
@@ -430,41 +430,29 @@ def holomorphic_subsystem(
     )
 
 
-def bergman_kernel_numeric(hol: HolomorphicBasis, z, w):
+def bergman_kernel_numeric(hol: HolomorphicBasis, z, w) -> np.ndarray:
     """Localized Bergman kernel K(z, w) = sum_ab v_a(z) (G^-1)_ab conj(v_b(w)) e^{-phi(z)-phi(w)}.
 
-    Scalars in, scalar out; arrays in, the full kernel matrix K[i, j] out.
+    Returns the (m_z, m_w) matrix K[i, j] = K(z_i, w_j) on the point sets z
+    and w (see :mod:`kernel_lab.model` for point shapes).
     """
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    ws = np.atleast_1d(np.asarray(w, dtype=complex))
+    zs, ws = _points(z, 1)[:, 0], _points(w, 1)[:, 0]
     vz = _holomorphic_powers(hol.degree, hol.lam_ref, zs) * np.exp(-hol.weight.value(zs))[:, None]
     vw = _holomorphic_powers(hol.degree, hol.lam_ref, ws) * np.exp(-hol.weight.value(ws))[:, None]
-    kern = vz @ scipy.linalg.cho_solve(hol.factor, vw.conj().T)
-    if np.isscalar(z) or np.asarray(z).shape == ():
-        if np.isscalar(w) or np.asarray(w).shape == ():
-            return complex(kern[0, 0])
-    return kern
+    return vz @ scipy.linalg.cho_solve(hol.factor, vw.conj().T)
 
 
-def _mode_kernel(system: GalerkinSystem, coeffs: np.ndarray, z, w) -> FormKernelValue:
-    """Kernel sum_j c_j psi_j(z) psi_j(w)* as a FormKernelValue.
-
-    The principal entry is a complex number for scalar (z, w) and the full
-    kernel matrix K[i, j] when arrays are passed.
-    """
-    scalar = (np.asarray(z).shape == ()) and (np.asarray(w).shape == ())
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    ws = np.atleast_1d(np.asarray(w, dtype=complex))
+def _mode_kernel(system: GalerkinSystem, coeffs: np.ndarray, z, w) -> np.ndarray:
+    """Kernel sum_j c_j psi_j(z) psi_j(w)* as the (m_z, m_w) matrix on the point sets z and w."""
+    zs, ws = _points(z, 1)[:, 0], _points(w, 1)[:, 0]
     cols = np.nonzero(coeffs)[0]
-    if cols.size:
-        fz = system.eval_modes(zs, cols) * coeffs[cols][None, :]
-        kern = fz @ system.eval_modes(ws, cols).conj().T
-    else:
-        kern = np.zeros((zs.size, ws.size), dtype=complex)
-    return FormKernelValue.principal(system.q, kern[0, 0] if scalar else kern)
+    if not cols.size:
+        return np.zeros((zs.size, ws.size), dtype=complex)
+    fz = system.eval_modes(zs, cols) * coeffs[cols][None, :]
+    return fz @ system.eval_modes(ws, cols).conj().T
 
 
-def spectral_projector_kernel(system: GalerkinSystem, c: float, z, w) -> FormKernelValue:
+def spectral_projector_kernel(system: GalerkinSystem, c: float, z, w) -> np.ndarray:
     """Kernel of the spectral projector onto eigenvalues mu <= c (plus the zero band)."""
     if c < 0:
         raise ValueError("spectral threshold must be nonnegative")
@@ -472,7 +460,7 @@ def spectral_projector_kernel(system: GalerkinSystem, c: float, z, w) -> FormKer
     return _mode_kernel(system, sel.astype(float), z, w)
 
 
-def heat_kernel_numeric(system: GalerkinSystem, t: float, z, w) -> FormKernelValue:
+def heat_kernel_numeric(system: GalerkinSystem, t: float, z, w) -> np.ndarray:
     """Heat kernel sum_j e^{-t mu_j} psi_j(z) psi_j(w)* of the truncated operator."""
     if not t > 0:
         raise ValueError("heat time must be positive")

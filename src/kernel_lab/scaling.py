@@ -174,7 +174,7 @@ def scaled_bergman_convergence(
         raise ValueError("scaled Bergman convergence needs lambda > 0")
     _require_gauge_normal(family)
     pts = kernel_grid() if grid is None else np.asarray(grid, dtype=complex).ravel()
-    model = eval_model_bergman(spec, 0, pts[:, None], pts[:, None]).value
+    model = eval_model_bergman(spec, 0, pts, pts)
 
     kept: list[int] = []
     errors: list[float] = []
@@ -239,7 +239,7 @@ def vanishing_convergence(
     if q is None:
         q = 1 - spec.q0
     pts = kernel_grid() if grid is None else np.asarray(grid, dtype=complex).ravel()
-    model = eval_model_bergman(spec, q, pts[:, None], pts[:, None]).value
+    model = eval_model_bergman(spec, q, pts, pts)
 
     kept: list[int] = []
     errors: list[float] = []
@@ -255,7 +255,7 @@ def vanishing_convergence(
             continue
         c_scaled = ck ** (-d) / ck
         sel = _projector_selection(system, c_scaled)
-        kern = spectral_projector_kernel(system, c_scaled, pts, pts).value
+        kern = spectral_projector_kernel(system, c_scaled, pts, pts)
         kept.append(k)
         ranks.append(int(sel.sum()))
         errors.append(float(np.abs(kern - model).max()))
@@ -349,9 +349,9 @@ def heat_route_comparison(
     slopes: list[float | None] = []
     bounds: list[float] = []
     for i, system in enumerate(systems):
-        proj = spectral_projector_kernel(system, 0.0, pts, pts).value
+        proj = spectral_projector_kernel(system, 0.0, pts, pts)
         for j, t in enumerate(ts):
-            heat = heat_kernel_numeric(system, t, pts, pts).value
+            heat = heat_kernel_numeric(system, t, pts, pts)
             diffs[i, j] = float(np.abs(heat - proj).max())
         gaps.append(spectral_gap(system))
         slopes.append(fit_exp_decay(ts, diffs[i]))

@@ -66,7 +66,7 @@ def test_criterion_01_model_prefactor(capsys):
         lams = tuple(-m for m in mags[:q0]) + tuple(mags[q0:])
         spec = ModelSpectrum(lams)
         origin = np.zeros(n, dtype=complex)
-        value = eval_model_bergman(spec, q0, origin, origin).value
+        value = eval_model_bergman(spec, q0, origin, origin)[0, 0]
         expected = float(np.prod(np.abs(lams))) / math.pi**n
         worst = max(worst, abs(value - expected) / expected)
     elapsed = time.monotonic() - t0
@@ -109,8 +109,8 @@ def test_criterion_03_expansion_consistency(capsys):
     t0 = time.monotonic()
     spec = ModelSpectrum((1.0,))
     pts = kernel_grid(5, 1.0)
-    closed = eval_model_bergman(spec, 0, pts, pts).value
-    partial = model_kernel_from_basis(spec, 0, 40, pts, pts).value
+    closed = eval_model_bergman(spec, 0, pts, pts)
+    partial = model_kernel_from_basis(spec, 0, 40, pts, pts)
     dev = float(np.abs(partial - closed).max())
     elapsed = time.monotonic() - t0
     ok = dev <= 1e-6 and elapsed < 5.0
@@ -132,7 +132,7 @@ def test_criterion_04_galerkin_vs_closed_form(capsys):
         hol = holomorphic_subsystem(WeightPolynomial.quadratic([lam]), 30)
         numeric = bergman_kernel_numeric(hol, pts, pts)
         spec = ModelSpectrum((lam,))
-        closed = eval_model_bergman(spec, 0, pts, pts).value
+        closed = eval_model_bergman(spec, 0, pts, pts)
         worst = max(worst, float(np.abs(numeric - closed).max()))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-6 and elapsed < 10.0

@@ -1,11 +1,12 @@
 """Command line behavior: listing, runs, artifacts, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from kernel_lab.config import EXPERIMENTS
+from kernel_lab.config import EXPERIMENTS, load_config
 from kernel_lab.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -172,12 +173,27 @@ def test_readme_gap_override_runs(tmp_path):
     assert summary["config"]["gap"]["degree_fine"] == 36
 
 
+def test_readme_config_example_parses(tmp_path):
+    readme = (CONFIGS.parent / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    cfg = load_config(str(path))
+    assert cfg.experiment == "converge"
+    assert cfg.family().perturbations
+
+
 @pytest.mark.parametrize(
     "config, override",
     [
         ("gap-cubic", "gap.quad_order=30"),
         ("gap-cubic", "gap.degree_coarse=40"),
         ("vanish-mismatched", "vanish.quad_order=20"),
+        ("vanish-mismatched", "vanish.ks=3,3"),
+        ("converge-cubic", "converge.ks=2,1"),
+        ("vanish-mismatched", "vanish.q=2"),
+        ("gap-cubic", "gap.q=2"),
+        ("gap-cubic", "family.dimension=2"),
     ],
 )
 def test_invalid_truncation_is_usage_error(config, override, tmp_path, capsys):

@@ -41,7 +41,7 @@ def test_defaults_materialized(tmp_path):
     assert sec["grid_points"] == 3
     assert sec["grid_radius"] == 1.5
     fam = cfg.values["family"]
-    assert fam["dimension"] == 1
+    assert "dimension" not in fam
     assert fam["ck_rule"] == 4.0
     assert fam["perturbations"] == ()
 
@@ -251,6 +251,10 @@ def _family_config(tmp_path, experiment):
         ("heat", "heat.quad_order=24"),
         ("gap", "gap.quad_order=32"),
         ("gap", "gap.degree_coarse=33"),
+        ("converge", "converge.ks=2,1"),
+        ("vanish", "vanish.ks=3,3"),
+        ("vanish", "vanish.q=2"),
+        ("gap", "gap.q=2"),
     ],
 )
 def test_truncation_rules(tmp_path, experiment, override):

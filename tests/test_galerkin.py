@@ -101,17 +101,17 @@ def test_bergman_kernel_matches_closed_form():
         spec = ModelSpectrum((lam,))
         hol = holomorphic_subsystem(weight, 30)
         numeric = bergman_kernel_numeric(hol, grid, grid)
-        closed = eval_model_bergman(spec, 0, grid, grid).value
+        closed = eval_model_bergman(spec, 0, grid, grid)
         assert np.abs(numeric - closed).max() <= 1e-6
-    assert bergman_kernel_numeric(hol, 0.0, 0.0) == pytest.approx(2.0 / math.pi, abs=1e-6)
+    assert bergman_kernel_numeric(hol, 0.0, 0.0)[0, 0] == pytest.approx(2.0 / math.pi, abs=1e-6)
 
 
 def test_projector_at_zero_equals_bergman():
     system = build_system(UNIT, q=0, degree=16)
     hol = holomorphic_subsystem(UNIT, 16)
     for z, w in ((0.0, 0.0), (0.5, -0.5), (0.3 + 0.4j, -0.2j)):
-        proj = spectral_projector_kernel(system, 0.0, z, w).value
-        assert abs(proj - bergman_kernel_numeric(hol, z, w)) <= 1e-8
+        proj = spectral_projector_kernel(system, 0.0, z, w)[0, 0]
+        assert abs(proj - bergman_kernel_numeric(hol, z, w)[0, 0]) <= 1e-8
 
 
 def test_projector_rank_counts_crossed_multiplicity():
@@ -140,8 +140,8 @@ def test_heat_kernel_long_time_matches_projector():
     gap = spectral_gap(system)
     trace = float(np.sum(np.abs(system.eval_modes(0.0)) ** 2))
     for t in (4.0, 8.0):
-        h = heat_kernel_numeric(system, t, 0.0, 0.0).value
-        p = spectral_projector_kernel(system, 0.0, 0.0, 0.0).value
+        h = heat_kernel_numeric(system, t, 0.0, 0.0)[0, 0]
+        p = spectral_projector_kernel(system, 0.0, 0.0, 0.0)[0, 0]
         assert abs(h - p) <= math.exp(-t * gap) * trace
 
 
@@ -152,8 +152,8 @@ def test_heat_kernel_decay_ratio():
     for t in (2.0, 3.0):
         sup = max(
             abs(
-                heat_kernel_numeric(system, t, z, w).value
-                - spectral_projector_kernel(system, 0.0, z, w).value
+                heat_kernel_numeric(system, t, z, w)[0, 0]
+                - spectral_projector_kernel(system, 0.0, z, w)[0, 0]
             )
             for z in pts
             for w in pts
