@@ -132,7 +132,10 @@ def _index_tuple(text: str) -> tuple[int, ...]:
 
 
 def _terms(text: str) -> tuple[tuple[tuple[int, ...], tuple[int, ...], complex], ...]:
-    """Weight term lines alpha;beta;re[;im], one Hermitian pair per line."""
+    """Weight term lines alpha;beta;re[;im], one Hermitian pair per line.
+
+    Families live on C, so each multi-index is a single integer.
+    """
     out = []
     for line in text.splitlines():
         line = line.strip()
@@ -143,6 +146,8 @@ def _terms(text: str) -> tuple[tuple[tuple[int, ...], tuple[int, ...], complex],
             raise ValueError(f"term line needs alpha;beta;re[;im], got {line!r}")
         alpha = _index_tuple(fields[0])
         beta = _index_tuple(fields[1])
+        if len(alpha) != 1 or len(beta) != 1:
+            raise ValueError(f"term z^{alpha} zbar^{beta} does not match dimension 1")
         amp = complex(float(fields[2]), float(fields[3]) if len(fields) == 4 else 0.0)
         out.append((alpha, beta, amp))
     if not out:
@@ -225,7 +230,6 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "ks": _Key(_ints, "1, 2, 3, 4, 5, 6, 7"),
         "degree_coarse": _Key(_positive_int, "24"),
         "degree_fine": _Key(_positive_int, "32"),
-        "quad_order": _Key(_positive_int, "44"),
         "q": _Key(_optional(_form_degree), ""),
         "stability_tolerance": _Key(_positive_float, "0.02"),
         "linearity_tolerance": _Key(_positive_float, "0.05"),
@@ -318,22 +322,16 @@ def _check_truncation(section: str, values: Mapping[str, object]) -> None:
 
     An order-m rule integrates the Gram matrix of degree D only when m > D,
     and the gap experiment solves its coarse degree as a leading block of the
-    fine one.
+    fine one (exactly, with no quadrature).
     """
-    if section == "gap":
-        if values["degree_coarse"] > values["degree_fine"]:
-            raise ConfigError(
-                f"gap.degree_coarse: must not exceed degree_fine"
-                f" ({values['degree_fine']}), got {values['degree_coarse']}"
-            )
-        top = "degree_fine"
-    elif section in ("converge", "vanish", "heat"):
-        top = "degree"
-    else:
-        return
-    if values["quad_order"] <= values[top]:
+    if section == "gap" and values["degree_coarse"] > values["degree_fine"]:
         raise ConfigError(
-            f"{section}.quad_order: must exceed {top} ({values[top]}),"
+            f"gap.degree_coarse: must not exceed degree_fine"
+            f" ({values['degree_fine']}), got {values['degree_coarse']}"
+        )
+    if section in ("converge", "vanish", "heat") and values["quad_order"] <= values["degree"]:
+        raise ConfigError(
+            f"{section}.quad_order: must exceed degree ({values['degree']}),"
             f" got {values['quad_order']}"
         )
 
@@ -394,8 +392,6 @@ def _poly_from_terms(terms) -> WeightPolynomial:
     """The terms summed into a weight on C; families are one-dimensional."""
     total = WeightPolynomial.zero(1)
     for alpha, beta, amp in terms:
-        if len(alpha) != 1 or len(beta) != 1:
-            raise ValueError(f"term z^{alpha} zbar^{beta} does not match dimension 1")
         total = total + real_term(1, alpha, beta, amp)
     return total
 

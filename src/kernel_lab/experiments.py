@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ParsedConfig
-from .galerkin import build_system, gauss_hermite_nodes, leading_block, spectral_gap
+from .galerkin import gauss_hermite_nodes, leading_block_spectra, spectral_gap
 from .model import (
     ModelSpectrum,
     eval_model_basis,
@@ -244,16 +244,6 @@ def _run_vanish(cfg: ParsedConfig) -> ExperimentResult:
     )
 
 
-def _coarse_and_fine_gaps(scaled, q: int, sec: dict) -> tuple[float, float]:
-    """Spectral gaps at both degrees from one build at ``degree_fine``.
-
-    The coarse system is the fine one's leading block.  The fine system is
-    released on return, before the next k is built.
-    """
-    fine = build_system(scaled, q=q, degree=sec["degree_fine"], quad_order=sec["quad_order"])
-    return spectral_gap(leading_block(fine, sec["degree_coarse"])), spectral_gap(fine)
-
-
 def _run_gap(cfg: ParsedConfig) -> ExperimentResult:
     family = cfg.family()
     sec = cfg.values["gap"]
@@ -262,9 +252,11 @@ def _run_gap(cfg: ParsedConfig) -> ExperimentResult:
     rows: list[tuple] = []
     rels: list[float] = []
     fine_gaps: list[float] = []
+    degrees = (sec["degree_coarse"], sec["degree_fine"])
     for k in sec["ks"]:
         ck = family.c_value(k)
-        coarse, fine = _coarse_and_fine_gaps(scale_weight(family, k), q, sec)
+        spectra = leading_block_spectra(scale_weight(family, k), q, degrees[1], degrees)
+        coarse, fine = (spectral_gap(mu) for mu in spectra)
         rel = abs(coarse - fine) / fine
         rows.append((k, ck, coarse, fine, rel, ck * fine))
         rels.append(rel)

@@ -14,31 +14,45 @@ weight phi acts through
   dbar_s u = (d/dzbar + phi_zbar) u  (on functions),
   dbar_s^* f = (-d/dz + phi_z) f     (on dzbar-coefficients),
 
-both in L^2(dV).  Quadratic forms are assembled by tensor Gauss-Hermite
-quadrature against e^{-2 phi_ref}.  An order-m rule integrates the Gram matrix
-exactly once m > D, and the Laplacian of a polynomial weight of degree p once
-m >= D + p; blended weights get a dense rule.  Orders m <= D are refused with
-GramConditioningError; above that the Gram defect max|G - I| is reported, not
-guarded.  On the model weight |z|^2 every eigenvalue is then exact to roundoff
-(2(b + q) with multiplicity D + 1 - b) up to at least D = 64.  The basis is
-graded by i + j, so with the same rule the degree-D' matrices are the leading
-(D'+1)(D'+2)/2 blocks of the degree-D ones for any D' <= D: ``leading_block``
-solves a lower truncation from them without assembling again.  Because the basis
-carries the reference Gaussian rather than e^{-phi}, negative-curvature
-weights pose no integrability problem: the true weight enters only through its
-derivatives.
+both in L^2(dV), and the Laplacian is the form |A u|^2 of A = dbar_s (q = 0)
+or A = dbar_s^* (q = 1).  It is assembled on one of two paths:
+
+* Polynomial weights (``WeightPolynomial``) take the exact path.  Per axis,
+  t h_n = sqrt((n+1)/2) h_{n+1} + sqrt(n/2) h_{n-1} and
+  h_n' = sqrt(n/2) h_{n-1} - sqrt((n+1)/2) h_{n+1}, so for phi of degree p,
+  A is a sparse matrix from the degree-D basis into the full tensor grid
+  i, j <= D + p, which is orthonormal too.  The Laplacian is A^H A, with no
+  quadrature: the system's ``gram`` is the identity, ``gram_defect`` 0 and
+  ``quad_order`` 0.
+* Blended weights (``ExtendedWeight``) take the quadrature path: tensor
+  Gauss-Hermite quadrature against e^{-2 phi_ref}, by default a dense rule.
+  An order-m rule integrates the Gram matrix exactly once m > D; orders
+  m <= D are refused with GramConditioningError, and above that the Gram
+  defect max|G - I| is reported, not guarded.
+
+On the model weight |z|^2 every eigenvalue is exact to roundoff (2(b + q) with
+multiplicity D + 1 - b) up to at least D = 64.  The basis is graded by i + j,
+so the degree-D' matrices are the leading (D'+1)(D'+2)/2 blocks of the
+degree-D ones for any D' <= D: ``leading_block_spectra`` takes the
+eigenvalues of several truncations from one exact assembly.  b_ij is even or
+odd under y -> -y as j is, so for weights with real coefficients the exact
+Laplacian is a real matrix in the basis i^(j mod 2) b_ij, and the eigensolve
+runs in real arithmetic.  Because the basis carries the reference Gaussian
+rather than e^{-phi}, negative-curvature weights pose no integrability
+problem: the true weight enters only through its derivatives.
 
 The Bergman kernel uses the holomorphic sub-basis z^a e^{-phi}, normalized
 against the model weight, whose Gram matrix differs from the identity only
-through phi - phi_ref.  Its Cholesky factor is the one guarded step: a Gram
-that is not positive definite, or whose pivot ratio falls below GRAM_GUARD,
-raises GramConditioningError.
+through phi - phi_ref.  It is integrated by quadrature for every weight, and
+its Cholesky factor is the one guarded step: a Gram that is not positive
+definite, or whose pivot ratio falls below GRAM_GUARD, raises
+GramConditioningError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,7 +67,7 @@ __all__ = [
     "GalerkinSystem",
     "HolomorphicBasis",
     "build_system",
-    "leading_block",
+    "leading_block_spectra",
     "holomorphic_subsystem",
     "bergman_kernel_numeric",
     "spectral_projector_kernel",
@@ -222,8 +236,9 @@ class GalerkinSystem:
 
     ``eigenvectors`` holds orthonormal coefficient columns in the Hermite
     basis, V^H V = I.  Eigenvalues are sorted ascending.  ``gram`` is the
-    quadrature Gram matrix (real, the identity up to ``gram_defect`` =
-    max|G - I|); the eigensolve takes it to be the identity.
+    identity on the exact path (``quad_order`` 0) and the quadrature Gram
+    matrix otherwise (real, the identity up to ``gram_defect`` = max|G - I|);
+    the eigensolve takes it to be the identity.
     """
 
     basis: GalerkinBasis
@@ -244,8 +259,7 @@ class GalerkinSystem:
         return self.basis.degree
 
     def zero_tolerance(self) -> float:
-        top = float(self.eigenvalues.max(initial=0.0))
-        return KERNEL_TOLERANCE * max(top, 1.0)
+        return _zero_tolerance(self.eigenvalues)
 
     def kernel_dimension(self) -> int:
         return int(np.count_nonzero(self.eigenvalues <= self.zero_tolerance()))
@@ -257,10 +271,24 @@ class GalerkinSystem:
         return self.basis.functions(z) @ vec
 
 
+def _zero_tolerance(eigenvalues: np.ndarray) -> float:
+    """Upper edge of the numerical zero band of a spectrum."""
+    top = float(eigenvalues.max(initial=0.0))
+    return KERNEL_TOLERANCE * max(top, 1.0)
+
+
 def _default_order(degree: int, weight: _Weight1D) -> int:
     if weight.degree is not None:
         return degree + weight.degree + 2
     return max(2 * degree, degree + 12)
+
+
+def _basis(w: _Weight1D, q: int, degree: int, reference: ModelSpectrum | None) -> GalerkinBasis:
+    if degree < 0:
+        raise ValueError("truncation degree must be nonnegative")
+    lam_ref = _reference_lambda(w, reference)
+    ref = reference if reference is not None else ModelSpectrum((lam_ref,))
+    return GalerkinBasis(q=q, degree=degree, reference=ref, pairs=basis_pairs(degree))
 
 
 def build_system(
@@ -275,29 +303,73 @@ def build_system(
     Parameters
     ----------
     weight : WeightPolynomial, ExtendedWeight, or prepared adapter, n = 1.
+        A ``WeightPolynomial`` takes the exact path (Q = A^H A, G = I,
+        ``quad_order`` 0); anything else is assembled by quadrature.
     q : form degree, 0 or 1.
     degree : truncation degree D; the basis has (D+1)(D+2)/2 elements.
-    quad_order : Gauss-Hermite points per axis.  The default covers polynomial
-        integrands exactly (D + weight degree + 2) and falls back to a dense
-        rule for blended weights; orders <= D raise GramConditioningError.
+    quad_order : Gauss-Hermite points per axis, read only on the quadrature
+        path.  The default is a dense rule; orders <= D raise
+        GramConditioningError.
     reference : spectrum fixing the reference Gaussian; defaults to the
         weight's own quadratic part at 0.
     """
     w = _as_weight(weight)
-    if degree < 0:
-        raise ValueError("truncation degree must be nonnegative")
-    lam_ref = _reference_lambda(w, reference)
-    ref = reference if reference is not None else ModelSpectrum((lam_ref,))
+    basis = _basis(w, q, degree, reference)
+    if isinstance(w.source, WeightPolynomial):
+        return _solve(basis, w, np.eye(len(basis)), _exact_laplacian(basis, w.source), 0)
     order = quad_order if quad_order is not None else _default_order(degree, w)
-    basis = GalerkinBasis(q=q, degree=degree, reference=ref, pairs=basis_pairs(degree))
     if order <= degree:
         raise GramConditioningError(
             f"build_system(q={q}, D={degree}): quadrature order {order} cannot"
             f" integrate the Gram matrix (needs more than D = {degree})"
         )
-
     gram, lap = _assemble(basis, w, order)
     return _solve(basis, w, gram, lap, order)
+
+
+def _exact_operator(basis: GalerkinBasis, weight: WeightPolynomial, top: int = 0):
+    """Sparse matrix of dbar_s (q = 0) or dbar_s^* (q = 1) on the basis, and its grid size.
+
+    Rows index the tensor Hermite functions b_ij, i, j < size, in the order
+    i * size + j; columns follow ``basis.pairs``.  The image of the degree-D
+    basis under a weight of degree p lies in i, j <= D + p; the grid reaches
+    index ``top`` too when that is larger.
+    """
+    import scipy.sparse as sp
+
+    size = max(basis.degree + max(weight.degree, 1), top) + 1
+    up = np.sqrt(np.arange(1, size) / 2.0)
+    mult = sp.diags([up, up], [-1, 1], format="csr")
+    diff = sp.diags([-up, up], [-1, 1], format="csr")
+    eye = sp.identity(size, format="csr")
+    t1, t2 = sp.kron(mult, eye, format="csr"), sp.kron(eye, mult, format="csr")
+    d1, d2 = sp.kron(diff, eye, format="csr"), sp.kron(eye, diff, format="csr")
+    # with t = sqrt(2 lam) (x, y): z = (t1 + i t2) / s and d/dzbar = (s / 2)(d1 + i d2)
+    s = math.sqrt(2.0 * basis.lam_ref)
+    z, zbar = (t1 + 1j * t2) / s, (t1 - 1j * t2) / s
+    if basis.q == 0:
+        deriv, coeff = 0.5 * s * (d1 + 1j * d2), weight.d_zbar(0)
+    else:
+        deriv, coeff = -0.5 * s * (d1 - 1j * d2), weight.d_z(0)
+    op = deriv
+    for ((a,), (b,)), c in coeff.coeffs.items():
+        term = c * sp.identity(size * size, format="csr")
+        for _ in range(a):
+            term = z @ term
+        for _ in range(b):
+            term = zbar @ term
+        op = op + term
+    i, j = np.array(basis.pairs).T
+    return op.tocsc()[:, i * size + j], size
+
+
+def _exact_laplacian(basis: GalerkinBasis, weight: WeightPolynomial) -> np.ndarray:
+    """The Laplacian A^H A of a polynomial weight, Hermitian to the last bit."""
+    op, _ = _exact_operator(basis, weight)
+    lap = (op.conj().T @ op).toarray()
+    lap += lap.conj().T
+    lap *= 0.5
+    return lap
 
 
 def _assemble(basis: GalerkinBasis, w: _Weight1D, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -316,17 +388,41 @@ def _assemble(basis: GalerkinBasis, w: _Weight1D, order: int) -> tuple[np.ndarra
     return 0.5 * (gram + gram.T), 0.5 * (lap + lap.conj().T)
 
 
+def _check_psd(mu: np.ndarray, q: int, degree: int) -> None:
+    top = max(abs(mu[-1]), 1.0)
+    if mu[0] < -1e-9 * top:
+        raise GramConditioningError(
+            f"Galerkin system (q={q}, D={degree}): spectrum not PSD,"
+            f" min eigenvalue {mu[0]:.3e}"
+        )
+
+
+def _eigh(lap: np.ndarray, pairs, eigvals_only: bool = False):
+    """``scipy.linalg.eigh`` of a Laplacian, in real arithmetic when it is real up to phases.
+
+    b_ij is even or odd under y -> -y as j is, so for a weight whose
+    coefficients are real the Laplacian in the basis i^(j mod 2) b_ij is a
+    real matrix; on the exact path its imaginary part is then exactly 0.  A
+    real solve is several times faster.  The eigenvalues are those of ``lap``
+    and the eigenvectors are rotated back to the b_ij.
+    """
+    phase = np.where(np.array(pairs)[:, 1] % 2, 1j, 1.0)
+    turned = lap * phase
+    turned *= phase.conj()[:, None]
+    if turned.imag.any():
+        return scipy.linalg.eigh(lap, eigvals_only=eigvals_only)
+    if eigvals_only:
+        return scipy.linalg.eigh(turned.real, eigvals_only=True)
+    mu, vecs = scipy.linalg.eigh(turned.real)
+    return mu, phase[:, None] * vecs
+
+
 def _solve(
     basis: GalerkinBasis, w: _Weight1D, gram: np.ndarray, lap: np.ndarray, order: int
 ) -> GalerkinSystem:
     """Eigenpairs of the Laplacian, which must be positive semidefinite."""
-    mu, vecs = scipy.linalg.eigh(lap)
-    top = max(abs(mu[-1]), 1.0)
-    if mu[0] < -1e-9 * top:
-        raise GramConditioningError(
-            f"Galerkin system (q={basis.q}, D={basis.degree}): spectrum not PSD,"
-            f" min eigenvalue {mu[0]:.3e}"
-        )
+    mu, vecs = _eigh(lap, basis.pairs)
+    _check_psd(mu, basis.q, basis.degree)
     return GalerkinSystem(
         basis=basis,
         weight=w,
@@ -339,27 +435,30 @@ def _solve(
     )
 
 
-def leading_block(system: GalerkinSystem, degree: int) -> GalerkinSystem:
-    """The system truncated at a lower degree, solved from its leading blocks.
+def leading_block_spectra(
+    weight, q: int, degree: int, blocks: tuple[int, ...]
+) -> tuple[np.ndarray, ...]:
+    """Eigenvalues of the exact Laplacian truncated at each degree in ``blocks``.
 
-    The basis is graded by i + j, so the degree-``degree`` basis spans the
-    first (degree + 1)(degree + 2)/2 functions of the system's; with the same
-    weight and quadrature rule, its Gram and Laplacian are the leading blocks
-    of the system's, and only the eigensolve is repeated.
+    The Laplacian of the polynomial weight is assembled once at ``degree``.
+    The basis is graded by i + j, so the degree-D' truncation is its leading
+    (D'+1)(D'+2)/2 block; each block is solved for eigenvalues only (no
+    eigenvectors) and must be positive semidefinite like a full build.
     """
-    if not 0 <= degree <= system.degree:
-        raise ValueError(
-            f"leading block degree must lie in [0, {system.degree}], got {degree}"
-        )
-    basis = replace(system.basis, degree=degree, pairs=basis_pairs(degree))
-    n = len(basis)
-    return _solve(
-        basis,
-        system.weight,
-        system.gram[:n, :n].copy(),
-        system.laplacian[:n, :n].copy(),
-        system.quad_order,
-    )
+    w = _as_weight(weight)
+    if not isinstance(w.source, WeightPolynomial):
+        raise ValueError("leading-block spectra need a polynomial weight (the exact path)")
+    if not all(0 <= b <= degree for b in blocks):
+        raise ValueError(f"leading block degrees must lie in [0, {degree}], got {blocks}")
+    basis = _basis(w, q, degree, None)
+    lap = _exact_laplacian(basis, w.source)
+    spectra = []
+    for b in blocks:
+        n = (b + 1) * (b + 2) // 2
+        mu = _eigh(lap[:n, :n], basis.pairs[:n], eigvals_only=True)
+        _check_psd(mu, q, b)
+        spectra.append(mu)
+    return tuple(spectra)
 
 
 @dataclass(frozen=True)
@@ -468,9 +567,13 @@ def heat_kernel_numeric(system: GalerkinSystem, t: float, z, w) -> np.ndarray:
     return _mode_kernel(system, np.exp(-t * mu), z, w)
 
 
-def spectral_gap(system: GalerkinSystem) -> float:
-    """Smallest eigenvalue above the zero band: inf of the nonzero spectrum."""
-    above = system.eigenvalues[system.eigenvalues > system.zero_tolerance()]
+def spectral_gap(system) -> float:
+    """Smallest eigenvalue above the zero band: inf of the nonzero spectrum.
+
+    ``system`` is a GalerkinSystem or an ascending array of eigenvalues.
+    """
+    mu = system.eigenvalues if isinstance(system, GalerkinSystem) else np.asarray(system)
+    above = mu[mu > _zero_tolerance(mu)]
     if above.size == 0:
         raise ValueError("no nonzero spectrum at this truncation")
     return float(above[0])
@@ -480,8 +583,9 @@ def dbar_pairings(sys0: GalerkinSystem, sys1: GalerkinSystem) -> tuple[np.ndarra
     """Rectangular pairing matrices between degree-0 and degree-1 systems.
 
     Returns (E01, E10) with E01[j, i] = (b1_j | dbar_s b0_i) and
-    E10[j, i] = (b0_j | dbar_s^* b1_i), both in L^2(dV).  Both systems must
-    share the weight and the reference Gaussian.
+    E10[j, i] = (b0_j | dbar_s^* b1_i), both in L^2(dV): the rows of the
+    exact operators that fall on the partner basis.  Both systems must share
+    the polynomial weight and the reference Gaussian.
     """
     if sys0.q != 0 or sys1.q != 1:
         raise ValueError("pairings need a degree-0 and a degree-1 system, in that order")
@@ -489,13 +593,16 @@ def dbar_pairings(sys0: GalerkinSystem, sys1: GalerkinSystem) -> tuple[np.ndarra
         raise ValueError("systems use different reference Gaussians")
     if sys0.weight.source != sys1.weight.source:
         raise ValueError("systems use different weights")
-    order = max(sys0.quad_order, sys1.quad_order)
-    z, wt = gauss_hermite_nodes(order, sys0.basis.lam_ref)
-    b0, a_of_b0 = _dbar_image(sys0.basis, sys0.weight, z)
-    b1, astar_of_b1 = _dbar_image(sys1.basis, sys0.weight, z)
-    e01 = (b1.T * wt) @ a_of_b0
-    e10 = (b0.T * wt) @ astar_of_b1
-    return e01, e10
+    weight = sys0.weight.source
+    if not isinstance(weight, WeightPolynomial):
+        raise ValueError("pairings need a polynomial weight (the exact path)")
+
+    def rows(system: GalerkinSystem, partner: GalerkinSystem) -> np.ndarray:
+        op, size = _exact_operator(system.basis, weight, partner.degree)
+        i, j = np.array(partner.basis.pairs).T
+        return op.tocsr()[i * size + j].toarray()
+
+    return rows(sys0, sys1), rows(sys1, sys0)
 
 
 def _pseudo_inverse_apply(system: GalerkinSystem, rhs_coords: np.ndarray) -> np.ndarray:

@@ -133,9 +133,10 @@ class _SweepBuilds:
     """``build_system`` over a k sweep, reusing the last system for an equal blend.
 
     A blended weight whose scaled part is its model (``delta`` has no terms)
-    is that model everywhere, whatever C_k and epsilon, so consecutive such k
-    share one build.  Any other blend is built anew, and only the last system
-    is held.
+    is that model everywhere, whatever C_k and epsilon, so it is built as the
+    model polynomial, on the exact path, and consecutive such k share one
+    build.  Any other blend is built anew by quadrature, and only the last
+    system is held.
     """
 
     def __init__(self, **options) -> None:
@@ -147,7 +148,7 @@ class _SweepBuilds:
         model = None if blend.delta.coeffs else blend.model
         if self.system is None or model is None or model != self.model:
             self.system = None
-            self.system = build_system(blend, **self.options)
+            self.system = build_system(blend if model is None else model, **self.options)
             self.model = model
         return self.system
 

@@ -173,6 +173,21 @@ def test_readme_gap_override_runs(tmp_path):
     assert summary["config"]["gap"]["degree_fine"] == 36
 
 
+def test_gap_reaches_degree_64(tmp_path):
+    # the exact assembly and eigenvalue-only solves make D = 64 a few seconds per k
+    out = tmp_path / "gap64"
+    code = main(
+        [
+            "run", "--config", str(CONFIGS / "gap-cubic.ini"), "--out", str(out),
+            "--override", "gap.degree_fine=64", "--override", "gap.ks=1",
+        ]
+    )
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["passed"] is True
+    assert summary["config"]["gap"]["degree_fine"] == 64
+
+
 def test_readme_config_example_parses(tmp_path):
     readme = (CONFIGS.parent / "README.md").read_text()
     (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
@@ -194,6 +209,7 @@ def test_readme_config_example_parses(tmp_path):
         ("vanish-mismatched", "vanish.q=2"),
         ("gap-cubic", "gap.q=2"),
         ("gap-cubic", "family.dimension=2"),
+        ("gap-cubic", "family.base=1,0;0,0;1"),
     ],
 )
 def test_invalid_truncation_is_usage_error(config, override, tmp_path, capsys):

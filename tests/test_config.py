@@ -121,9 +121,14 @@ def test_terms_rejections(tmp_path):
 
 def test_term_dimension_mismatch(tmp_path):
     body = "[run]\nexperiment = converge\n[family]\nbase = 1,0;0,0;1\n"
-    cfg = load_config(write(tmp_path, body))
-    with pytest.raises(ConfigError, match="dimension"):
-        cfg.family()
+    with pytest.raises(ConfigError, match=r"family\.base: .*dimension"):
+        load_config(write(tmp_path, body))
+    body = (
+        "[run]\nexperiment = converge\n[family]\nbase = 1;1;1\n"
+        "pert1 = 1;1,0;1\npert1_gamma = 0.5\n"
+    )
+    with pytest.raises(ConfigError, match=r"family\.pert1: .*dimension"):
+        load_config(write(tmp_path, body))
 
 
 def test_perturbation_keys(tmp_path):
@@ -268,7 +273,7 @@ def test_truncation_limits_accepted(tmp_path):
         ("converge", ("converge.quad_order=31",)),
         ("vanish", ("vanish.quad_order=31",)),
         ("heat", ("heat.quad_order=25",)),
-        ("gap", ("gap.quad_order=33", "gap.degree_coarse=32")),
+        ("gap", ("gap.degree_coarse=32",)),
     ]:
         cfg = load_config(_family_config(tmp_path, experiment), overrides=overrides)
         assert cfg.experiment == experiment

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kernel_lab import (
+    CkRule,
     GramConditioningError,
     ModelSpectrum,
+    WeightFamily,
     WeightPolynomial,
     bergman_kernel_numeric,
     build_system,
@@ -20,10 +23,13 @@ from kernel_lab import (
     spectral_gap,
     spectral_projector_kernel,
 )
-from kernel_lab.galerkin import gauss_hermite_nodes, leading_block
-from kernel_lab.weights import scale_weight
+from kernel_lab import galerkin
+from kernel_lab.galerkin import dbar_pairings, gauss_hermite_nodes, leading_block_spectra
+from kernel_lab.weights import extend_weight, scale_weight
 
 UNIT = WeightPolynomial.quadratic([1.0])
+# a blended weight takes the quadrature path even though it equals UNIT
+BLENDED_UNIT = extend_weight(UNIT, UNIT, 1.0 / 7.0, 4.0)
 
 
 def test_gram_constant_section_norm():
@@ -184,10 +190,12 @@ def test_high_degree_builds_and_low_order_refused():
     system = build_system(UNIT, q=0, degree=40)
     assert system.kernel_dimension() == 41
     assert system.gram_defect <= 1e-12
+    # polynomial weights are assembled exactly; only blended ones read quad_order
+    assert build_system(UNIT, q=0, degree=12, quad_order=12).quad_order == 0
     with pytest.raises(GramConditioningError):
-        build_system(UNIT, q=0, degree=12, quad_order=12)
+        build_system(BLENDED_UNIT, q=0, degree=12, quad_order=12)
     # one node more than D already integrates the Gram matrix exactly
-    assert build_system(UNIT, q=0, degree=12, quad_order=13).gram_defect <= 1e-12
+    assert build_system(BLENDED_UNIT, q=0, degree=12, quad_order=13).gram_defect <= 1e-12
 
 
 @pytest.mark.parametrize("q, degree", [(0, 16), (1, 16), (0, 32), (1, 32), (0, 48), (1, 48), (0, 64)])
@@ -206,38 +214,101 @@ def test_assembled_matrices_hermitian():
     assert np.abs(system.laplacian - system.laplacian.conj().T).max() == 0.0
 
 
+# |z|^2 and the gap-cubic weight |z|^2 + 0.25 (z^3 + zbar^3) scaled at k = 1, 4, 7
+_GAP_CUBIC = WeightFamily(base=UNIT + real_term(1, (3,), (0,), 0.25), ck=CkRule(4.0))
+CROSS_CHECK_WEIGHTS = {
+    "unit": UNIT,
+    **{f"cubic-k{k}": scale_weight(_GAP_CUBIC, k) for k in (1, 4, 7)},
+}
+
+
+@pytest.mark.parametrize("name", list(CROSS_CHECK_WEIGHTS))
+@pytest.mark.parametrize("q, degree", [(0, 24), (1, 24), (0, 32), (1, 32)])
+def test_exact_laplacian_matches_quadrature(name, q, degree):
+    # the order-(D + p + 2) rule integrates the polynomial Laplacian exactly,
+    # so both paths must agree to roundoff
+    weight = CROSS_CHECK_WEIGHTS[name]
+    w = galerkin._as_weight(weight)
+    basis = galerkin._basis(w, q, degree, None)
+    exact = galerkin._exact_laplacian(basis, weight)
+    _, quad = galerkin._assemble(basis, w, degree + weight.degree + 2)
+    assert np.abs(exact - quad).max() <= 1e-12 * np.abs(quad).max()
+
+
+@pytest.mark.parametrize("name", ["unit", "cubic-k1"])
+@pytest.mark.parametrize("degree0", [16, 17])
+def test_exact_pairings_match_quadrature(name, degree0):
+    # the two neighbor layouts hodge_residual uses: same degree, and the
+    # degree-0 side one degree higher
+    weight = CROSS_CHECK_WEIGHTS[name]
+    s0 = build_system(weight, q=0, degree=degree0)
+    s1 = build_system(weight, q=1, degree=16)
+    e01, e10 = dbar_pairings(s0, s1)
+    z, wt = gauss_hermite_nodes(degree0 + weight.degree + 2, s0.basis.lam_ref)
+    b0, a_of_b0 = galerkin._dbar_image(s0.basis, s0.weight, z)
+    b1, astar_of_b1 = galerkin._dbar_image(s1.basis, s1.weight, z)
+    for exact, quad in ((e01, (b1.T * wt) @ a_of_b0), (e10, (b0.T * wt) @ astar_of_b1)):
+        assert exact.shape == quad.shape
+        assert np.abs(exact - quad).max() <= 1e-12 * np.abs(quad).max()
+
+
+def test_pairings_need_exact_operator():
+    s0 = build_system(BLENDED_UNIT, q=0, degree=8)
+    s1 = build_system(BLENDED_UNIT, q=1, degree=8)
+    with pytest.raises(ValueError, match="polynomial"):
+        dbar_pairings(s0, s1)
+
+
+@pytest.mark.parametrize("amplitude", [0.25, 0.25 + 0.1j])
+def test_real_and_complex_solves_agree(amplitude):
+    # real coefficients let the solve run in real arithmetic (b_ij has the
+    # parity of j under y -> -y); a complex one keeps the complex solve
+    weight = UNIT + real_term(1, (3,), (0,), amplitude)
+    system = build_system(weight, q=1, degree=16)
+    lap, mu, v = system.laplacian, system.eigenvalues, system.eigenvectors
+    top = np.abs(mu).max()
+    assert np.abs(mu - scipy.linalg.eigh(lap, eigvals_only=True)).max() <= 1e-12 * top
+    assert np.abs(lap @ v - v * mu).max() <= 1e-12 * top
+    assert np.abs(v.conj().T @ v - np.eye(len(mu))).max() <= 1e-12
+    (block,) = leading_block_spectra(weight, 1, 16, (16,))
+    assert np.abs(block - mu).max() <= 1e-12 * top
+
+
+def _assert_same_spectrum(mu, system):
+    if system.q == 1:
+        # no zero band: every eigenvalue agrees to 1e-12 relative
+        np.testing.assert_allclose(mu, system.eigenvalues, rtol=1e-12, atol=0.0)
+    else:
+        top = np.abs(system.eigenvalues).max()
+        assert np.abs(mu - system.eigenvalues).max() <= 1e-12 * top
+    assert spectral_gap(mu) == pytest.approx(spectral_gap(system), rel=1e-12)
+
+
 @pytest.mark.parametrize("q", [0, 1])
 def test_leading_block_matches_independent_build(cubic_family, q):
-    # the degree-24 basis is the leading block of the degree-32 one and both
-    # use the same rule, so only the eigensolve differs from a fresh build
+    # the degree-24 basis is the leading block of the degree-32 one, so its
+    # eigenvalues must match a fresh exact build at degree 24
     weight = scale_weight(cubic_family, 2)
-    block = leading_block(build_system(weight, q=q, degree=32, quad_order=44), 24)
-    fresh = build_system(weight, q=q, degree=24, quad_order=44)
-    assert block.basis == fresh.basis
-    assert block.quad_order == fresh.quad_order == 44
-    assert np.abs(block.gram - fresh.gram).max() <= 1e-13
-    if q == 1:
-        # no zero band: every eigenvalue agrees to 1e-12 relative
-        np.testing.assert_allclose(block.eigenvalues, fresh.eigenvalues, rtol=1e-12, atol=0.0)
-    else:
-        top = np.abs(fresh.eigenvalues).max()
-        assert np.abs(block.eigenvalues - fresh.eigenvalues).max() <= 1e-12 * top
-    assert spectral_gap(block) == pytest.approx(spectral_gap(fresh), rel=1e-12)
+    coarse, fine = leading_block_spectra(weight, q, 32, (24, 32))
+    assert coarse.shape == (325,) and fine.shape == (561,)
+    _assert_same_spectrum(coarse, build_system(weight, q=q, degree=24))
+    _assert_same_spectrum(fine, build_system(weight, q=q, degree=32))
 
 
 @pytest.mark.parametrize("q", [0, 1])
 def test_leading_block_model_spectrum_exact(q):
-    block = leading_block(build_system(UNIT, q=q, degree=32), 20)
-    assert block.degree == 20 and len(block.basis) == 231
+    (block,) = leading_block_spectra(UNIT, q, 32, (20,))
+    assert len(block) == 231
     exact = np.repeat(2.0 * (np.arange(21) + q), np.arange(21, 0, -1))
-    assert np.abs(block.eigenvalues - exact).max() <= 1e-10
+    assert np.abs(block - exact).max() <= 1e-10
 
 
 def test_leading_block_rejects_degree_outside_system():
-    system = build_system(UNIT, q=0, degree=8)
     with pytest.raises(ValueError):
-        leading_block(system, 9)
+        leading_block_spectra(UNIT, 0, 8, (9,))
     with pytest.raises(ValueError):
-        leading_block(system, -1)
-    whole = leading_block(system, 8)
-    assert np.array_equal(whole.laplacian, system.laplacian)
+        leading_block_spectra(UNIT, 0, 8, (-1,))
+    with pytest.raises(ValueError, match="polynomial"):
+        leading_block_spectra(BLENDED_UNIT, 0, 8, (8,))
+    (whole,) = leading_block_spectra(UNIT, 0, 8, (8,))
+    _assert_same_spectrum(whole, build_system(UNIT, q=0, degree=8))
