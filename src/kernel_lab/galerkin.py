@@ -34,12 +34,28 @@ On the model weight |z|^2 every eigenvalue is exact to roundoff (2(b + q) with
 multiplicity D + 1 - b) up to at least D = 64.  The basis is graded by i + j,
 so the degree-D' matrices are the leading (D'+1)(D'+2)/2 blocks of the
 degree-D ones for any D' <= D: ``leading_block_spectra`` takes the
-eigenvalues of several truncations from one exact assembly.  b_ij is even or
-odd under y -> -y as j is, so for weights with real coefficients the exact
-Laplacian is a real matrix in the basis i^(j mod 2) b_ij, and the eigensolve
-runs in real arithmetic.  Because the basis carries the reference Gaussian
-rather than e^{-phi}, negative-curvature weights pose no integrability
-problem: the true weight enters only through its derivatives.
+eigenvalues of several truncations from one exact assembly.  Because the
+basis carries the reference Gaussian rather than e^{-phi}, negative-curvature
+weights pose no integrability problem: the true weight enters only through
+its derivatives.
+
+Exact Laplacians are solved in charge classes.  Each level i + j = n is
+rotation invariant and is also spanned by the charge states |n_a, n_b>,
+n_a + n_b = n, of the ladders a = (a_x - i a_y)/sqrt(2) and
+b = (a_x + i a_y)/sqrt(2); in them z = (a^+ + b)/s and d/dzbar =
+(s/2)(b - a^+) with s = sqrt(2 lam), so the operator A has the same sparse
+ladder form and z^a zbar^b shifts the charge n_a - n_b by a - b.  The
+Laplacian thus couples charges only modulo g = gcd |a - b| over the weight's
+monomials: g = 0 (|z|^2) makes every charge its own block, 2D + 1 of them,
+the gap-cubic weight (g = 3) splits into three, and g = 1 is one block.
+Each class is ordered by level, so a leading block of the truncation is a
+leading block of every class.  The charge states have real ladder
+coefficients, so for a weight with real coefficients the blocks are real and
+solved in real arithmetic; eigenvectors are taken back to the b_ij level by
+level.  Blended weights are solved as one block (the tensor Gauss-Hermite
+rule is not rotation exact); b_ij is even or odd under y -> -y as j is, so
+for real coefficients their Laplacian is real in the basis i^(j mod 2) b_ij
+up to quadrature roundoff, which is dropped, and solved in real arithmetic.
 
 The Bergman kernel uses the holomorphic sub-basis z^a e^{-phi}, normalized
 against the model weight, whose Gram matrix differs from the identity only
@@ -327,31 +343,35 @@ def build_system(
     return _solve(basis, w, gram, lap, order)
 
 
-def _exact_operator(basis: GalerkinBasis, weight: WeightPolynomial, top: int = 0):
+def _exact_operator(
+    basis: GalerkinBasis, weight: WeightPolynomial, top: int = 0, charge: bool = False
+):
     """Sparse matrix of dbar_s (q = 0) or dbar_s^* (q = 1) on the basis, and its grid size.
 
     Rows index the tensor Hermite functions b_ij, i, j < size, in the order
     i * size + j; columns follow ``basis.pairs``.  The image of the degree-D
     basis under a weight of degree p lies in i, j <= D + p; the grid reaches
-    index ``top`` too when that is larger.
+    index ``top`` too when that is larger.  With ``charge`` both sides are
+    the charge states |n_a, n_b> instead (see ``_charge_states``), indexed by
+    the same pairs (n_a, n_b).
     """
     import scipy.sparse as sp
 
     size = max(basis.degree + max(weight.degree, 1), top) + 1
-    up = np.sqrt(np.arange(1, size) / 2.0)
-    mult = sp.diags([up, up], [-1, 1], format="csr")
-    diff = sp.diags([-up, up], [-1, 1], format="csr")
-    eye = sp.identity(size, format="csr")
-    t1, t2 = sp.kron(mult, eye, format="csr"), sp.kron(eye, mult, format="csr")
-    d1, d2 = sp.kron(diff, eye, format="csr"), sp.kron(eye, diff, format="csr")
-    # with t = sqrt(2 lam) (x, y): z = (t1 + i t2) / s and d/dzbar = (s / 2)(d1 + i d2)
     s = math.sqrt(2.0 * basis.lam_ref)
-    z, zbar = (t1 + 1j * t2) / s, (t1 - 1j * t2) / s
+    lower = sp.diags(np.sqrt(np.arange(1.0, size)), 1, format="csr")
+    eye = sp.identity(size, format="csr")
+    a_dn, b_dn = sp.kron(lower, eye, format="csr"), sp.kron(eye, lower, format="csr")
+    if not charge:  # a = (a_x - i a_y) / sqrt(2), b = (a_x + i a_y) / sqrt(2) on the b_ij
+        a_dn, b_dn = (a_dn - 1j * b_dn) / math.sqrt(2.0), (a_dn + 1j * b_dn) / math.sqrt(2.0)
+    # z = (a^+ + b) / s, d/dzbar = (s / 2)(b - a^+) and d/dz = (s / 2)(a - b^+)
+    a_up, b_up = a_dn.conj().T, b_dn.conj().T
+    z, zbar = (a_up + b_dn) / s, (a_dn + b_up) / s
+    dzbar, dz = 0.5 * s * (b_dn - a_up), 0.5 * s * (a_dn - b_up)
     if basis.q == 0:
-        deriv, coeff = 0.5 * s * (d1 + 1j * d2), weight.d_zbar(0)
+        op, coeff = dzbar, weight.d_zbar(0)
     else:
-        deriv, coeff = -0.5 * s * (d1 - 1j * d2), weight.d_z(0)
-    op = deriv
+        op, coeff = -dz, weight.d_z(0)
     for ((a,), (b,)), c in coeff.coeffs.items():
         term = c * sp.identity(size * size, format="csr")
         for _ in range(a):
@@ -363,9 +383,17 @@ def _exact_operator(basis: GalerkinBasis, weight: WeightPolynomial, top: int = 0
     return op.tocsc()[:, i * size + j], size
 
 
-def _exact_laplacian(basis: GalerkinBasis, weight: WeightPolynomial) -> np.ndarray:
-    """The Laplacian A^H A of a polynomial weight, Hermitian to the last bit."""
-    op, _ = _exact_operator(basis, weight)
+def _exact_laplacian(
+    basis: GalerkinBasis, weight: WeightPolynomial, charge: bool = False
+) -> np.ndarray:
+    """The Laplacian A^H A of a polynomial weight, Hermitian to the last bit.
+
+    With ``charge`` it is taken in the charge states, where it is a real
+    matrix for a weight with real coefficients.
+    """
+    op, _ = _exact_operator(basis, weight, charge=charge)
+    if charge and _real_coefficients(weight):
+        op = op.real
     lap = (op.conj().T @ op).toarray()
     lap += lap.conj().T
     lap *= 0.5
@@ -397,31 +425,96 @@ def _check_psd(mu: np.ndarray, q: int, degree: int) -> None:
         )
 
 
-def _eigh(lap: np.ndarray, pairs, eigvals_only: bool = False):
-    """``scipy.linalg.eigh`` of a Laplacian, in real arithmetic when it is real up to phases.
+def _real_coefficients(source) -> bool:
+    """Whether every polynomial coefficient of the weight is real (phi symmetric under y -> -y)."""
+    parts = (source.inner, source.model) if isinstance(source, ExtendedWeight) else (source,)
+    return all(c.imag == 0 for p in parts for c in p.coeffs.values())
 
-    b_ij is even or odd under y -> -y as j is, so for a weight whose
-    coefficients are real the Laplacian in the basis i^(j mod 2) b_ij is a
-    real matrix; on the exact path its imaginary part is then exactly 0.  A
-    real solve is several times faster.  The eigenvalues are those of ``lap``
-    and the eigenvectors are rotated back to the b_ij.
+
+def _charge_states(degree: int):
+    """Tensor coefficients of the charge states, one unitary matrix per level n = 0..degree.
+
+    With the per-axis ladders a_x, a_y of the b_ij, a = (a_x - i a_y)/sqrt(2)
+    and b = (a_x + i a_y)/sqrt(2) commute, and |n_a, n_b> =
+    (a^+)^n_a (b^+)^n_b b_00 / sqrt(n_a! n_b!) spans level n_a + n_b with
+    angular-momentum charge n_a - n_b.  On level n, column n_a holds
+    |n_a, n - n_a> in the coordinates b_{i, n-i}, i = 0..n.
     """
-    phase = np.where(np.array(pairs)[:, 1] % 2, 1j, 1.0)
-    turned = lap * phase
-    turned *= phase.conj()[:, None]
-    if turned.imag.any():
-        return scipy.linalg.eigh(lap, eigvals_only=eigvals_only)
-    if eigvals_only:
-        return scipy.linalg.eigh(turned.real, eigvals_only=True)
-    mu, vecs = scipy.linalg.eigh(turned.real)
-    return mu, phase[:, None] * vecs
+    states = np.ones((1, 1), dtype=complex)
+    yield states
+    for n in range(1, degree + 1):
+        i = np.arange(n)[:, None]
+        up_x, up_y = np.zeros((n + 1, n), dtype=complex), np.zeros((n + 1, n), dtype=complex)
+        up_x[1:] = np.sqrt(i + 1.0) * states  # a_x^+ b_ij = sqrt(i+1) b_(i+1)j
+        up_y[:-1] = np.sqrt(n - i) * states  # a_y^+ b_ij = sqrt(j+1) b_i(j+1)
+        states = np.empty((n + 1, n + 1), dtype=complex)
+        states[:, 1:] = (up_x + 1j * up_y) / np.sqrt(2.0 * np.arange(1, n + 1))
+        states[:, 0] = (up_x[:, 0] - 1j * up_y[:, 0]) / math.sqrt(2.0 * n)
+        yield states
+
+
+def _charge_classes(basis: GalerkinBasis, weight: WeightPolynomial) -> list[np.ndarray]:
+    """Positions of the charge states, one array per class of charge mod g, in level order.
+
+    g = gcd |a - b| over the monomials z^a zbar^b of the weight: the
+    Laplacian couples charges only within a class, and g = 0 (every
+    monomial rotation invariant) makes each charge its own class.
+    """
+    step = math.gcd(*(abs(a - b) for (a,), (b,) in weight.coeffs))
+    n_a, n_b = np.array(basis.pairs).T
+    key = n_a - n_b if step == 0 else (n_a - n_b) % step
+    return [np.flatnonzero(key == c) for c in np.unique(key)]
+
+
+def _leading_spectrum(lap: np.ndarray, classes: list[np.ndarray], size: int) -> np.ndarray:
+    """Eigenvalues of the leading ``size`` basis functions, one class at a time, merged."""
+    parts = []
+    for idx in classes:
+        sub = idx[: np.searchsorted(idx, size)]
+        if sub.size:
+            parts.append(scipy.linalg.eigh(lap[np.ix_(sub, sub)], eigvals_only=True))
+    return np.sort(np.concatenate(parts), kind="stable")
+
+
+def _eigh(lap: np.ndarray, classes: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs from ``scipy.linalg.eigh`` on each class of ``lap``, merged in ascending order."""
+    mu = np.empty(len(lap))
+    vecs = np.zeros_like(lap)
+    for idx in classes:
+        mu[idx], vecs[idx[:, None], idx] = scipy.linalg.eigh(lap[np.ix_(idx, idx)])
+    order = np.argsort(mu, kind="stable")
+    return mu[order], vecs[:, order]
 
 
 def _solve(
     basis: GalerkinBasis, w: _Weight1D, gram: np.ndarray, lap: np.ndarray, order: int
 ) -> GalerkinSystem:
-    """Eigenpairs of the Laplacian, which must be positive semidefinite."""
-    mu, vecs = _eigh(lap, basis.pairs)
+    """Eigenpairs of the Laplacian, which must be positive semidefinite.
+
+    A polynomial weight is solved in its charge classes and the eigenvectors
+    are taken back to the b_ij level by level.  A blended one is solved as
+    one block in the basis i^(j mod 2) b_ij, in real arithmetic when its
+    coefficients are real (the imaginary part is then quadrature roundoff).
+    """
+    if isinstance(w.source, WeightPolynomial):
+        lap_charged = _exact_laplacian(basis, w.source, charge=True)
+        mu, charged = _eigh(lap_charged, _charge_classes(basis, w.source))
+        vecs = np.empty(charged.shape, dtype=complex)
+        start = 0
+        for states in _charge_states(basis.degree):
+            stop = start + len(states)
+            vecs[start:stop] = states @ charged[start:stop]
+            start = stop
+    else:
+        phase = np.where(np.array(basis.pairs)[:, 1] % 2, 1j, 1.0)
+        turned = lap * phase
+        turned *= phase.conj()[:, None]
+        # evd beats the default evr on these real matrices, not on complex ones
+        real = _real_coefficients(w.source)
+        if real:
+            turned = np.ascontiguousarray(turned.real)
+        mu, vecs = scipy.linalg.eigh(turned, driver="evd" if real else None)
+        vecs = phase[:, None] * vecs
     _check_psd(mu, basis.q, basis.degree)
     return GalerkinSystem(
         basis=basis,
@@ -440,9 +533,10 @@ def leading_block_spectra(
 ) -> tuple[np.ndarray, ...]:
     """Eigenvalues of the exact Laplacian truncated at each degree in ``blocks``.
 
-    The Laplacian of the polynomial weight is assembled once at ``degree``.
-    The basis is graded by i + j, so the degree-D' truncation is its leading
-    (D'+1)(D'+2)/2 block; each block is solved for eigenvalues only (no
+    The Laplacian of the polynomial weight is assembled once at ``degree``,
+    in the charge states.  Each charge class is ordered by level, so the
+    degree-D' truncation, the leading (D'+1)(D'+2)/2 basis functions, is a
+    leading block of every class; each is solved for eigenvalues only (no
     eigenvectors) and must be positive semidefinite like a full build.
     """
     w = _as_weight(weight)
@@ -451,11 +545,11 @@ def leading_block_spectra(
     if not all(0 <= b <= degree for b in blocks):
         raise ValueError(f"leading block degrees must lie in [0, {degree}], got {blocks}")
     basis = _basis(w, q, degree, None)
-    lap = _exact_laplacian(basis, w.source)
+    lap = _exact_laplacian(basis, w.source, charge=True)
+    classes = _charge_classes(basis, w.source)
     spectra = []
     for b in blocks:
-        n = (b + 1) * (b + 2) // 2
-        mu = _eigh(lap[:n, :n], basis.pairs[:n], eigvals_only=True)
+        mu = _leading_spectrum(lap, classes, (b + 1) * (b + 2) // 2)
         _check_psd(mu, q, b)
         spectra.append(mu)
     return tuple(spectra)

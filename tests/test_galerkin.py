@@ -198,7 +198,9 @@ def test_high_degree_builds_and_low_order_refused():
     assert build_system(BLENDED_UNIT, q=0, degree=12, quad_order=13).gram_defect <= 1e-12
 
 
-@pytest.mark.parametrize("q, degree", [(0, 16), (1, 16), (0, 32), (1, 32), (0, 48), (1, 48), (0, 64)])
+@pytest.mark.parametrize(
+    "q, degree", [(0, 16), (1, 16), (0, 32), (1, 32), (0, 48), (1, 48), (0, 64), (1, 64)]
+)
 def test_model_spectrum_exact_at_every_mode(q, degree):
     # the model Laplacian on |z|^2 has eigenvalue 2(b + q) with multiplicity
     # D + 1 - b in the truncated space, b = 0..D; every mode is checked
@@ -312,3 +314,73 @@ def test_leading_block_rejects_degree_outside_system():
         leading_block_spectra(BLENDED_UNIT, 0, 8, (8,))
     (whole,) = leading_block_spectra(UNIT, 0, 8, (8,))
     _assert_same_spectrum(whole, build_system(UNIT, q=0, degree=8))
+
+
+# g = gcd |a - b| over the monomials z^a zbar^b: the number of charge classes
+# is 2D + 1 for g = 0 and g otherwise
+CHARGE_WEIGHTS = {
+    "unit": (UNIT, 0),
+    "g0": (UNIT + real_term(1, (2,), (2,), 0.05), 0),
+    "g1": (UNIT + real_term(1, (2,), (1,), 0.3), 1),
+    "g2": (UNIT + real_term(1, (3,), (1,), 0.1), 2),
+    "g3": (UNIT + real_term(1, (3,), (0,), 0.25), 3),
+    "g3-complex": (UNIT + real_term(1, (3,), (0,), 0.25 + 0.1j), 3),
+}
+
+
+def _charge_basis(weight, q, degree):
+    basis = galerkin._basis(galerkin._as_weight(weight), q, degree, None)
+    return basis, galerkin._charge_classes(basis, weight)
+
+
+@pytest.mark.parametrize("name", list(CHARGE_WEIGHTS))
+@pytest.mark.parametrize("q", [0, 1])
+def test_charge_blocks_match_dense_solve(name, q):
+    weight, step = CHARGE_WEIGHTS[name]
+    degree = 16
+    _, classes = _charge_basis(weight, q, degree)
+    assert len(classes) == (2 * degree + 1 if step == 0 else step)
+    system = build_system(weight, q=q, degree=degree)
+    lap, mu, v = system.laplacian, system.eigenvalues, system.eigenvectors
+    dense = scipy.linalg.eigh(lap, eigvals_only=True)
+    top = np.abs(dense).max()
+    assert np.abs(mu - dense).max() <= 1e-12 * top
+    assert np.abs(lap @ v - v * mu).max() <= 1e-12 * top
+    assert np.abs(v.conj().T @ v - np.eye(len(mu))).max() <= 1e-12
+    (block,) = leading_block_spectra(weight, q, degree, (degree,))
+    assert np.abs(block - dense).max() <= 1e-12 * top
+
+
+@pytest.mark.parametrize("name", ["g0", "g3", "g3-complex"])
+def test_charge_states_split_the_laplacian(name):
+    # the charge states are orthonormal, rotate the tensor Laplacian into the
+    # charge-basis assembly, and leave nothing between classes
+    weight, _ = CHARGE_WEIGHTS[name]
+    degree = 12
+    basis, classes = _charge_basis(weight, 1, degree)
+    states = scipy.linalg.block_diag(*galerkin._charge_states(degree))
+    assert np.abs(states.conj().T @ states - np.eye(len(basis))).max() <= 1e-13
+    tensor = galerkin._exact_laplacian(basis, weight)
+    rotated = states.conj().T @ tensor @ states
+    scale = np.abs(rotated).max()
+    key = np.empty(len(basis), dtype=int)
+    for c, idx in enumerate(classes):
+        key[idx] = c
+    assert np.abs(rotated[key[:, None] != key[None, :]]).max() <= 1e-13 * scale
+    charged = galerkin._exact_laplacian(basis, weight, charge=True)
+    assert np.abs(rotated - charged).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_charge_leading_block_is_lower_degree_build(q):
+    # each class is ordered by level, so the degree-24 classes and Laplacian
+    # are leading slices of the degree-32 ones
+    weight = scale_weight(_GAP_CUBIC, 3)
+    fine_basis, fine_classes = _charge_basis(weight, q, 32)
+    coarse_basis, coarse_classes = _charge_basis(weight, q, 24)
+    n = len(coarse_basis)
+    for fine, coarse in zip(fine_classes, coarse_classes, strict=True):
+        np.testing.assert_array_equal(fine[: np.searchsorted(fine, n)], coarse)
+    fine_lap = galerkin._exact_laplacian(fine_basis, weight, charge=True)
+    coarse_lap = galerkin._exact_laplacian(coarse_basis, weight, charge=True)
+    assert np.abs(fine_lap[:n, :n] - coarse_lap).max() <= 1e-12 * np.abs(coarse_lap).max()
