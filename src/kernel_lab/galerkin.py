@@ -1,28 +1,39 @@
 """Galerkin discretization of the localized Kodaira Laplacian on C (n = 1).
 
-The truncated space in degree q is spanned by the real tensor Hermite functions
+The truncated space in degree q is spanned by the Landau-level (charge)
+states |n_a, n_b>, n_a + n_b <= D, of the reference Gaussian
+phi_ref = lam |z|^2, lam = lambda_ref (times dzbar when q = 1).  With
+s = sqrt(2 lam), z = x + iy and the commuting ladders a, b of the model
+operator,
 
-  b_ij(z) = sqrt(lam) h_i(sqrt(2 lam) x) h_j(sqrt(2 lam) y),   i + j <= D,
+  z = (a^+ + b) / s,  d/dzbar = (s / 2)(b - a^+),  d/dz = (s / 2)(a - b^+),
 
-(times dzbar when q = 1), where z = x + iy, h_i is the i-th normalized Hermite
-function and lam = lambda_ref fixes the reference Gaussian phi_ref = lam |z|^2.
-They span the same space as z^a zbar^b e^{-phi_ref}, a + b <= D, and are
-orthonormal in L^2(dV) with dV = 2 dm, so the Gram matrix is the identity and
-the Galerkin problem is a standard Hermitian eigenproblem.  The operator for a
-weight phi acts through
+and |n_a, n_b> = (a^+)^n_a (b^+)^n_b |0, 0> / sqrt(n_a! n_b!) has level
+n_a + n_b and angular-momentum charge c = n_a - n_b (the creation/annihilation
+picture of Ma-Marinescu, Holomorphic Morse Inequalities and Bergman Kernels).
+As functions, |n_a, n_b> = P e^{-phi_ref} with
+
+  P_(c+j, j) = (-1)^j v_c(z) l_j^(c)(2 lam |z|^2),  P_(j, c+j) = conj(P_(c+j, j)),
+
+where v_c = z^c sqrt(lam s^(2c) / (pi c!)) are the model-normalized
+holomorphic powers and l_j^(c) the orthonormal Laguerre functions.  They span
+the same space as z^a zbar^b e^{-phi_ref}, a + b <= D, and are orthonormal in
+L^2(dV) with dV = 2 dm, so the Gram matrix is the identity and the Galerkin
+problem is a standard Hermitian eigenproblem.  The operator for a weight phi
+acts through
 
   dbar_s u = (d/dzbar + phi_zbar) u  (on functions),
   dbar_s^* f = (-d/dz + phi_z) f     (on dzbar-coefficients),
 
 both in L^2(dV), and the Laplacian is the form |A u|^2 of A = dbar_s (q = 0)
-or A = dbar_s^* (q = 1).  It is assembled on one of two paths:
+or A = dbar_s^* (q = 1).  On the polynomial factors the derivatives are the
+ladders, dP/dzbar = s sqrt(n_b) P_(n_a, n_b-1) and dP/dz = s sqrt(n_a)
+P_(n_a-1, n_b).  The Laplacian is assembled on one of two paths:
 
-* Polynomial weights (``WeightPolynomial``) take the exact path.  Per axis,
-  t h_n = sqrt((n+1)/2) h_{n+1} + sqrt(n/2) h_{n-1} and
-  h_n' = sqrt(n/2) h_{n-1} - sqrt((n+1)/2) h_{n+1}, so for phi of degree p,
-  A is a sparse matrix from the degree-D basis into the full tensor grid
-  i, j <= D + p, which is orthonormal too.  The Laplacian is A^H A, with no
-  quadrature: the system's ``gram`` is the identity, ``gram_defect`` 0 and
+* Polynomial weights (``WeightPolynomial``) take the exact path.  For phi of
+  degree p, A is a sparse matrix from the degree-D states into the states
+  n_a, n_b <= D + p, which are orthonormal too.  The Laplacian is A^H A, with
+  no quadrature: the system's ``gram`` is the identity, ``gram_defect`` 0 and
   ``quad_order`` 0.
 * Blended weights (``ExtendedWeight``) take the quadrature path: tensor
   Gauss-Hermite quadrature against e^{-2 phi_ref}, by default a dense rule.
@@ -30,38 +41,33 @@ or A = dbar_s^* (q = 1).  It is assembled on one of two paths:
   m <= D are refused with GramConditioningError, and above that the Gram
   defect max|G - I| is reported, not guarded.
 
-On the model weight |z|^2 every eigenvalue is exact to roundoff (2(b + q) with
-multiplicity D + 1 - b) up to at least D = 64.  The basis is graded by i + j,
-so the degree-D' matrices are the leading (D'+1)(D'+2)/2 blocks of the
-degree-D ones for any D' <= D: ``leading_block_spectra`` takes the
-eigenvalues of several truncations from one exact assembly.  Because the
-basis carries the reference Gaussian rather than e^{-phi}, negative-curvature
-weights pose no integrability problem: the true weight enters only through
-its derivatives.
+A monomial z^a zbar^b shifts the charge by a - b, so the exact Laplacian
+couples charges only modulo g = gcd |a - b| over the weight's monomials:
+g = 0 (|z|^2) makes every charge its own block, 2D + 1 of them, the
+gap-cubic weight (g = 3) splits into three, and g = 1 is one block.  Each
+class is solved on its own.  The basis is graded by level and each class is
+ordered by level, so the degree-D' matrices are the leading (D'+1)(D'+2)/2
+blocks of the degree-D ones for any D' <= D, and a leading block of the
+truncation is a leading block of every class: ``leading_block_spectra``
+takes the eigenvalues of several truncations from one exact assembly.  On
+the model weight |z|^2 every eigenvalue is exact to roundoff (2(b + q) with
+multiplicity D + 1 - b) up to at least D = 64.
 
-Exact Laplacians are solved in charge classes.  Each level i + j = n is
-rotation invariant and is also spanned by the charge states |n_a, n_b>,
-n_a + n_b = n, of the ladders a = (a_x - i a_y)/sqrt(2) and
-b = (a_x + i a_y)/sqrt(2); in them z = (a^+ + b)/s and d/dzbar =
-(s/2)(b - a^+) with s = sqrt(2 lam), so the operator A has the same sparse
-ladder form and z^a zbar^b shifts the charge n_a - n_b by a - b.  The
-Laplacian thus couples charges only modulo g = gcd |a - b| over the weight's
-monomials: g = 0 (|z|^2) makes every charge its own block, 2D + 1 of them,
-the gap-cubic weight (g = 3) splits into three, and g = 1 is one block.
-Each class is ordered by level, so a leading block of the truncation is a
-leading block of every class.  The charge states have real ladder
-coefficients, so for a weight with real coefficients the blocks are real and
-solved in real arithmetic; eigenvectors are taken back to the b_ij level by
-level.  Blended weights are solved as one block (the tensor Gauss-Hermite
-rule is not rotation exact); b_ij is even or odd under y -> -y as j is, so
-for real coefficients their Laplacian is real in the basis i^(j mod 2) b_ij
-up to quadrature roundoff, which is dropped, and solved in real arithmetic.
+The ladder coefficients are real, and conj(P_(n_a, n_b)) = P_(n_b, n_a), so
+for a weight with real coefficients (phi symmetric under y -> -y) the
+Laplacian is real: exactly on the exact path, and up to quadrature roundoff,
+which is dropped, on the blended one (the tensor rule is symmetric under
+y -> -y but not rotation exact, so blended weights are solved as one block).
+Either way the solve then runs in real arithmetic.  Because the basis carries
+the reference Gaussian rather than e^{-phi}, negative-curvature weights pose
+no integrability problem: the true weight enters only through its
+derivatives.
 
-The Bergman kernel uses the holomorphic sub-basis z^a e^{-phi}, normalized
-against the model weight, whose Gram matrix differs from the identity only
-through phi - phi_ref.  It is integrated by quadrature for every weight, and
-its Cholesky factor is the one guarded step: a Gram that is not positive
-definite, or whose pivot ratio falls below GRAM_GUARD, raises
+The Bergman kernel uses the holomorphic sub-basis v_a e^{-phi} (the states
+|a, 0> for the model weight), whose Gram matrix differs from the identity
+only through phi - phi_ref.  It is integrated by quadrature for every
+weight, and its Cholesky factor is the one guarded step: a Gram that is not
+positive definite, or whose pivot ratio falls below GRAM_GUARD, raises
 GramConditioningError.
 """
 
@@ -157,7 +163,7 @@ def _reference_lambda(w: _Weight1D, reference: ModelSpectrum | None) -> float:
 
 
 def basis_pairs(degree: int) -> tuple[tuple[int, int], ...]:
-    """Exponent pairs (a, b) with a + b <= degree, graded, antiholomorphic first."""
+    """Charge-state indices (n_a, n_b) with n_a + n_b <= degree, graded by level, n_a ascending."""
     return tuple((a, t - a) for t in range(degree + 1) for a in range(t + 1))
 
 
@@ -175,12 +181,22 @@ def gauss_hermite_nodes(order: int, lam_ref: float) -> tuple[np.ndarray, np.ndar
     return z, wt
 
 
+def _holomorphic_powers(degree: int, lam_ref: float, z: np.ndarray) -> np.ndarray:
+    """Model-normalized powers v_a(z), a <= degree, shape (len(z), degree + 1)."""
+    v = np.empty((z.size, degree + 1), dtype=complex)
+    v[:, 0] = math.sqrt(lam_ref / math.pi)
+    for a in range(1, degree + 1):
+        v[:, a] = v[:, a - 1] * z * math.sqrt(2.0 * lam_ref / a)
+    return v
+
+
 @dataclass(frozen=True)
 class GalerkinBasis:
-    """Truncated orthonormal tensor Hermite basis in degree q.
+    """Truncated orthonormal charge-state basis in degree q.
 
-    ``pairs`` lists the Hermite indices (i, j) of b_ij, i + j <= D, graded by
-    i + j so that a lower truncation is a leading block of a higher one.
+    ``pairs`` lists the charge states (n_a, n_b), n_a + n_b <= D, graded by
+    level n_a + n_b so that a lower truncation is a leading block of a higher
+    one; level n occupies positions n(n+1)/2 .. n(n+1)/2 + n.
     """
 
     q: int
@@ -201,60 +217,73 @@ class GalerkinBasis:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def tabulate(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Polynomial factors P of b = P e^{-lam_ref |z|^2} and the derivative dbar_s or dbar_s^* needs.
+    def tabulate(self, z: np.ndarray) -> np.ndarray:
+        """Polynomial factors P of the states P e^{-lam_ref |z|^2}, shape (len(z), len(self)).
 
-        Returns (P, dP/dzbar) for q = 0 and (P, dP/dz) for q = 1, each of shape
-        (len(z), len(self)).  The normalized Hermite polynomials p_i
-        (orthonormal against e^{-t^2} dt) come from the three-term recurrence at
-        t = sqrt(2 lam_ref) (x, y), with p_i' = sqrt(2i) p_{i-1}.  P is real, so
-        dP/dz = conj(dP/dzbar).
+        Along each charge line c = n_a - n_b >= 0, P_(c+j, j) = (-1)^j v_c
+        l_j^(c)(x) with x = 2 lam_ref |z|^2; the orthonormal Laguerre
+        functions come from their three-term recurrence in j, all c at once:
+        sqrt((j+1)(j+1+c)) l_{j+1} = (2j+1+c-x) l_j - sqrt(j(j+c)) l_{j-1}.
         """
         z = np.asarray(z, dtype=complex).ravel()
-        scale = math.sqrt(2.0 * self.lam_ref)
-        t = scale * np.stack([z.real, z.imag])
-        p = np.empty((self.degree + 1,) + t.shape)
-        p[0] = math.pi**-0.25
-        if self.degree:
-            p[1] = math.sqrt(2.0) * t * p[0]
-        for i in range(1, self.degree):
-            p[i + 1] = math.sqrt(2.0 / (i + 1)) * t * p[i] - math.sqrt(i / (i + 1)) * p[i - 1]
-        dp = np.zeros_like(p)
-        dp[1:] = np.sqrt(2.0 * np.arange(1, self.degree + 1))[:, None, None] * p[:-1]
-        i, j = np.array(self.pairs).T
-        norm = math.sqrt(self.lam_ref)
-        values = norm * (p[i, 0] * p[j, 1]).T
-        deriv = 0.5 * scale * norm * (dp[i, 0] * p[j, 1] + 1j * p[i, 0] * dp[j, 1]).T
-        if self.q == 1:
-            np.conjugate(deriv, out=deriv)
-        return values, deriv
+        x = 2.0 * self.lam_ref * np.abs(z) ** 2
+        v = _holomorphic_powers(self.degree, self.lam_ref, z).T
+        values = np.empty((len(self), z.size), dtype=complex)
+        prev = ell = np.ones((self.degree + 1, z.size))
+        for j in range(self.degree // 2 + 1):
+            c = np.arange(self.degree - 2 * j + 1)
+            n = c + 2 * j
+            line = (-1) ** j * ell * v[: c.size]
+            values[n * (n + 1) // 2 + c + j] = line
+            values[n * (n + 1) // 2 + j] = line.conj()
+            c = c[:-2, None]
+            step = (2 * j + 1 + c - x) * ell[: c.size]
+            step -= np.sqrt(j * (j + c)) * prev[: c.size]
+            prev, ell = ell, step / np.sqrt((j + 1) * (j + 1 + c))
+        return values.T
 
     def functions(self, z: np.ndarray) -> np.ndarray:
-        """Basis values b_ij(z) including the reference Gaussian factor."""
+        """Basis values |n_a, n_b>(z) including the reference Gaussian factor."""
         z = np.asarray(z, dtype=complex).ravel()
-        return self.tabulate(z)[0] * np.exp(-self.lam_ref * np.abs(z) ** 2)[:, None]
+        return self.tabulate(z) * np.exp(-self.lam_ref * np.abs(z) ** 2)[:, None]
 
 
-def _dbar_image(basis: GalerkinBasis, w: _Weight1D, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Basis values and the image under dbar_s (q = 0) or dbar_s^* (q = 1) at z.
+def _dbar_image(
+    basis: GalerkinBasis, w: _Weight1D, z: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """The image of the tabulated ``values`` at z under dbar_s (q = 0) or dbar_s^* (q = 1).
 
-    Both come without the reference Gaussian, which the quadrature carries.
+    ``values`` is overwritten and returned.  Both come without the reference
+    Gaussian, which the quadrature carries, and act row by row (node by node).
+    The derivative of a level-n state is a multiple of a level-(n - 1) one,
+    so the levels are replaced from the top down.
     """
-    values, deriv = basis.tabulate(z)
+    s = math.sqrt(2.0 * basis.lam_ref)
     if basis.q == 0:
-        return values, deriv + (w.d_zbar(z) - basis.lam_ref * z)[:, None] * values
-    return values, (w.d_z(z) + basis.lam_ref * np.conj(z))[:, None] * values - deriv
+        mult = w.d_zbar(z) - basis.lam_ref * z
+    else:
+        mult = w.d_z(z) + basis.lam_ref * np.conj(z)
+    for n in range(basis.degree, -1, -1):
+        first = n * (n + 1) // 2
+        level = values[:, first : first + n + 1]
+        level *= mult[:, None]
+        below = values[:, first - n : first]
+        if basis.q == 0:  # + dP/dzbar = s sqrt(n_b) P_(n_a, n_b - 1), n_a < n
+            level[:, :n] += s * np.sqrt(n - np.arange(n)) * below
+        else:  # - dP/dz = -s sqrt(n_a) P_(n_a - 1, n_b), n_a > 0
+            level[:, 1:] -= s * np.sqrt(np.arange(1.0, n + 1)) * below
+    return values
 
 
 @dataclass(frozen=True)
 class GalerkinSystem:
-    """Assembled Gram and Laplacian matrices with their eigenpairs.
+    """Assembled Gram and Laplacian matrices with their eigenpairs, all in the charge states.
 
-    ``eigenvectors`` holds orthonormal coefficient columns in the Hermite
-    basis, V^H V = I.  Eigenvalues are sorted ascending.  ``gram`` is the
-    identity on the exact path (``quad_order`` 0) and the quadrature Gram
-    matrix otherwise (real, the identity up to ``gram_defect`` = max|G - I|);
-    the eigensolve takes it to be the identity.
+    ``eigenvectors`` holds orthonormal coefficient columns, V^H V = I, real
+    when the weight's coefficients are real.  Eigenvalues are sorted
+    ascending.  ``gram`` is the identity on the exact path (``quad_order`` 0)
+    and the quadrature Gram matrix otherwise (real, the identity up to
+    ``gram_defect`` = max|G - I|); the eigensolve takes it to be the identity.
     """
 
     basis: GalerkinBasis
@@ -332,28 +361,31 @@ def build_system(
     w = _as_weight(weight)
     basis = _basis(w, q, degree, reference)
     if isinstance(w.source, WeightPolynomial):
-        return _solve(basis, w, np.eye(len(basis)), _exact_laplacian(basis, w.source), 0)
-    order = quad_order if quad_order is not None else _default_order(degree, w)
-    if order <= degree:
-        raise GramConditioningError(
-            f"build_system(q={q}, D={degree}): quadrature order {order} cannot"
-            f" integrate the Gram matrix (needs more than D = {degree})"
-        )
-    gram, lap = _assemble(basis, w, order)
-    return _solve(basis, w, gram, lap, order)
+        lap = _exact_laplacian(basis, w.source)
+        mu, vecs = _eigh(lap, _charge_classes(basis, w.source))
+        gram, defect, order = np.eye(len(basis)), 0.0, 0
+    else:
+        order = quad_order if quad_order is not None else _default_order(degree, w)
+        if order <= degree:
+            raise GramConditioningError(
+                f"build_system(q={q}, D={degree}): quadrature order {order} cannot"
+                f" integrate the Gram matrix (needs more than D = {degree})"
+            )
+        gram, lap = _assemble(basis, w, order)
+        # evd beats the default evr on real matrices, not on complex ones
+        mu, vecs = scipy.linalg.eigh(lap, driver="evd" if np.isrealobj(lap) else None)
+        defect = float(np.abs(gram - np.eye(len(basis))).max())
+    _check_psd(mu, q, degree)
+    return GalerkinSystem(basis, w, gram, lap, mu, vecs, defect, order)
 
 
-def _exact_operator(
-    basis: GalerkinBasis, weight: WeightPolynomial, top: int = 0, charge: bool = False
-):
+def _exact_operator(basis: GalerkinBasis, weight: WeightPolynomial, top: int = 0):
     """Sparse matrix of dbar_s (q = 0) or dbar_s^* (q = 1) on the basis, and its grid size.
 
-    Rows index the tensor Hermite functions b_ij, i, j < size, in the order
-    i * size + j; columns follow ``basis.pairs``.  The image of the degree-D
-    basis under a weight of degree p lies in i, j <= D + p; the grid reaches
-    index ``top`` too when that is larger.  With ``charge`` both sides are
-    the charge states |n_a, n_b> instead (see ``_charge_states``), indexed by
-    the same pairs (n_a, n_b).
+    Rows index the charge states |n_a, n_b>, n_a, n_b < size, in the order
+    n_a * size + n_b; columns follow ``basis.pairs``.  The image of the
+    degree-D basis under a weight of degree p lies in n_a, n_b <= D + p; the
+    grid reaches index ``top`` too when that is larger.
     """
     import scipy.sparse as sp
 
@@ -362,10 +394,8 @@ def _exact_operator(
     lower = sp.diags(np.sqrt(np.arange(1.0, size)), 1, format="csr")
     eye = sp.identity(size, format="csr")
     a_dn, b_dn = sp.kron(lower, eye, format="csr"), sp.kron(eye, lower, format="csr")
-    if not charge:  # a = (a_x - i a_y) / sqrt(2), b = (a_x + i a_y) / sqrt(2) on the b_ij
-        a_dn, b_dn = (a_dn - 1j * b_dn) / math.sqrt(2.0), (a_dn + 1j * b_dn) / math.sqrt(2.0)
+    a_up, b_up = a_dn.T, b_dn.T
     # z = (a^+ + b) / s, d/dzbar = (s / 2)(b - a^+) and d/dz = (s / 2)(a - b^+)
-    a_up, b_up = a_dn.conj().T, b_dn.conj().T
     z, zbar = (a_up + b_dn) / s, (a_dn + b_up) / s
     dzbar, dz = 0.5 * s * (b_dn - a_up), 0.5 * s * (a_dn - b_up)
     if basis.q == 0:
@@ -383,16 +413,13 @@ def _exact_operator(
     return op.tocsc()[:, i * size + j], size
 
 
-def _exact_laplacian(
-    basis: GalerkinBasis, weight: WeightPolynomial, charge: bool = False
-) -> np.ndarray:
+def _exact_laplacian(basis: GalerkinBasis, weight: WeightPolynomial) -> np.ndarray:
     """The Laplacian A^H A of a polynomial weight, Hermitian to the last bit.
 
-    With ``charge`` it is taken in the charge states, where it is a real
-    matrix for a weight with real coefficients.
+    It is a real matrix for a weight with real coefficients.
     """
-    op, _ = _exact_operator(basis, weight, charge=charge)
-    if charge and _real_coefficients(weight):
+    op, _ = _exact_operator(basis, weight)
+    if _real_coefficients(weight):
         op = op.real
     lap = (op.conj().T @ op).toarray()
     lap += lap.conj().T
@@ -400,20 +427,34 @@ def _exact_laplacian(
     return lap
 
 
+def _node_product(x: np.ndarray, real: bool) -> np.ndarray:
+    """X^H X summed over the node rows, or with ``real`` only its real part.
+
+    That is Re X^T Re X + Im X^T Im X, one real product over the interleaved
+    parts of the level-major table.
+    """
+    if real:
+        parts = np.ascontiguousarray(x.T).view(float)
+        return parts @ parts.T
+    out = x.conj().T @ x
+    return 0.5 * (out + out.conj().T)
+
+
 def _assemble(basis: GalerkinBasis, w: _Weight1D, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gram and Laplacian matrices by the order-``order`` tensor rule.
 
-    The node tables are released on return, before any eigensolve.
+    The rule is symmetric under y -> -y, so the Gram matrix, and the
+    Laplacian of a weight with real coefficients, are real up to roundoff,
+    which is dropped.  One node table, its rows scaled by the root quadrature
+    weights, holds the values and then, in place, their image, and is
+    released on return, before any eigensolve.
     """
     z, wt = gauss_hermite_nodes(order, basis.lam_ref)
-    values, op = _dbar_image(basis, w, z)
-    gram = (values.T * wt) @ values
-    del values
-    weighted = op.conj()
-    weighted *= wt[:, None]
-    lap = weighted.T @ op
-    del op, weighted
-    return 0.5 * (gram + gram.T), 0.5 * (lap + lap.conj().T)
+    values = basis.tabulate(z)
+    values *= np.sqrt(wt)[:, None]
+    gram = _node_product(values, True)
+    lap = _node_product(_dbar_image(basis, w, z, values), _real_coefficients(w.source))
+    return gram, lap
 
 
 def _check_psd(mu: np.ndarray, q: int, degree: int) -> None:
@@ -429,28 +470,6 @@ def _real_coefficients(source) -> bool:
     """Whether every polynomial coefficient of the weight is real (phi symmetric under y -> -y)."""
     parts = (source.inner, source.model) if isinstance(source, ExtendedWeight) else (source,)
     return all(c.imag == 0 for p in parts for c in p.coeffs.values())
-
-
-def _charge_states(degree: int):
-    """Tensor coefficients of the charge states, one unitary matrix per level n = 0..degree.
-
-    With the per-axis ladders a_x, a_y of the b_ij, a = (a_x - i a_y)/sqrt(2)
-    and b = (a_x + i a_y)/sqrt(2) commute, and |n_a, n_b> =
-    (a^+)^n_a (b^+)^n_b b_00 / sqrt(n_a! n_b!) spans level n_a + n_b with
-    angular-momentum charge n_a - n_b.  On level n, column n_a holds
-    |n_a, n - n_a> in the coordinates b_{i, n-i}, i = 0..n.
-    """
-    states = np.ones((1, 1), dtype=complex)
-    yield states
-    for n in range(1, degree + 1):
-        i = np.arange(n)[:, None]
-        up_x, up_y = np.zeros((n + 1, n), dtype=complex), np.zeros((n + 1, n), dtype=complex)
-        up_x[1:] = np.sqrt(i + 1.0) * states  # a_x^+ b_ij = sqrt(i+1) b_(i+1)j
-        up_y[:-1] = np.sqrt(n - i) * states  # a_y^+ b_ij = sqrt(j+1) b_i(j+1)
-        states = np.empty((n + 1, n + 1), dtype=complex)
-        states[:, 1:] = (up_x + 1j * up_y) / np.sqrt(2.0 * np.arange(1, n + 1))
-        states[:, 0] = (up_x[:, 0] - 1j * up_y[:, 0]) / math.sqrt(2.0 * n)
-        yield states
 
 
 def _charge_classes(basis: GalerkinBasis, weight: WeightPolynomial) -> list[np.ndarray]:
@@ -486,48 +505,6 @@ def _eigh(lap: np.ndarray, classes: list[np.ndarray]) -> tuple[np.ndarray, np.nd
     return mu[order], vecs[:, order]
 
 
-def _solve(
-    basis: GalerkinBasis, w: _Weight1D, gram: np.ndarray, lap: np.ndarray, order: int
-) -> GalerkinSystem:
-    """Eigenpairs of the Laplacian, which must be positive semidefinite.
-
-    A polynomial weight is solved in its charge classes and the eigenvectors
-    are taken back to the b_ij level by level.  A blended one is solved as
-    one block in the basis i^(j mod 2) b_ij, in real arithmetic when its
-    coefficients are real (the imaginary part is then quadrature roundoff).
-    """
-    if isinstance(w.source, WeightPolynomial):
-        lap_charged = _exact_laplacian(basis, w.source, charge=True)
-        mu, charged = _eigh(lap_charged, _charge_classes(basis, w.source))
-        vecs = np.empty(charged.shape, dtype=complex)
-        start = 0
-        for states in _charge_states(basis.degree):
-            stop = start + len(states)
-            vecs[start:stop] = states @ charged[start:stop]
-            start = stop
-    else:
-        phase = np.where(np.array(basis.pairs)[:, 1] % 2, 1j, 1.0)
-        turned = lap * phase
-        turned *= phase.conj()[:, None]
-        # evd beats the default evr on these real matrices, not on complex ones
-        real = _real_coefficients(w.source)
-        if real:
-            turned = np.ascontiguousarray(turned.real)
-        mu, vecs = scipy.linalg.eigh(turned, driver="evd" if real else None)
-        vecs = phase[:, None] * vecs
-    _check_psd(mu, basis.q, basis.degree)
-    return GalerkinSystem(
-        basis=basis,
-        weight=w,
-        gram=gram,
-        laplacian=lap,
-        eigenvalues=mu,
-        eigenvectors=vecs,
-        gram_defect=float(np.abs(gram - np.eye(len(basis))).max()),
-        quad_order=order,
-    )
-
-
 def leading_block_spectra(
     weight, q: int, degree: int, blocks: tuple[int, ...]
 ) -> tuple[np.ndarray, ...]:
@@ -545,7 +522,7 @@ def leading_block_spectra(
     if not all(0 <= b <= degree for b in blocks):
         raise ValueError(f"leading block degrees must lie in [0, {degree}], got {blocks}")
     basis = _basis(w, q, degree, None)
-    lap = _exact_laplacian(basis, w.source, charge=True)
+    lap = _exact_laplacian(basis, w.source)
     classes = _charge_classes(basis, w.source)
     spectra = []
     for b in blocks:
@@ -575,15 +552,6 @@ class HolomorphicBasis:
     factor: tuple[np.ndarray, bool]
     cond: float
     quad_order: int
-
-
-def _holomorphic_powers(degree: int, lam_ref: float, z: np.ndarray) -> np.ndarray:
-    """Model-normalized powers v_a(z), a <= degree, shape (len(z), degree + 1)."""
-    v = np.empty((z.size, degree + 1), dtype=complex)
-    v[:, 0] = math.sqrt(lam_ref / math.pi)
-    for a in range(1, degree + 1):
-        v[:, a] = v[:, a - 1] * z * math.sqrt(2.0 * lam_ref / a)
-    return v
 
 
 def holomorphic_subsystem(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from kernel_lab import (
     CkRule,
@@ -49,6 +50,15 @@ def test_quadrature_moment_exactness():
             moment = float(np.sum(wt * np.abs(z) ** (2 * m)).real)
             exact = math.pi * math.factorial(m) / (2**m * lam ** (m + 1))
             assert moment == pytest.approx(exact, rel=1e-10)
+
+
+def test_high_degree_tabulation_orthonormal():
+    # the Laguerre recurrence keeps the charge states orthonormal at D = 64 on
+    # the order-66 rule; the plain (z, zbar) ladder recursion does not
+    basis = galerkin._basis(galerkin._as_weight(UNIT), 0, 64, None)
+    z, wt = gauss_hermite_nodes(66, basis.lam_ref)
+    gram = galerkin._node_product(basis.tabulate(z) * np.sqrt(wt)[:, None], True)
+    assert np.abs(gram - np.eye(len(basis))).max() <= 1e-12
 
 
 def test_basis_count():
@@ -247,9 +257,12 @@ def test_exact_pairings_match_quadrature(name, degree0):
     s1 = build_system(weight, q=1, degree=16)
     e01, e10 = dbar_pairings(s0, s1)
     z, wt = gauss_hermite_nodes(degree0 + weight.degree + 2, s0.basis.lam_ref)
-    b0, a_of_b0 = galerkin._dbar_image(s0.basis, s0.weight, z)
-    b1, astar_of_b1 = galerkin._dbar_image(s1.basis, s1.weight, z)
-    for exact, quad in ((e01, (b1.T * wt) @ a_of_b0), (e10, (b0.T * wt) @ astar_of_b1)):
+    b0, b1 = s0.basis.tabulate(z), s1.basis.tabulate(z)
+    a_of_b0 = galerkin._dbar_image(s0.basis, s0.weight, z, b0.copy())
+    astar_of_b1 = galerkin._dbar_image(s1.basis, s1.weight, z, b1.copy())
+    # the L^2 inner product of the complex charge states
+    quads = ((b1.conj().T * wt) @ a_of_b0, (b0.conj().T * wt) @ astar_of_b1)
+    for exact, quad in zip((e01, e10), quads):
         assert exact.shape == quad.shape
         assert np.abs(exact - quad).max() <= 1e-12 * np.abs(quad).max()
 
@@ -263,8 +276,8 @@ def test_pairings_need_exact_operator():
 
 @pytest.mark.parametrize("amplitude", [0.25, 0.25 + 0.1j])
 def test_real_and_complex_solves_agree(amplitude):
-    # real coefficients let the solve run in real arithmetic (b_ij has the
-    # parity of j under y -> -y); a complex one keeps the complex solve
+    # real coefficients let the solve run in real arithmetic (the charge
+    # states' ladder coefficients are real); a complex one keeps the complex solve
     weight = UNIT + real_term(1, (3,), (0,), amplitude)
     system = build_system(weight, q=1, degree=16)
     lap, mu, v = system.laplacian, system.eigenvalues, system.eigenvectors
@@ -353,22 +366,21 @@ def test_charge_blocks_match_dense_solve(name, q):
 
 @pytest.mark.parametrize("name", ["g0", "g3", "g3-complex"])
 def test_charge_states_split_the_laplacian(name):
-    # the charge states are orthonormal, rotate the tensor Laplacian into the
-    # charge-basis assembly, and leave nothing between classes
+    # assembled by quadrature, independently of the ladder operators, the
+    # charge states are orthonormal, leave nothing between classes and give
+    # the exact Laplacian
     weight, _ = CHARGE_WEIGHTS[name]
     degree = 12
     basis, classes = _charge_basis(weight, 1, degree)
-    states = scipy.linalg.block_diag(*galerkin._charge_states(degree))
-    assert np.abs(states.conj().T @ states - np.eye(len(basis))).max() <= 1e-13
-    tensor = galerkin._exact_laplacian(basis, weight)
-    rotated = states.conj().T @ tensor @ states
-    scale = np.abs(rotated).max()
+    w = galerkin._as_weight(weight)
+    gram, quad = galerkin._assemble(basis, w, degree + weight.degree + 2)
+    assert np.abs(gram - np.eye(len(basis))).max() <= 1e-13
+    scale = np.abs(quad).max()
     key = np.empty(len(basis), dtype=int)
     for c, idx in enumerate(classes):
         key[idx] = c
-    assert np.abs(rotated[key[:, None] != key[None, :]]).max() <= 1e-13 * scale
-    charged = galerkin._exact_laplacian(basis, weight, charge=True)
-    assert np.abs(rotated - charged).max() <= 1e-12 * scale
+    assert np.abs(quad[key[:, None] != key[None, :]]).max() <= 1e-13 * scale
+    assert np.abs(quad - galerkin._exact_laplacian(basis, weight)).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("q", [0, 1])
@@ -381,6 +393,31 @@ def test_charge_leading_block_is_lower_degree_build(q):
     n = len(coarse_basis)
     for fine, coarse in zip(fine_classes, coarse_classes, strict=True):
         np.testing.assert_array_equal(fine[: np.searchsorted(fine, n)], coarse)
-    fine_lap = galerkin._exact_laplacian(fine_basis, weight, charge=True)
-    coarse_lap = galerkin._exact_laplacian(coarse_basis, weight, charge=True)
+    fine_lap = galerkin._exact_laplacian(fine_basis, weight)
+    coarse_lap = galerkin._exact_laplacian(coarse_basis, weight)
     assert np.abs(fine_lap[:n, :n] - coarse_lap).max() <= 1e-12 * np.abs(coarse_lap).max()
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    monomial=st.sampled_from([(3, 0), (2, 1), (4, 0), (3, 1), (2, 2)]),
+    re=st.floats(-0.3, 0.3),
+    im=st.floats(-0.3, 0.3),
+    real=st.booleans(),
+    q=st.sampled_from([0, 1]),
+    degree=st.integers(4, 16),
+)
+def test_exact_path_properties(monomial, re, im, real, q, degree):
+    # cubic and quartic perturbations of |z|^2 with real or complex amplitude
+    # (a diagonal term |z|^4 takes only a real one)
+    a, b = monomial
+    weight = UNIT + real_term(1, (a,), (b,), re if real or a == b else complex(re, im))
+    w = galerkin._as_weight(weight)
+    basis = galerkin._basis(w, q, degree, None)
+    exact = galerkin._exact_laplacian(basis, weight)
+    _, quad = galerkin._assemble(basis, w, degree + weight.degree + 2)
+    scale = np.abs(quad).max()
+    assert np.abs(exact - quad).max() <= 1e-12 * scale
+    mu = build_system(weight, q=q, degree=degree).eigenvalues
+    assert np.abs(mu - scipy.linalg.eigh(exact, eigvals_only=True)).max() <= 1e-12 * scale
+    assert mu[0] >= -1e-12 * scale
