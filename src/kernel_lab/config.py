@@ -334,6 +334,35 @@ def _check_truncation(section: str, values: Mapping[str, object]) -> None:
             f"{section}.quad_order: must exceed degree ({values['degree']}),"
             f" got {values['quad_order']}"
         )
+    if section == "torus":
+        _check_torus(values)
+
+
+def _check_torus(values: Mapping[str, object]) -> None:
+    """Level and grid rules of the torus audit and its theta trace check.
+
+    Every level k needs k * degree != 0; the trace check integrates on a grid
+    other than its Gram grid, and each grid in use resolves psi with at least
+    8 points per period of its top frequency.
+    """
+    if 0 in values["ks"]:
+        raise ConfigError("torus.ks: levels must be nonzero (k * degree = 0 at k = 0)")
+    grids = ["grid_n"]
+    if any(0 < k <= values["theta_max_k"] and k * values["degree"] > 0 for k in values["ks"]):
+        if values["gram_grid"] == values["trace_grid"]:
+            raise ConfigError(
+                f"torus.gram_grid: must differ from trace_grid ({values['trace_grid']})"
+            )
+        grids += ["gram_grid", "trace_grid"]
+    top = max(
+        (max(abs(m1), abs(m2)) for m1, m2, amp in values["psi"] if amp != 0.0), default=1
+    )
+    coarse = [f"{key}={values[key]}" for key in grids if values[key] < 8 * top]
+    if coarse:
+        raise ConfigError(
+            f"torus.psi: top frequency {top} needs grids of >= {8 * top} points"
+            f" per axis, got {', '.join(coarse)}"
+        )
 
 
 def _jsonable(value):

@@ -13,6 +13,11 @@ of Morse integrals reproduces k * d exactly.  Holomorphic sections at level k
 are the k*d classical theta functions; their Gram matrix under the weighted
 volume gives the Bergman projector whose integrated trace must equal the
 Dolbeault dimension h^0 = k*d.
+
+On the periodic lattice grid the weighted theta series (Mumford, Tata
+Lectures on Theta I, I.3) separates into Gaussian y-factors and exact
+x-phases, so each section is tabulated as one matrix product over the
+lattice index, with exponentials taken per grid axis, not per grid point.
 """
 
 from __future__ import annotations
@@ -160,10 +165,13 @@ def morse_integrals(
         raise ValueError("torus Morse integrals take q in {0, 1}")
     if k == 0:
         raise ValueError("level k must be nonzero")
-    field = curvature_field(bundle, grid_n)
-    mask = field.labels == q
+    return _morse_integral(curvature_field(bundle, grid_n), k, q)
+
+
+def _morse_integral(field: CurvatureField, k: int, q: int) -> float:
+    """Morse integral of ``morse_integrals`` over an already sampled field."""
+    cell = field.bundle.area / field.grid_n**2
     if field.sign_changing:
-        cell = bundle.area / grid_n**2
         crossings = int(
             (field.labels != np.roll(field.labels, 1, axis=0)).sum()
             + (field.labels != np.roll(field.labels, 1, axis=1)).sum()
@@ -173,10 +181,9 @@ def morse_integrals(
             f"grid crosses the degenerate set; integration error is first order"
             f" (rough estimate {estimate:.3e})",
             BoundaryCrossingWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    cell = bundle.area / grid_n**2
-    total = float(np.abs(field.values[mask]).sum()) * cell
+    total = float(np.abs(field.values[field.labels == q]).sum()) * cell
     return k / (2.0 * math.pi) * total
 
 
@@ -198,28 +205,32 @@ def _theta_radius(tau2: float, m: int) -> int:
     return max(6, math.ceil(1.0 + spread) + 2)
 
 
-def _theta_matrix(
-    bundle: TorusBundle, k: int, x: np.ndarray, y: np.ndarray, radius: int
-) -> np.ndarray:
-    """Values theta_j(z) e^{-phi_k(z)} on flattened grid points, one column per j.
+def _theta_matrix(bundle: TorusBundle, k: int, n: int, radius: int) -> np.ndarray:
+    """Values theta_j(z) e^{-phi_k(z)} on the n x n lattice grid, one column per j.
 
-    The weight is folded into the lattice-sum exponent before exponentiation,
-    keeping every term at the scale of the weighted section norms.
+    Rows follow ``_lattice_grid``'s x-major order.  With z = x + tau y and
+    s = l + j/m, each lattice term times the flat weight is the product of
+    g(y, s) = exp(-pi m tau2 (s + y)^2 + i pi tau1 m (s^2 + 2 s y)), of
+    modulus at most 1, and the phase exp(2 pi i (m s) x) with m s an integer,
+    taken exactly from the n-th roots of unity.  The table is one batched
+    (n x L) @ (L x n) product per section j, times e^{-k psi} when psi != 0.
     """
     tau = bundle.tau
-    tau2 = tau.imag
     m = k * bundle.degree
-    z = (x + tau * y).ravel()
-    phi = (
-        math.pi * m * tau2 * (y.ravel() ** 2)
-        + k * bundle.psi_values(x, y).ravel()
+    freq = m * np.arange(-radius, radius + 1)[None, :] + np.arange(m)[:, None]
+    s = (freq / m)[:, :, None]
+    t = np.arange(n)
+    y = t / n
+    phase = np.exp(2j * math.pi * y)[freq[:, None, :] * t[:, None] % n]
+    decay = np.exp(
+        -math.pi * m * tau.imag * (s + y) ** 2
+        + 1j * math.pi * tau.real * m * (s**2 + 2.0 * s * y)
     )
-    ls = np.arange(-radius, radius + 1)
-    js = np.arange(m)
-    shift = ls[:, None] + js[None, :] / m
-    quad = 1j * math.pi * tau * m * shift**2
-    expo = quad[None, :, :] + 2j * math.pi * m * shift[None, :, :] * z[:, None, None]
-    return np.exp(expo - phi[:, None, None]).sum(axis=1)
+    values = np.matmul(phase, decay).transpose(1, 2, 0).reshape(n * n, m)
+    if bundle.psi_modes:
+        xg, yg = _lattice_grid(n)
+        values *= np.exp(-k * bundle.psi_values(xg, yg)).reshape(-1, 1)
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,8 +274,7 @@ def theta_trace_check(
         raise ValueError("lattice radius must be positive")
     truncation = 2.0 * math.exp(-math.pi * m * tau2 * (radius - 1) ** 2)
 
-    xg, yg = _lattice_grid(gram_grid)
-    vg = _theta_matrix(bundle, k, xg, yg, radius)
+    vg = _theta_matrix(bundle, k, gram_grid, radius)
     gram = vg.conj().T @ vg * (bundle.area / gram_grid**2)
     gram = 0.5 * (gram + gram.conj().T)
     try:
@@ -272,8 +282,7 @@ def theta_trace_check(
     except np.linalg.LinAlgError as err:
         raise GramConditioningError(f"theta Gram matrix is not positive definite: {err}")
 
-    xt, yt = _lattice_grid(trace_grid)
-    vt = _theta_matrix(bundle, k, xt, yt, radius)
+    vt = _theta_matrix(bundle, k, trace_grid, radius)
     diag = np.einsum("pi,pi->p", cho_solve(factor, vt.conj().T).T, vt).real
     trace = float(diag.sum()) * bundle.area / trace_grid**2
     return TraceCheckResult(
@@ -322,8 +331,8 @@ def audit_morse(
     total_r = float(field.values.sum()) * cell
     for k in ks:
         h0, h1 = dolbeault_dims(bundle, k)
-        i0 = morse_integrals(bundle, k, 0, grid_n)
-        i1 = morse_integrals(bundle, k, 1, grid_n)
+        i0 = _morse_integral(field, k, 0)
+        i1 = _morse_integral(field, k, 1)
         h0s.append(h0)
         h1s.append(h1)
         i0s.append(i0)

@@ -74,8 +74,14 @@ def test_run_model(model_config, tmp_path, capsys):
         ("gap-cubic", "gap.ks=1,2"),
         ("heat-quadratic", "heat.ks=1,2"),
         ("vanish-mismatched", "vanish.ks=1,2"),
+        # the torus configs cover the batched theta tabulation
+        ("torus-flat", None),
+        ("torus-wavy", None),
     ],
-    ids=["model", "gap-cubic", "heat-quadratic", "vanish-mismatched"],
+    ids=[
+        "model", "gap-cubic", "heat-quadratic", "vanish-mismatched",
+        "torus-flat", "torus-wavy",
+    ],
 )
 def test_reruns_are_byte_identical(config, override, model_config, tmp_path):
     path = model_config if config == "model" else str(CONFIGS / f"{config}.ini")
@@ -210,6 +216,9 @@ def test_readme_config_example_parses(tmp_path):
         ("gap-cubic", "gap.q=2"),
         ("gap-cubic", "family.dimension=2"),
         ("gap-cubic", "family.base=1,0;0,0;1"),
+        ("torus-flat", "torus.gram_grid=64"),
+        ("torus-flat", "torus.psi=9;0;0.3"),
+        ("torus-flat", "torus.ks=0,1"),
     ],
 )
 def test_invalid_truncation_is_usage_error(config, override, tmp_path, capsys):

@@ -16,6 +16,7 @@ from kernel_lab import (
     morse_integrals,
     theta_trace_check,
 )
+from kernel_lab.torus import _lattice_grid, _theta_matrix, _theta_radius
 
 
 def test_bundle_validation():
@@ -108,6 +109,39 @@ def test_dolbeault_dims():
     assert dolbeault_dims(TorusBundle(tau=1j, degree=1), 1) == (1, 0)
     with pytest.raises(ValueError):
         dolbeault_dims(TorusBundle(tau=1j, degree=1), 0)
+
+
+def _direct_theta_matrix(bundle, k, n, radius):
+    # the lattice sum term by term: one exponential per (point, l, j)
+    x, y = _lattice_grid(n)
+    tau, m = bundle.tau, k * bundle.degree
+    z = (x + tau * y).ravel()
+    phi = math.pi * m * tau.imag * y.ravel() ** 2 + k * bundle.psi_values(x, y).ravel()
+    shift = np.arange(-radius, radius + 1)[:, None] + np.arange(m)[None, :] / m
+    expo = (
+        1j * math.pi * tau * m * shift[None] ** 2
+        + 2j * math.pi * m * shift[None] * z[:, None, None]
+    )
+    return np.exp(expo - phi[:, None, None]).sum(axis=1)
+
+
+@pytest.mark.parametrize("n", [48, 64])
+@pytest.mark.parametrize("k", [1, 3, 6])
+@pytest.mark.parametrize(
+    "bundle",
+    [
+        TorusBundle(tau=1j, degree=1),
+        TorusBundle(tau=1j, degree=1, psi_modes=((1, 0, 0.3),)),
+        TorusBundle(tau=0.3 + 1.1j, degree=2, psi_modes=((1, 1, 0.2), (-2, 1, 0.05))),
+    ],
+    ids=["flat", "wavy", "skew"],
+)
+def test_theta_matrix_matches_direct_sum(bundle, k, n):
+    radius = _theta_radius(bundle.tau.imag, k * bundle.degree)
+    values = _theta_matrix(bundle, k, n, radius)
+    reference = _direct_theta_matrix(bundle, k, n, radius)
+    assert values.shape == (n * n, k * bundle.degree)
+    assert np.abs(values - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
 def test_theta_trace_flat_small(flat_torus):
