@@ -31,7 +31,7 @@ from .scaling import (
     scaled_bergman_convergence,
     vanishing_convergence,
 )
-from .torus import BoundaryCrossingWarning, audit_morse, curvature_field, theta_trace_check
+from .torus import BoundaryCrossingWarning, audit_morse, theta_trace_check
 from .weights import WeightFamily, scale_weight
 
 
@@ -357,7 +357,7 @@ def _run_torus_audit(cfg: ParsedConfig) -> ExperimentResult:
         Check("morse3_zero", max(abs(v) for v in rep.morse3), sec["morse3_tolerance"], "<="),
         Check("morse1_nonnegative", min(rep.morse1), -sec["equality_tolerance"], ">="),
     ]
-    if curvature_field(bundle, sec["grid_n"]).sign_changing:
+    if rep.sign_changing:
         margin = min(v / k for k, v in zip(rep.ks, rep.morse1))
         checks.append(Check("morse1_margin_per_k", margin, sec["margin_floor"], ">="))
     else:

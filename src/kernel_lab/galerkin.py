@@ -69,6 +69,11 @@ only through phi - phi_ref.  It is integrated by quadrature for every
 weight, and its Cholesky factor is the one guarded step: a Gram that is not
 positive definite, or whose pivot ratio falls below GRAM_GUARD, raises
 GramConditioningError.
+
+scipy is imported inside the functions that solve or factor, so loading the
+package, or running an experiment with no Galerkin solve, never loads it.
+They call through the ``scipy.linalg`` module attributes, which the
+benchmark's tracer rebinds.
 """
 
 from __future__ import annotations
@@ -78,7 +83,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .model import ModelSpectrum, _points
 from .weights import ExtendedWeight, WeightPolynomial, curvature_matrix
@@ -371,6 +375,8 @@ def build_system(
                 f"build_system(q={q}, D={degree}): quadrature order {order} cannot"
                 f" integrate the Gram matrix (needs more than D = {degree})"
             )
+        import scipy.linalg
+
         gram, lap = _assemble(basis, w, order)
         # evd beats the default evr on real matrices, not on complex ones
         mu, vecs = scipy.linalg.eigh(lap, driver="evd" if np.isrealobj(lap) else None)
@@ -487,6 +493,8 @@ def _charge_classes(basis: GalerkinBasis, weight: WeightPolynomial) -> list[np.n
 
 def _leading_spectrum(lap: np.ndarray, classes: list[np.ndarray], size: int) -> np.ndarray:
     """Eigenvalues of the leading ``size`` basis functions, one class at a time, merged."""
+    import scipy.linalg
+
     parts = []
     for idx in classes:
         sub = idx[: np.searchsorted(idx, size)]
@@ -497,6 +505,8 @@ def _leading_spectrum(lap: np.ndarray, classes: list[np.ndarray], size: int) -> 
 
 def _eigh(lap: np.ndarray, classes: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs from ``scipy.linalg.eigh`` on each class of ``lap``, merged in ascending order."""
+    import scipy.linalg
+
     mu = np.empty(len(lap))
     vecs = np.zeros_like(lap)
     for idx in classes:
@@ -561,6 +571,8 @@ def holomorphic_subsystem(
     reference: ModelSpectrum | None = None,
 ) -> HolomorphicBasis:
     """Gram matrix of the holomorphic sub-basis under the weight's L^2(dV) inner product."""
+    import scipy.linalg
+
     w = _as_weight(weight)
     lam_ref = _reference_lambda(w, reference)
     order = quad_order if quad_order is not None else _default_order(degree, w)
@@ -597,6 +609,8 @@ def bergman_kernel_numeric(hol: HolomorphicBasis, z, w) -> np.ndarray:
     Returns the (m_z, m_w) matrix K[i, j] = K(z_i, w_j) on the point sets z
     and w (see :mod:`kernel_lab.model` for point shapes).
     """
+    import scipy.linalg
+
     zs, ws = _points(z, 1)[:, 0], _points(w, 1)[:, 0]
     vz = _holomorphic_powers(hol.degree, hol.lam_ref, zs) * np.exp(-hol.weight.value(zs))[:, None]
     vw = _holomorphic_powers(hol.degree, hol.lam_ref, ws) * np.exp(-hol.weight.value(ws))[:, None]

@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .galerkin import GramConditioningError
 
@@ -261,6 +260,12 @@ def theta_trace_check(
     the identity trace = rank is a genuine quadrature statement rather than a
     restatement of the matrix algebra.  Raises GramConditioningError when the
     Gram matrix is not positive definite.
+
+    The trace is the sum over the P trace-grid points of v_p G^-1 v_p^H, with
+    v_p the row of section values at point p.  It is contracted over the grid
+    first: with G = L L^H and H = V^H V the m x m inner products of the trace
+    table V, the sum is tr(L^-1 H L^-H), taken from two solves with L on
+    m x m matrices rather than one solve with P right-hand sides.
     """
     m = k * bundle.degree
     if m <= 0:
@@ -278,13 +283,14 @@ def theta_trace_check(
     gram = vg.conj().T @ vg * (bundle.area / gram_grid**2)
     gram = 0.5 * (gram + gram.conj().T)
     try:
-        factor = cho_factor(gram, lower=True)
+        chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as err:
         raise GramConditioningError(f"theta Gram matrix is not positive definite: {err}")
 
     vt = _theta_matrix(bundle, k, trace_grid, radius)
-    diag = np.einsum("pi,pi->p", cho_solve(factor, vt.conj().T).T, vt).real
-    trace = float(diag.sum()) * bundle.area / trace_grid**2
+    half = np.linalg.solve(chol, vt.conj().T @ vt)
+    total = np.trace(np.linalg.solve(chol, half.conj().T)).real
+    trace = float(total) * bundle.area / trace_grid**2
     return TraceCheckResult(
         dimension=m,
         trace=trace,
@@ -304,7 +310,8 @@ class MorseReport:
     morse1 = I0 - h0 (weak inequality, >= 0, zero iff the gap condition bites),
     morse2 = (h0 - h1) - (I0 - I1) (strong inequality at q = 1; identically
     ~0 on the torus), morse3 = (h0 - h1) - (k / 2 pi) * integral of R dV
-    (asymptotic Riemann-Roch; exactly zero here).
+    (asymptotic Riemann-Roch; exactly zero here).  ``sign_changing`` is the
+    sampled curvature field's: whether R takes both signs on the grid.
     """
 
     ks: tuple[int, ...]
@@ -316,6 +323,7 @@ class MorseReport:
     morse2: tuple[float, ...]
     morse3: tuple[float, ...]
     grid_n: int
+    sign_changing: bool
 
 
 def audit_morse(
@@ -350,4 +358,5 @@ def audit_morse(
         morse2=tuple(m2s),
         morse3=tuple(m3s),
         grid_n=grid_n,
+        sign_changing=field.sign_changing,
     )

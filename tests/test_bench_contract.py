@@ -72,3 +72,18 @@ def test_counters_read_call_arguments_by_name():
         galerkin.heat_kernel_numeric,
     ):
         assert {"z", "w"} <= set(inspect.signature(kernel).parameters)
+
+
+def test_tracer_counts_lazily_imported_eigensolves():
+    # galerkin imports scipy.linalg inside its solves and calls eigh through
+    # the module attribute, which install() rebinds
+    weight = WeightPolynomial.quadratic([1.0])
+    tracer = _tracing.Tracer()
+    uninstall = _tracing.install(tracer)
+    try:
+        system = galerkin.build_system(weight, 0, 4)
+    finally:
+        uninstall()
+    classes = galerkin._charge_classes(system.basis, weight)
+    assert len(classes) > 1
+    assert tracer.counts["galerkin.eigensolve.calls"] == len(classes)

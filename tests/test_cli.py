@@ -1,11 +1,15 @@
 """Command line behavior: listing, runs, artifacts, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from kernel_lab import experiments, torus
 from kernel_lab.config import EXPERIMENTS, load_config
 from kernel_lab.cli import main
 
@@ -94,6 +98,47 @@ def test_reruns_are_byte_identical(config, override, model_config, tmp_path):
     assert "summary.json" in names and len(names) == 2
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("config", ["torus-flat", "torus-wavy"])
+def test_torus_run_samples_curvature_once(config, tmp_path, monkeypatch):
+    calls = []
+    sample = torus.curvature_field
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    # every binding of the function, as the benchmark's tracer rebinds it
+    monkeypatch.setattr(torus, "curvature_field", counted)
+    monkeypatch.setattr(experiments, "curvature_field", counted, raising=False)
+    assert main(["run", "--config", str(CONFIGS / f"{config}.ini"), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+COLD_RUN = """\
+import sys
+import kernel_lab, kernel_lab.cli, kernel_lab.experiments
+configs, out = sys.argv[1:]
+for name in ("model", "torus-flat", "torus-wavy"):
+    argv = ["run", "--config", f"{configs}/{name}.ini", "--out", f"{out}/{name}"]
+    assert kernel_lab.cli.main(argv) == 0, name
+print([m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules])
+"""
+
+
+def test_model_and_torus_runs_never_load_scipy(tmp_path):
+    # scipy.linalg alone is about half of a cold start; only Galerkin solves need it
+    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_RUN, str(CONFIGS), str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_seed_flag_overrides_config(model_config, tmp_path):

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from kernel_lab import (
     BoundaryCrossingWarning,
@@ -15,8 +16,16 @@ from kernel_lab import (
     dolbeault_dims,
     morse_integrals,
     theta_trace_check,
+    torus,
 )
 from kernel_lab.torus import _lattice_grid, _theta_matrix, _theta_radius
+
+BUNDLES = [
+    TorusBundle(tau=1j, degree=1),
+    TorusBundle(tau=1j, degree=1, psi_modes=((1, 0, 0.3),)),
+    TorusBundle(tau=0.3 + 1.1j, degree=2, psi_modes=((1, 1, 0.2), (-2, 1, 0.05))),
+]
+BUNDLE_IDS = ["flat", "wavy", "skew"]
 
 
 def test_bundle_validation():
@@ -127,15 +136,7 @@ def _direct_theta_matrix(bundle, k, n, radius):
 
 @pytest.mark.parametrize("n", [48, 64])
 @pytest.mark.parametrize("k", [1, 3, 6])
-@pytest.mark.parametrize(
-    "bundle",
-    [
-        TorusBundle(tau=1j, degree=1),
-        TorusBundle(tau=1j, degree=1, psi_modes=((1, 0, 0.3),)),
-        TorusBundle(tau=0.3 + 1.1j, degree=2, psi_modes=((1, 1, 0.2), (-2, 1, 0.05))),
-    ],
-    ids=["flat", "wavy", "skew"],
-)
+@pytest.mark.parametrize("bundle", BUNDLES, ids=BUNDLE_IDS)
 def test_theta_matrix_matches_direct_sum(bundle, k, n):
     radius = _theta_radius(bundle.tau.imag, k * bundle.degree)
     values = _theta_matrix(bundle, k, n, radius)
@@ -177,6 +178,35 @@ def test_theta_trace_guards(flat_torus):
         theta_trace_check(TorusBundle(tau=1j, degree=-1), 2)
     with pytest.raises(ValueError):
         theta_trace_check(flat_torus, 2, gram_grid=64, trace_grid=64)
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+@pytest.mark.parametrize("bundle", BUNDLES, ids=BUNDLE_IDS)
+def test_theta_trace_matches_pointwise_sum(bundle, k):
+    # the Bergman density v_p G^-1 v_p^H at every trace-grid point, summed
+    result = theta_trace_check(bundle, k)
+    vg = _theta_matrix(bundle, k, result.gram_grid, result.lattice_radius)
+    gram = vg.conj().T @ vg * (bundle.area / result.gram_grid**2)
+    factor = cho_factor(0.5 * (gram + gram.conj().T), lower=True)
+    vt = _theta_matrix(bundle, k, result.trace_grid, result.lattice_radius)
+    density = np.einsum("pi,pi->p", cho_solve(factor, vt.conj().T).T, vt).real
+    reference = float(density.sum()) * bundle.area / result.trace_grid**2
+    assert abs(result.trace - reference) <= 1e-12 * reference
+
+
+def test_theta_trace_rank_deficient_gram(flat_torus, monkeypatch):
+    tabulate = torus._theta_matrix
+
+    def deficient(bundle, k, n, radius):
+        # one section vanishing on the Gram grid makes the Gram matrix singular
+        values = tabulate(bundle, k, n, radius)
+        if n == torus.DEFAULT_GRAM_GRID:
+            values[:, -1] = 0.0
+        return values
+
+    monkeypatch.setattr(torus, "_theta_matrix", deficient)
+    with pytest.raises(GramConditioningError):
+        theta_trace_check(flat_torus, 3)
 
 
 def test_audit_morse_flat(flat_torus):
