@@ -30,11 +30,12 @@ or A = dbar_s^* (q = 1).  On the polynomial factors the derivatives are the
 ladders, dP/dzbar = s sqrt(n_b) P_(n_a, n_b-1) and dP/dz = s sqrt(n_a)
 P_(n_a-1, n_b).  The Laplacian is assembled on one of two paths:
 
-* Polynomial weights (``WeightPolynomial``) take the exact path.  For phi of
-  degree p, A is a sparse matrix from the degree-D states into the states
-  n_a, n_b <= D + p, which are orthonormal too.  The Laplacian is A^H A, with
-  no quadrature: the system's ``gram`` is the identity, ``gram_defect`` 0 and
-  ``quad_order`` 0.
+* Polynomial weights (``WeightPolynomial``) take the exact path, with no
+  quadrature: ``gram`` is the identity, ``gram_defect`` and ``quad_order`` 0.
+  A expands into ladder terms (a^+)^k a^l b^m (b^+)^r, each a shift by
+  (k - l, r - m) with a coefficient depending on n_a and n_b; terms with the
+  same shift are merged, and A^H A is summed from pairs of shifts straight
+  into its charge-class blocks.
 * Blended weights (``ExtendedWeight``) take the quadrature path: tensor
   Gauss-Hermite quadrature against e^{-2 phi_ref}, by default a dense rule.
   An order-m rule integrates the Gram matrix exactly once m > D; orders
@@ -45,13 +46,13 @@ A monomial z^a zbar^b shifts the charge by a - b, so the exact Laplacian
 couples charges only modulo g = gcd |a - b| over the weight's monomials:
 g = 0 (|z|^2) makes every charge its own block, 2D + 1 of them, the
 gap-cubic weight (g = 3) splits into three, and g = 1 is one block.  Each
-class is solved on its own.  The basis is graded by level and each class is
-ordered by level, so the degree-D' matrices are the leading (D'+1)(D'+2)/2
-blocks of the degree-D ones for any D' <= D, and a leading block of the
-truncation is a leading block of every class: ``leading_block_spectra``
-takes the eigenvalues of several truncations from one exact assembly.  On
-the model weight |z|^2 every eigenvalue is exact to roundoff (2(b + q) with
-multiplicity D + 1 - b) up to at least D = 64.
+class is assembled and solved on its own.  The basis is graded by level and
+each class is ordered by level, so the degree-D' matrices are the leading
+(D'+1)(D'+2)/2 blocks of the degree-D ones for any D' <= D, and a leading
+block of the truncation is a leading block of every class:
+``leading_block_spectra`` takes the eigenvalues of several truncations from
+one exact assembly.  On the model weight |z|^2 every eigenvalue is exact to
+roundoff (2(b + q) with multiplicity D + 1 - b) up to at least D = 64.
 
 The ladder coefficients are real, and conj(P_(n_a, n_b)) = P_(n_b, n_a), so
 for a weight with real coefficients (phi symmetric under y -> -y) the
@@ -78,6 +79,8 @@ benchmark's tracer rebinds.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -171,13 +174,21 @@ def basis_pairs(degree: int) -> tuple[tuple[int, int], ...]:
     return tuple((a, t - a) for t in range(degree + 1) for a in range(t + 1))
 
 
+@functools.cache
+def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order-``order`` Gauss-Hermite nodes and weights, computed once, read-only."""
+    t, w = np.polynomial.hermite.hermgauss(order)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 def gauss_hermite_nodes(order: int, lam_ref: float) -> tuple[np.ndarray, np.ndarray]:
     """Tensor nodes z and weights for integrals of f(z) e^{-2 lam_ref |z|^2} dV.
 
     One-dimensional Gauss-Hermite nodes are rescaled so the Gaussian matches
     e^{-2 lam_ref x^2} per real axis; the weight includes the dV = 2 dm factor.
     """
-    t, w = np.polynomial.hermite.hermgauss(order)
+    t, w = _hermite_rule(order)
     x = t / math.sqrt(2.0 * lam_ref)
     w1 = w / math.sqrt(2.0 * lam_ref)
     z = (x[:, None] + 1j * x[None, :]).ravel()
@@ -365,8 +376,7 @@ def build_system(
     w = _as_weight(weight)
     basis = _basis(w, q, degree, reference)
     if isinstance(w.source, WeightPolynomial):
-        lap = _exact_laplacian(basis, w.source)
-        mu, vecs = _eigh(lap, _charge_classes(basis, w.source))
+        lap, mu, vecs = _solve_classes(*_class_laplacians(basis, w.source))
         gram, defect, order = np.eye(len(basis)), 0.0, 0
     else:
         order = quad_order if quad_order is not None else _default_order(degree, w)
@@ -385,52 +395,65 @@ def build_system(
     return GalerkinSystem(basis, w, gram, lap, mu, vecs, defect, order)
 
 
-def _exact_operator(basis: GalerkinBasis, weight: WeightPolynomial, top: int = 0):
-    """Sparse matrix of dbar_s (q = 0) or dbar_s^* (q = 1) on the basis, and its grid size.
+def _positions(i: np.ndarray, j: np.ndarray, degree: int) -> np.ndarray:
+    """Basis positions of the charge states |i, j>, -1 for states outside the degree-D basis."""
+    n = i + j
+    return np.where((i >= 0) & (j >= 0) & (n <= degree), n * (n + 1) // 2 + i, -1)
 
-    Rows index the charge states |n_a, n_b>, n_a, n_b < size, in the order
-    n_a * size + n_b; columns follow ``basis.pairs``.  The image of the
-    degree-D basis under a weight of degree p lies in n_a, n_b <= D + p; the
-    grid reaches index ``top`` too when that is larger.
+
+def _shift_terms(basis: GalerkinBasis, weight: WeightPolynomial) -> dict:
+    """A = dbar_s (q = 0) or dbar_s^* (q = 1) as shifts: A|i, j> = sum f_(da, db) |i + da, j + db>.
+
+    By z = (a^+ + b) / s and zbar = (a + b^+) / s, a monomial c z^al zbar^be
+    of phi's derivative is the sum over k, l of C(al, k) C(be, l) c s^-(al+be)
+    (a^+)^k a^l b^(al-k) (b^+)^(be-l), whose coefficients on |i, j> are roots
+    of falling factorials.  Real for real weight coefficients.
     """
-    import scipy.sparse as sp
-
-    size = max(basis.degree + max(weight.degree, 1), top) + 1
     s = math.sqrt(2.0 * basis.lam_ref)
-    lower = sp.diags(np.sqrt(np.arange(1.0, size)), 1, format="csr")
-    eye = sp.identity(size, format="csr")
-    a_dn, b_dn = sp.kron(lower, eye, format="csr"), sp.kron(eye, lower, format="csr")
-    a_up, b_up = a_dn.T, b_dn.T
-    # z = (a^+ + b) / s, d/dzbar = (s / 2)(b - a^+) and d/dz = (s / 2)(a - b^+)
-    z, zbar = (a_up + b_dn) / s, (a_dn + b_up) / s
-    dzbar, dz = 0.5 * s * (b_dn - a_up), 0.5 * s * (a_dn - b_up)
-    if basis.q == 0:
-        op, coeff = dzbar, weight.d_zbar(0)
-    else:
-        op, coeff = -dz, weight.d_z(0)
-    for ((a,), (b,)), c in coeff.coeffs.items():
-        term = c * sp.identity(size * size, format="csr")
-        for _ in range(a):
-            term = z @ term
-        for _ in range(b):
-            term = zbar @ term
-        op = op + term
-    i, j = np.array(basis.pairs).T
-    return op.tocsc()[:, i * size + j], size
+    i, j = np.array(basis.pairs, dtype=float).T
+    one = np.ones_like(i)
+    if basis.q == 0:  # d/dzbar = (s / 2)(b - a^+)
+        terms = {(0, -1): 0.5 * s * np.sqrt(j), (1, 0): -0.5 * s * np.sqrt(i + 1)}
+        coeff = weight.d_zbar(0)
+    else:  # -d/dz = (s / 2)(b^+ - a)
+        terms = {(-1, 0): -0.5 * s * np.sqrt(i), (0, 1): 0.5 * s * np.sqrt(j + 1)}
+        coeff = weight.d_z(0)
+    for ((al,), (be,)), c in coeff.coeffs.items():
+        for k, l in itertools.product(range(al + 1), range(be + 1)):
+            m, r, binom = al - k, be - l, math.comb(al, k) * math.comb(be, l)
+            ga = math.prod([i - t for t in range(l)] + [i - l + 1 + t for t in range(k)], start=one)
+            gb = math.prod([j + r - t for t in [*range(r), *range(m)]], start=one)
+            f = np.sqrt(ga * gb) * (1.0 / s) ** (al + be) * (binom * c)
+            terms[k - l, r - m] = terms.get((k - l, r - m), 0.0) + f
+    return {shift: f.real if _real_coefficients(weight) else f for shift, f in terms.items()}
 
 
-def _exact_laplacian(basis: GalerkinBasis, weight: WeightPolynomial) -> np.ndarray:
-    """The Laplacian A^H A of a polynomial weight, Hermitian to the last bit.
+def _class_laplacians(basis: GalerkinBasis, weight: WeightPolynomial) -> tuple[list, list]:
+    """The charge classes and the blocks of A^H A on them, Hermitian to the last bit.
 
-    It is a real matrix for a weight with real coefficients.
+    Column |c> meets row |c + sigma - sigma'> where its image under the shift
+    sigma meets the row's under sigma'; one scatter-add fills every block.
     """
-    op, _ = _exact_operator(basis, weight)
-    if _real_coefficients(weight):
-        op = op.real
-    lap = (op.conj().T @ op).toarray()
-    lap += lap.conj().T
-    lap *= 0.5
-    return lap
+    classes = _charge_classes(basis, weight)
+    sizes = np.array([idx.size for idx in classes])
+    starts = np.concatenate(([0], np.cumsum(sizes**2)))
+    base, width, local = np.empty((3, len(basis)), dtype=int)
+    for idx, start, size in zip(classes, starts, sizes):
+        base[idx], width[idx], local[idx] = start, size, np.arange(size)
+    i, j = np.array(basis.pairs).T
+    terms = _shift_terms(basis, weight).items()
+    flat, vals = [], []
+    for ((da, db), f), ((ea, eb), g) in itertools.product(terms, terms):
+        row = _positions(i + da - ea, j + db - eb, basis.degree)
+        col = np.flatnonzero(row >= 0)
+        flat.append(base[col] + local[row[col]] * width[col] + local[col])
+        vals.append(g[row[col]].conj() * f[col])
+    flat, vals = np.concatenate(flat), np.concatenate(vals)
+    lap = np.bincount(flat, vals.real, starts[-1])
+    if np.iscomplexobj(vals):
+        lap = lap + 1j * np.bincount(flat, vals.imag, starts[-1])
+    blocks = [lap[a:b].reshape(n, n) for a, b, n in zip(starts, starts[1:], sizes)]
+    return classes, [0.5 * (block + block.conj().T) for block in blocks]
 
 
 def _node_product(x: np.ndarray, real: bool) -> np.ndarray:
@@ -491,28 +514,18 @@ def _charge_classes(basis: GalerkinBasis, weight: WeightPolynomial) -> list[np.n
     return [np.flatnonzero(key == c) for c in np.unique(key)]
 
 
-def _leading_spectrum(lap: np.ndarray, classes: list[np.ndarray], size: int) -> np.ndarray:
-    """Eigenvalues of the leading ``size`` basis functions, one class at a time, merged."""
+def _solve_classes(classes: list, blocks: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The blocks scattered into one matrix, and its eigenpairs solved block by block."""
     import scipy.linalg
 
-    parts = []
-    for idx in classes:
-        sub = idx[: np.searchsorted(idx, size)]
-        if sub.size:
-            parts.append(scipy.linalg.eigh(lap[np.ix_(sub, sub)], eigvals_only=True))
-    return np.sort(np.concatenate(parts), kind="stable")
-
-
-def _eigh(lap: np.ndarray, classes: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs from ``scipy.linalg.eigh`` on each class of ``lap``, merged in ascending order."""
-    import scipy.linalg
-
-    mu = np.empty(len(lap))
-    vecs = np.zeros_like(lap)
-    for idx in classes:
-        mu[idx], vecs[idx[:, None], idx] = scipy.linalg.eigh(lap[np.ix_(idx, idx)])
+    n = sum(idx.size for idx in classes)
+    lap = np.zeros((n, n), dtype=blocks[0].dtype)
+    mu, vecs = np.empty(n), np.zeros_like(lap)
+    for idx, block in zip(classes, blocks):
+        lap[np.ix_(idx, idx)] = block
+        mu[idx], vecs[idx[:, None], idx] = scipy.linalg.eigh(block)
     order = np.argsort(mu, kind="stable")
-    return mu[order], vecs[:, order]
+    return lap, mu[order], vecs[:, order]
 
 
 def leading_block_spectra(
@@ -524,19 +537,22 @@ def leading_block_spectra(
     in the charge states.  Each charge class is ordered by level, so the
     degree-D' truncation, the leading (D'+1)(D'+2)/2 basis functions, is a
     leading block of every class; each is solved for eigenvalues only (no
-    eigenvectors) and must be positive semidefinite like a full build.
+    eigenvectors) and must be positive semidefinite like a full build.  The
+    N x N matrix is never formed.
     """
+    import scipy.linalg
+
     w = _as_weight(weight)
     if not isinstance(w.source, WeightPolynomial):
         raise ValueError("leading-block spectra need a polynomial weight (the exact path)")
     if not all(0 <= b <= degree for b in blocks):
         raise ValueError(f"leading block degrees must lie in [0, {degree}], got {blocks}")
-    basis = _basis(w, q, degree, None)
-    lap = _exact_laplacian(basis, w.source)
-    classes = _charge_classes(basis, w.source)
+    classes, laps = _class_laplacians(_basis(w, q, degree, None), w.source)
     spectra = []
     for b in blocks:
-        mu = _leading_spectrum(lap, classes, (b + 1) * (b + 2) // 2)
+        cuts = [np.searchsorted(idx, (b + 1) * (b + 2) // 2) for idx in classes]
+        parts = [scipy.linalg.eigh(x[:m, :m], eigvals_only=True) for m, x in zip(cuts, laps) if m]
+        mu = np.sort(np.concatenate(parts), kind="stable")
         _check_psd(mu, q, b)
         spectra.append(mu)
     return tuple(spectra)
@@ -617,30 +633,43 @@ def bergman_kernel_numeric(hol: HolomorphicBasis, z, w) -> np.ndarray:
     return vz @ scipy.linalg.cho_solve(hol.factor, vw.conj().T)
 
 
+def _kernel_sum(fz: np.ndarray, fw: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_j c_j psi_j(z) psi_j(w)* over the c_j != 0, from mode tables (points x modes)."""
+    cols = np.nonzero(coeffs)[0]
+    return (fz[:, cols] * coeffs[cols]) @ fw[:, cols].conj().T
+
+
 def _mode_kernel(system: GalerkinSystem, coeffs: np.ndarray, z, w) -> np.ndarray:
     """Kernel sum_j c_j psi_j(z) psi_j(w)* as the (m_z, m_w) matrix on the point sets z and w."""
     zs, ws = _points(z, 1)[:, 0], _points(w, 1)[:, 0]
     cols = np.nonzero(coeffs)[0]
     if not cols.size:
         return np.zeros((zs.size, ws.size), dtype=complex)
-    fz = system.eval_modes(zs, cols) * coeffs[cols][None, :]
-    return fz @ system.eval_modes(ws, cols).conj().T
+    return _kernel_sum(system.eval_modes(zs, cols), system.eval_modes(ws, cols), coeffs[cols])
+
+
+def _projector_selection(system: GalerkinSystem, c: float) -> np.ndarray:
+    """The modes with mu <= c, plus the zero band."""
+    if c < 0:
+        raise ValueError("spectral threshold must be nonnegative")
+    return system.eigenvalues <= max(c, system.zero_tolerance())
+
+
+def _heat_weights(system: GalerkinSystem, t: float) -> np.ndarray:
+    """e^{-t mu_j}, with the roundoff below 0 cut off."""
+    if not t > 0:
+        raise ValueError("heat time must be positive")
+    return np.exp(-t * np.maximum(system.eigenvalues, 0.0))
 
 
 def spectral_projector_kernel(system: GalerkinSystem, c: float, z, w) -> np.ndarray:
     """Kernel of the spectral projector onto eigenvalues mu <= c (plus the zero band)."""
-    if c < 0:
-        raise ValueError("spectral threshold must be nonnegative")
-    sel = system.eigenvalues <= max(c, system.zero_tolerance())
-    return _mode_kernel(system, sel.astype(float), z, w)
+    return _mode_kernel(system, _projector_selection(system, c).astype(float), z, w)
 
 
 def heat_kernel_numeric(system: GalerkinSystem, t: float, z, w) -> np.ndarray:
     """Heat kernel sum_j e^{-t mu_j} psi_j(z) psi_j(w)* of the truncated operator."""
-    if not t > 0:
-        raise ValueError("heat time must be positive")
-    mu = np.maximum(system.eigenvalues, 0.0)
-    return _mode_kernel(system, np.exp(-t * mu), z, w)
+    return _mode_kernel(system, _heat_weights(system, t), z, w)
 
 
 def spectral_gap(system) -> float:
@@ -674,9 +703,12 @@ def dbar_pairings(sys0: GalerkinSystem, sys1: GalerkinSystem) -> tuple[np.ndarra
         raise ValueError("pairings need a polynomial weight (the exact path)")
 
     def rows(system: GalerkinSystem, partner: GalerkinSystem) -> np.ndarray:
-        op, size = _exact_operator(system.basis, weight, partner.degree)
-        i, j = np.array(partner.basis.pairs).T
-        return op.tocsr()[i * size + j].toarray()
+        i, j = np.array(system.basis.pairs).T
+        out = np.zeros((len(partner.basis), len(system.basis)), dtype=complex)
+        for (da, db), f in _shift_terms(system.basis, weight).items():
+            row = _positions(i + da, j + db, partner.degree)
+            out[row[row >= 0], row >= 0] += f[row >= 0]
+        return out
 
     return rows(sys0, sys1), rows(sys1, sys0)
 
@@ -691,9 +723,7 @@ def _pseudo_inverse_apply(system: GalerkinSystem, rhs_coords: np.ndarray) -> np.
 
 
 def _kernel_projector_apply(system: GalerkinSystem, coords: np.ndarray) -> np.ndarray:
-    mu = system.eigenvalues
-    cols = mu <= system.zero_tolerance()
-    vk = system.eigenvectors[:, cols]
+    vk = system.eigenvectors[:, _projector_selection(system, 0.0)]
     return vk @ (vk.conj().T @ coords)
 
 
@@ -719,15 +749,13 @@ def hodge_residual(
             raise ValueError("q = 0 needs the degree-1 neighbor system")
         if sys_next.degree != system.degree:
             raise ValueError("degree-1 neighbor must share the truncation degree")
-        e01, e10 = dbar_pairings(system, sys_next)
-        partner = sys_next
+        partner, (there, back) = sys_next, dbar_pairings(system, sys_next)
     elif q == 1:
         if sys_prev is None:
             raise ValueError("q = 1 needs the degree-0 neighbor system")
         if sys_prev.degree != system.degree + 1:
             raise ValueError("degree-0 neighbor must carry one extra truncation degree")
-        e01, e10 = dbar_pairings(sys_prev, system)
-        partner = sys_prev
+        partner, (back, there) = sys_prev, dbar_pairings(sys_prev, system)
     else:
         raise ValueError("q must be 0 or 1")
 
@@ -736,13 +764,7 @@ def hodge_residual(
     worst = 0.0
     for _ in range(samples):
         u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        if q == 0:
-            nv = _pseudo_inverse_apply(partner, e01 @ u)
-            bu = u - e10 @ nv
-        else:
-            nv = _pseudo_inverse_apply(partner, e10 @ u)
-            bu = u - e01 @ nv
-        pu = _kernel_projector_apply(system, u)
-        diff = bu - pu
+        bu = u - back @ _pseudo_inverse_apply(partner, there @ u)
+        diff = bu - _kernel_projector_apply(system, u)
         worst = max(worst, float(np.linalg.norm(diff) / np.linalg.norm(u)))
     return worst

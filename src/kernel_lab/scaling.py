@@ -27,10 +27,12 @@ import numpy as np
 from .galerkin import (
     GalerkinSystem,
     GramConditioningError,
+    _heat_weights,
+    _kernel_sum,
+    _projector_selection,
     _Weight1D,
     bergman_kernel_numeric,
     build_system,
-    heat_kernel_numeric,
     holomorphic_subsystem,
     spectral_gap,
     spectral_projector_kernel,
@@ -206,10 +208,6 @@ def scaled_bergman_convergence(
     )
 
 
-def _projector_selection(system: GalerkinSystem, c_scaled: float) -> np.ndarray:
-    return system.eigenvalues <= max(c_scaled, system.zero_tolerance())
-
-
 def vanishing_convergence(
     family: WeightFamily,
     ks: tuple[int, ...] = DEFAULT_KS,
@@ -255,10 +253,9 @@ def vanishing_convergence(
             failures.append(f"k={k}: {err}")
             continue
         c_scaled = ck ** (-d) / ck
-        sel = _projector_selection(system, c_scaled)
         kern = spectral_projector_kernel(system, c_scaled, pts, pts)
         kept.append(k)
-        ranks.append(int(sel.sum()))
+        ranks.append(int(_projector_selection(system, c_scaled).sum()))
         errors.append(float(np.abs(kern - model).max()))
 
     cs = tuple(family.c_value(k) for k in kept)
@@ -316,15 +313,18 @@ def heat_route_comparison(
     decay of |H(t) - P| in t then measures the spectral gap.  ``source`` may
     be a weight family (one system per distinct blended weight, built as the
     sweep reaches it) or a bare model spectrum (a single exactly quadratic
-    system, reported as k = 1).
+    system, reported as k = 1).  Each system's modes are evaluated on the
+    grid once, however many k it serves; the projector, every heat kernel and
+    the trace bound are read from that one table.
     """
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t schedule must be strictly increasing")
+    spec = source if isinstance(source, ModelSpectrum) else source.model_spectrum()
+    if spec.n != 1:
+        raise ValueError("heat route comparison is implemented for n = 1")
+    if q != spec.q0:
+        raise ValueError("heat route comparison needs the matched q = q0")
     if isinstance(source, ModelSpectrum):
-        if source.n != 1:
-            raise ValueError("heat route comparison is implemented for n = 1")
-        if q != source.q0:
-            raise ValueError("heat route comparison needs the matched q = q0")
         kss = (1,) if ks is None else tuple(ks)
         systems = [
             build_system(
@@ -333,11 +333,6 @@ def heat_route_comparison(
         ] * len(kss)
         cs = tuple(1.0 for _ in kss)
     else:
-        spec = source.model_spectrum()
-        if spec.n != 1:
-            raise ValueError("heat route comparison is implemented for n = 1")
-        if q != spec.q0:
-            raise ValueError("heat route comparison needs the matched q = q0")
         _require_gauge_normal(source)
         kss = DEFAULT_KS if ks is None else tuple(ks)
         builds = _SweepBuilds(q=q, degree=degree, quad_order=quad_order)
@@ -349,16 +344,18 @@ def heat_route_comparison(
     gaps: list[float] = []
     slopes: list[float | None] = []
     bounds: list[float] = []
+    last = None
     for i, system in enumerate(systems):
-        proj = spectral_projector_kernel(system, 0.0, pts, pts)
+        if system is not last:
+            modes, last = system.eval_modes(pts), system
+        proj = _kernel_sum(modes, modes, _projector_selection(system, 0.0).astype(float))
         for j, t in enumerate(ts):
-            heat = heat_kernel_numeric(system, t, pts, pts)
+            heat = _kernel_sum(modes, modes, _heat_weights(system, t))
             diffs[i, j] = float(np.abs(heat - proj).max())
         gaps.append(spectral_gap(system))
         slopes.append(fit_exp_decay(ts, diffs[i]))
         hot = system.eigenvalues > system.zero_tolerance()
-        modes = system.eval_modes(pts, np.nonzero(hot)[0])
-        bounds.append(float((np.abs(modes) ** 2).max(axis=0).sum()))
+        bounds.append(float((np.abs(modes[:, hot]) ** 2).max(axis=0).sum()))
 
     spread = tuple(float(diffs[:, j].max() - diffs[:, j].min()) for j in range(len(ts)))
     return HeatRouteReport(

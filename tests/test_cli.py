@@ -119,26 +119,43 @@ def test_torus_run_samples_curvature_once(config, tmp_path, monkeypatch):
 COLD_RUN = """\
 import sys
 import kernel_lab, kernel_lab.cli, kernel_lab.experiments
-configs, out = sys.argv[1:]
-for name in ("model", "torus-flat", "torus-wavy"):
+configs, out, names, hodge = sys.argv[1:]
+for name in names.split(","):
     argv = ["run", "--config", f"{configs}/{name}.ini", "--out", f"{out}/{name}"]
     assert kernel_lab.cli.main(argv) == 0, name
+if int(hodge):
+    from kernel_lab import WeightPolynomial, build_system, hodge_residual
+    unit = WeightPolynomial.quadratic([1.0])
+    s0, s1 = (build_system(unit, q=q, degree=8) for q in (0, 1))
+    assert hodge_residual(None, s0, s1) <= 1e-6
 print([m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules])
 """
 
 
-def test_model_and_torus_runs_never_load_scipy(tmp_path):
-    # scipy.linalg alone is about half of a cold start; only Galerkin solves need it
+def _cold_run_scipy_modules(tmp_path, names, hodge=0) -> str:
     env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
     done = subprocess.run(
-        [sys.executable, "-c", COLD_RUN, str(CONFIGS), str(tmp_path)],
+        [sys.executable, "-c", COLD_RUN, str(CONFIGS), str(tmp_path), ",".join(names), str(hodge)],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout.splitlines()[-1]
+
+
+def test_model_and_torus_runs_never_load_scipy(tmp_path):
+    # scipy.linalg alone is about half of a cold start; only Galerkin solves need it
+    assert _cold_run_scipy_modules(tmp_path, ("model", "torus-flat", "torus-wavy")) == "[]"
+
+
+def test_solve_runs_never_load_scipy_sparse(tmp_path):
+    # the exact path assembles its Laplacians with numpy; scipy.linalg solves them
+    names = (
+        "converge-cubic", "converge-quadratic", "gap-cubic", "heat-quadratic", "vanish-mismatched"
+    )
+    assert _cold_run_scipy_modules(tmp_path, names, hodge=1) == "['scipy.linalg']"
 
 
 def test_seed_flag_overrides_config(model_config, tmp_path):

@@ -226,23 +226,29 @@ def test_assembled_matrices_hermitian():
     assert np.abs(system.laplacian - system.laplacian.conj().T).max() == 0.0
 
 
-# |z|^2 and the gap-cubic weight |z|^2 + 0.25 (z^3 + zbar^3) scaled at k = 1, 4, 7
+# |z|^2 and the gap-cubic weight |z|^2 + 0.25 (z^3 + zbar^3) scaled at k = 1, 4, 7,
+# and a complex-coefficient weight with g = 1 (one charge class) at D = 40
 _GAP_CUBIC = WeightFamily(base=UNIT + real_term(1, (3,), (0,), 0.25), ck=CkRule(4.0))
 CROSS_CHECK_WEIGHTS = {
     "unit": UNIT,
     **{f"cubic-k{k}": scale_weight(_GAP_CUBIC, k) for k in (1, 4, 7)},
+    "g1-complex": UNIT + real_term(1, (2,), (1,), 0.3 + 0.1j),
 }
+CROSS_CHECKS = [
+    (q, degree, name)
+    for name in list(CROSS_CHECK_WEIGHTS)[:-1]
+    for q, degree in [(0, 24), (1, 24), (0, 32), (1, 32)]
+] + [(0, 40, "g1-complex"), (1, 40, "g1-complex")]
 
 
-@pytest.mark.parametrize("name", list(CROSS_CHECK_WEIGHTS))
-@pytest.mark.parametrize("q, degree", [(0, 24), (1, 24), (0, 32), (1, 32)])
+@pytest.mark.parametrize("q, degree, name", CROSS_CHECKS)
 def test_exact_laplacian_matches_quadrature(name, q, degree):
     # the order-(D + p + 2) rule integrates the polynomial Laplacian exactly,
     # so both paths must agree to roundoff
     weight = CROSS_CHECK_WEIGHTS[name]
     w = galerkin._as_weight(weight)
     basis = galerkin._basis(w, q, degree, None)
-    exact = galerkin._exact_laplacian(basis, weight)
+    exact = build_system(weight, q=q, degree=degree).laplacian
     _, quad = galerkin._assemble(basis, w, degree + weight.degree + 2)
     assert np.abs(exact - quad).max() <= 1e-12 * np.abs(quad).max()
 
@@ -312,10 +318,13 @@ def test_leading_block_matches_independent_build(cubic_family, q):
 
 @pytest.mark.parametrize("q", [0, 1])
 def test_leading_block_model_spectrum_exact(q):
-    (block,) = leading_block_spectra(UNIT, q, 32, (20,))
-    assert len(block) == 231
-    exact = np.repeat(2.0 * (np.arange(21) + q), np.arange(21, 0, -1))
-    assert np.abs(block - exact).max() <= 1e-10
+    # every mode of every block, up to D = 64
+    for degree, blocks in [(32, (20,)), (64, (48, 64))]:
+        spectra = leading_block_spectra(UNIT, q, degree, blocks)
+        for b, block in zip(blocks, spectra, strict=True):
+            assert len(block) == (b + 1) * (b + 2) // 2
+            exact = np.repeat(2.0 * (np.arange(b + 1) + q), np.arange(b + 1, 0, -1))
+            assert np.abs(block - exact).max() <= 1e-10
 
 
 def test_leading_block_rejects_degree_outside_system():
@@ -380,7 +389,8 @@ def test_charge_states_split_the_laplacian(name):
     for c, idx in enumerate(classes):
         key[idx] = c
     assert np.abs(quad[key[:, None] != key[None, :]]).max() <= 1e-13 * scale
-    assert np.abs(quad - galerkin._exact_laplacian(basis, weight)).max() <= 1e-12 * scale
+    exact = build_system(weight, q=1, degree=degree).laplacian
+    assert np.abs(quad - exact).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("q", [0, 1])
@@ -388,13 +398,13 @@ def test_charge_leading_block_is_lower_degree_build(q):
     # each class is ordered by level, so the degree-24 classes and Laplacian
     # are leading slices of the degree-32 ones
     weight = scale_weight(_GAP_CUBIC, 3)
-    fine_basis, fine_classes = _charge_basis(weight, q, 32)
+    _, fine_classes = _charge_basis(weight, q, 32)
     coarse_basis, coarse_classes = _charge_basis(weight, q, 24)
     n = len(coarse_basis)
     for fine, coarse in zip(fine_classes, coarse_classes, strict=True):
         np.testing.assert_array_equal(fine[: np.searchsorted(fine, n)], coarse)
-    fine_lap = galerkin._exact_laplacian(fine_basis, weight)
-    coarse_lap = galerkin._exact_laplacian(coarse_basis, weight)
+    fine_lap = build_system(weight, q=q, degree=32).laplacian
+    coarse_lap = build_system(weight, q=q, degree=24).laplacian
     assert np.abs(fine_lap[:n, :n] - coarse_lap).max() <= 1e-12 * np.abs(coarse_lap).max()
 
 
@@ -414,10 +424,10 @@ def test_exact_path_properties(monomial, re, im, real, q, degree):
     weight = UNIT + real_term(1, (a,), (b,), re if real or a == b else complex(re, im))
     w = galerkin._as_weight(weight)
     basis = galerkin._basis(w, q, degree, None)
-    exact = galerkin._exact_laplacian(basis, weight)
+    system = build_system(weight, q=q, degree=degree)
+    exact, mu = system.laplacian, system.eigenvalues
     _, quad = galerkin._assemble(basis, w, degree + weight.degree + 2)
     scale = np.abs(quad).max()
     assert np.abs(exact - quad).max() <= 1e-12 * scale
-    mu = build_system(weight, q=q, degree=degree).eigenvalues
     assert np.abs(mu - scipy.linalg.eigh(exact, eigvals_only=True)).max() <= 1e-12 * scale
     assert mu[0] >= -1e-12 * scale

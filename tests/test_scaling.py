@@ -13,11 +13,13 @@ from kernel_lab import (
     WeightFamily,
     WeightPolynomial,
     fit_loglog,
+    heat_kernel_numeric,
     heat_route_comparison,
     kernel_grid,
     real_term,
     route_equivalence_gap,
     scaled_bergman_convergence,
+    spectral_projector_kernel,
     vanishing_convergence,
 )
 
@@ -191,6 +193,37 @@ def test_heat_route_builds_once_per_distinct_weight(quadratic_family, monkeypatc
     assert report.spread_per_t == tuple(
         float(diffs[:, j].max() - diffs[:, j].min()) for j in range(len(ts))
     )
+
+
+@pytest.mark.parametrize("blended", [False, True])
+def test_heat_route_matches_public_kernels(blended, cubic_family, monkeypatch):
+    # the route reads every kernel from one mode table per system; the public
+    # per-t kernels evaluate the modes anew on each call
+    systems = []
+    build = scaling.build_system
+
+    def recorded(*args, **kwargs):
+        systems.append(build(*args, **kwargs))
+        return systems[-1]
+
+    monkeypatch.setattr(scaling, "build_system", recorded)
+    source = cubic_family if blended else ModelSpectrum((1.0,))
+    ts = (1.0, 2.0, 4.0, 8.0)
+    report = heat_route_comparison(source, ks=(1, 2), ts=ts, degree=16)
+    pts = report.grid
+    if blended:
+        # a nonzero delta takes the quadrature path, one system per k
+        assert len(systems) == 2 and all(s.quad_order > 0 for s in systems)
+    else:
+        systems *= 2
+    for i, system in enumerate(systems):
+        proj = spectral_projector_kernel(system, 0.0, pts, pts)
+        for j, t in enumerate(ts):
+            diff = np.abs(heat_kernel_numeric(system, t, pts, pts) - proj).max()
+            assert abs(report.diffs[i, j] - diff) <= 1e-14
+        hot = np.nonzero(system.eigenvalues > system.zero_tolerance())[0]
+        bound = float((np.abs(system.eval_modes(pts, hot)) ** 2).max(axis=0).sum())
+        assert report.trace_bounds[i] == pytest.approx(bound, rel=1e-14, abs=0.0)
 
 
 def test_cubic_family_builds_once_per_k(cubic_family, monkeypatch):
