@@ -7,7 +7,8 @@ the echoed configuration in ``summary.json`` reproduces the run exactly.
 
 Weight families live in ``[family]``: ``ck_rule`` (``BASE^k``), a ``base``
 polynomial given as term lines ``alpha;beta;re[;im]`` (one per line, each
-line adds c z^alpha zbar^beta plus its Hermitian mirror), and optional
+line adds c z^alpha zbar^beta plus its Hermitian mirror; the base must be
+gauge-normal with a nonzero ``1;1;lambda`` line), and optional
 perturbations ``pertN`` (same term syntax) with exponents ``pertN_gamma``.
 Torus bundles live in ``[torus]`` with psi modes as ``m1;m2;amplitude``
 lines.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .torus import TorusBundle
-from .weights import CkRule, Perturbation, WeightFamily, WeightPolynomial, real_term
+from .weights import CkRule, Perturbation, WeightFamily, WeightPolynomial, normalize_gauge, real_term
 
 EXPERIMENTS = ("converge", "gap", "heat", "model", "torus-audit", "vanish")
 
@@ -310,11 +311,32 @@ def _parse_section(section: str, raw: Mapping[str, str]) -> dict[str, object]:
         out["perturbations"] = tuple(
             (shapes[i], gammas[i]) for i in sorted(shapes)
         )
+        _check_base(out["base"])
     elif extra:
         key = sorted(extra)[0]
         raise ConfigError(f"{section}.{key}: unknown key")
     _check_truncation(section, out)
     return out
+
+
+def _check_base(terms) -> None:
+    """A family base must be gauge-normal and carry a nonzero |z|^2 term.
+
+    Gauge terms (constant, linear or pure second order) change no curvature
+    but do not decay under the scaling, so the scaled weights never reach
+    their quadratic model; without a |z|^2 term there is no model.
+    """
+    try:
+        base = _poly_from_terms(terms)
+    except ValueError as err:
+        raise ConfigError(f"family.base: {err}") from None
+    gauge = ", ".join(f"{a};{b}" for a, b in sorted(normalize_gauge(base)[1].coeffs))
+    if gauge:
+        raise ConfigError(
+            f"family.base: gauge terms {gauge} (constant, linear or pure second order) not allowed"
+        )
+    if (1, 1) not in base.coeffs:
+        raise ConfigError("family.base: needs a nonzero 1;1;lambda term (the quadratic model)")
 
 
 def _check_truncation(section: str, values: Mapping[str, object]) -> None:
@@ -419,7 +441,7 @@ class ParsedConfig:
 
 def _poly_from_terms(terms) -> WeightPolynomial:
     """The terms summed into a weight on C; families are one-dimensional."""
-    total = WeightPolynomial.zero(1)
+    total = WeightPolynomial()
     for alpha, beta, amp in terms:
         total = total + real_term(1, alpha, beta, amp)
     return total

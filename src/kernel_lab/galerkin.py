@@ -82,13 +82,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import ModelSpectrum, _points
-from .weights import ExtendedWeight, WeightPolynomial, curvature_matrix
+from .weights import ExtendedWeight, WeightPolynomial
 
 __all__ = [
     "GramConditioningError",
@@ -115,63 +114,17 @@ class GramConditioningError(np.linalg.LinAlgError):
     """Gram matrix too ill-conditioned for the requested truncation."""
 
 
-@dataclass(frozen=True)
-class _Weight1D:
-    """Uniform evaluation interface for n = 1 weights: value and Wirtinger derivatives."""
-
-    value: Callable[[np.ndarray], np.ndarray]
-    d_z: Callable[[np.ndarray], np.ndarray]
-    d_zbar: Callable[[np.ndarray], np.ndarray]
-    degree: int | None
-    ref_lambda: float | None
-    source: object
-
-
-def _as_weight(weight) -> _Weight1D:
-    if isinstance(weight, _Weight1D):
-        return weight
-    if isinstance(weight, ExtendedWeight):
-        if weight.n != 1:
-            raise ValueError("Galerkin systems are restricted to n = 1")
-        h = weight.model.d_z(0).d_zbar(0).value(0j)
-        return _Weight1D(
-            value=lambda z: np.asarray(weight.value(z), dtype=float),
-            d_z=lambda z: np.asarray(weight.d_z(z), dtype=complex),
-            d_zbar=lambda z: np.asarray(weight.d_zbar(z), dtype=complex),
-            degree=None,
-            ref_lambda=abs(complex(h).real) or None,
-            source=weight,
-        )
-    if isinstance(weight, WeightPolynomial):
-        if weight.n != 1:
-            raise ValueError("Galerkin systems are restricted to n = 1")
-        dz = weight.d_z(0)
-        dzbar = weight.d_zbar(0)
-        h = curvature_matrix(weight, 0j)[0, 0]
-        return _Weight1D(
-            value=lambda z: np.asarray(weight.value(z), dtype=float),
-            d_z=lambda z: np.asarray(dz.value(z), dtype=complex),
-            d_zbar=lambda z: np.asarray(dzbar.value(z), dtype=complex),
-            degree=weight.degree,
-            ref_lambda=abs(complex(h).real) or None,
-            source=weight,
-        )
-    raise TypeError(f"unsupported weight type {type(weight).__name__}")
-
-
-def _reference_lambda(w: _Weight1D, reference: ModelSpectrum | None) -> float:
+def _reference_lambda(weight, reference: ModelSpectrum | None) -> float:
+    """|lambda| of the reference spectrum, or of the weight's |z|^2 coefficient (its model's)."""
     if reference is not None:
         if reference.n != 1:
             raise ValueError("reference spectrum must have n = 1")
         return abs(reference.lambdas[0])
-    if w.ref_lambda is None:
+    model = weight.model if isinstance(weight, ExtendedWeight) else weight
+    lam = abs(model.coeffs.get((1, 1), 0j).real)
+    if not lam:
         raise ValueError("weight has no quadratic part at 0; pass an explicit reference")
-    return w.ref_lambda
-
-
-def basis_pairs(degree: int) -> tuple[tuple[int, int], ...]:
-    """Charge-state indices (n_a, n_b) with n_a + n_b <= degree, graded by level, n_a ascending."""
-    return tuple((a, t - a) for t in range(degree + 1) for a in range(t + 1))
+    return lam
 
 
 @functools.cache
@@ -209,28 +162,36 @@ def _holomorphic_powers(degree: int, lam_ref: float, z: np.ndarray) -> np.ndarra
 class GalerkinBasis:
     """Truncated orthonormal charge-state basis in degree q.
 
-    ``pairs`` lists the charge states (n_a, n_b), n_a + n_b <= D, graded by
-    level n_a + n_b so that a lower truncation is a leading block of a higher
-    one; level n occupies positions n(n+1)/2 .. n(n+1)/2 + n.
+    ``n_a`` and ``n_b`` (read-only) index the charge states |n_a, n_b>,
+    n_a + n_b <= D, graded by level n_a + n_b so that a lower truncation is a
+    leading block of a higher one; level n occupies positions
+    n(n+1)/2 .. n(n+1)/2 + n, n_a ascending.
     """
 
     q: int
     degree: int
     reference: ModelSpectrum
-    pairs: tuple[tuple[int, int], ...]
+    n_a: np.ndarray = field(init=False, repr=False, compare=False)
+    n_b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.q not in (0, 1):
             raise ValueError("q must be 0 or 1")
         if self.reference.n != 1:
             raise ValueError("basis reference must be a one-dimensional spectrum")
+        level = np.repeat(np.arange(self.degree + 1), np.arange(1, self.degree + 2))
+        n_a = np.arange(level.size) - level * (level + 1) // 2
+        n_b = level - n_a
+        n_a.flags.writeable = n_b.flags.writeable = False
+        object.__setattr__(self, "n_a", n_a)
+        object.__setattr__(self, "n_b", n_b)
 
     @property
     def lam_ref(self) -> float:
         return abs(self.reference.lambdas[0])
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.n_a.size
 
     def tabulate(self, z: np.ndarray) -> np.ndarray:
         """Polynomial factors P of the states P e^{-lam_ref |z|^2}, shape (len(z), len(self)).
@@ -263,21 +224,22 @@ class GalerkinBasis:
         return self.tabulate(z) * np.exp(-self.lam_ref * np.abs(z) ** 2)[:, None]
 
 
-def _dbar_image(
-    basis: GalerkinBasis, w: _Weight1D, z: np.ndarray, values: np.ndarray
-) -> np.ndarray:
+def _dbar_image(basis: GalerkinBasis, weight, z: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The image of the tabulated ``values`` at z under dbar_s (q = 0) or dbar_s^* (q = 1).
 
     ``values`` is overwritten and returned.  Both come without the reference
     Gaussian, which the quadrature carries, and act row by row (node by node).
+    The weight is an ``ExtendedWeight`` or, as the tests' quadrature
+    reference for the exact path, a ``WeightPolynomial``.
     The derivative of a level-n state is a multiple of a level-(n - 1) one,
     so the levels are replaced from the top down.
     """
     s = math.sqrt(2.0 * basis.lam_ref)
+    poly = isinstance(weight, WeightPolynomial)
     if basis.q == 0:
-        mult = w.d_zbar(z) - basis.lam_ref * z
+        mult = (weight.d_zbar().value(z) if poly else weight.d_zbar(z)) - basis.lam_ref * z
     else:
-        mult = w.d_z(z) + basis.lam_ref * np.conj(z)
+        mult = (weight.d_z().value(z) if poly else weight.d_z(z)) + basis.lam_ref * np.conj(z)
     for n in range(basis.degree, -1, -1):
         first = n * (n + 1) // 2
         level = values[:, first : first + n + 1]
@@ -302,7 +264,7 @@ class GalerkinSystem:
     """
 
     basis: GalerkinBasis
-    weight: _Weight1D
+    weight: WeightPolynomial | ExtendedWeight
     gram: np.ndarray
     laplacian: np.ndarray
     eigenvalues: np.ndarray
@@ -337,18 +299,18 @@ def _zero_tolerance(eigenvalues: np.ndarray) -> float:
     return KERNEL_TOLERANCE * max(top, 1.0)
 
 
-def _default_order(degree: int, weight: _Weight1D) -> int:
-    if weight.degree is not None:
+def _default_order(degree: int, weight) -> int:
+    if isinstance(weight, WeightPolynomial):
         return degree + weight.degree + 2
     return max(2 * degree, degree + 12)
 
 
-def _basis(w: _Weight1D, q: int, degree: int, reference: ModelSpectrum | None) -> GalerkinBasis:
+def _basis(weight, q: int, degree: int, reference: ModelSpectrum | None) -> GalerkinBasis:
     if degree < 0:
         raise ValueError("truncation degree must be nonnegative")
-    lam_ref = _reference_lambda(w, reference)
+    lam_ref = _reference_lambda(weight, reference)
     ref = reference if reference is not None else ModelSpectrum((lam_ref,))
-    return GalerkinBasis(q=q, degree=degree, reference=ref, pairs=basis_pairs(degree))
+    return GalerkinBasis(q=q, degree=degree, reference=ref)
 
 
 def build_system(
@@ -362,9 +324,9 @@ def build_system(
 
     Parameters
     ----------
-    weight : WeightPolynomial, ExtendedWeight, or prepared adapter, n = 1.
+    weight : WeightPolynomial or ExtendedWeight.
         A ``WeightPolynomial`` takes the exact path (Q = A^H A, G = I,
-        ``quad_order`` 0); anything else is assembled by quadrature.
+        ``quad_order`` 0); an ``ExtendedWeight`` is assembled by quadrature.
     q : form degree, 0 or 1.
     degree : truncation degree D; the basis has (D+1)(D+2)/2 elements.
     quad_order : Gauss-Hermite points per axis, read only on the quadrature
@@ -373,13 +335,12 @@ def build_system(
     reference : spectrum fixing the reference Gaussian; defaults to the
         weight's own quadratic part at 0.
     """
-    w = _as_weight(weight)
-    basis = _basis(w, q, degree, reference)
-    if isinstance(w.source, WeightPolynomial):
-        lap, mu, vecs = _solve_classes(*_class_laplacians(basis, w.source))
+    basis = _basis(weight, q, degree, reference)
+    if isinstance(weight, WeightPolynomial):
+        lap, mu, vecs = _solve_classes(*_class_laplacians(basis, weight))
         gram, defect, order = np.eye(len(basis)), 0.0, 0
     else:
-        order = quad_order if quad_order is not None else _default_order(degree, w)
+        order = quad_order if quad_order is not None else _default_order(degree, weight)
         if order <= degree:
             raise GramConditioningError(
                 f"build_system(q={q}, D={degree}): quadrature order {order} cannot"
@@ -387,12 +348,12 @@ def build_system(
             )
         import scipy.linalg
 
-        gram, lap = _assemble(basis, w, order)
+        gram, lap = _assemble(basis, weight, order)
         # evd beats the default evr on real matrices, not on complex ones
         mu, vecs = scipy.linalg.eigh(lap, driver="evd" if np.isrealobj(lap) else None)
         defect = float(np.abs(gram - np.eye(len(basis))).max())
     _check_psd(mu, q, degree)
-    return GalerkinSystem(basis, w, gram, lap, mu, vecs, defect, order)
+    return GalerkinSystem(basis, weight, gram, lap, mu, vecs, defect, order)
 
 
 def _positions(i: np.ndarray, j: np.ndarray, degree: int) -> np.ndarray:
@@ -410,15 +371,15 @@ def _shift_terms(basis: GalerkinBasis, weight: WeightPolynomial) -> dict:
     of falling factorials.  Real for real weight coefficients.
     """
     s = math.sqrt(2.0 * basis.lam_ref)
-    i, j = np.array(basis.pairs, dtype=float).T
-    one = np.ones_like(i)
+    i, j = basis.n_a, basis.n_b
+    one = np.ones(i.shape)
     if basis.q == 0:  # d/dzbar = (s / 2)(b - a^+)
         terms = {(0, -1): 0.5 * s * np.sqrt(j), (1, 0): -0.5 * s * np.sqrt(i + 1)}
-        coeff = weight.d_zbar(0)
+        coeff = weight.d_zbar()
     else:  # -d/dz = (s / 2)(b^+ - a)
         terms = {(-1, 0): -0.5 * s * np.sqrt(i), (0, 1): 0.5 * s * np.sqrt(j + 1)}
-        coeff = weight.d_z(0)
-    for ((al,), (be,)), c in coeff.coeffs.items():
+        coeff = weight.d_z()
+    for (al, be), c in coeff.coeffs.items():
         for k, l in itertools.product(range(al + 1), range(be + 1)):
             m, r, binom = al - k, be - l, math.comb(al, k) * math.comb(be, l)
             ga = math.prod([i - t for t in range(l)] + [i - l + 1 + t for t in range(k)], start=one)
@@ -440,7 +401,7 @@ def _class_laplacians(basis: GalerkinBasis, weight: WeightPolynomial) -> tuple[l
     base, width, local = np.empty((3, len(basis)), dtype=int)
     for idx, start, size in zip(classes, starts, sizes):
         base[idx], width[idx], local[idx] = start, size, np.arange(size)
-    i, j = np.array(basis.pairs).T
+    i, j = basis.n_a, basis.n_b
     terms = _shift_terms(basis, weight).items()
     flat, vals = [], []
     for ((da, db), f), ((ea, eb), g) in itertools.product(terms, terms):
@@ -469,7 +430,7 @@ def _node_product(x: np.ndarray, real: bool) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
-def _assemble(basis: GalerkinBasis, w: _Weight1D, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _assemble(basis: GalerkinBasis, weight, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gram and Laplacian matrices by the order-``order`` tensor rule.
 
     The rule is symmetric under y -> -y, so the Gram matrix, and the
@@ -482,7 +443,7 @@ def _assemble(basis: GalerkinBasis, w: _Weight1D, order: int) -> tuple[np.ndarra
     values = basis.tabulate(z)
     values *= np.sqrt(wt)[:, None]
     gram = _node_product(values, True)
-    lap = _node_product(_dbar_image(basis, w, z, values), _real_coefficients(w.source))
+    lap = _node_product(_dbar_image(basis, weight, z, values), _real_coefficients(weight))
     return gram, lap
 
 
@@ -495,9 +456,9 @@ def _check_psd(mu: np.ndarray, q: int, degree: int) -> None:
         )
 
 
-def _real_coefficients(source) -> bool:
+def _real_coefficients(weight) -> bool:
     """Whether every polynomial coefficient of the weight is real (phi symmetric under y -> -y)."""
-    parts = (source.inner, source.model) if isinstance(source, ExtendedWeight) else (source,)
+    parts = (weight.inner, weight.model) if isinstance(weight, ExtendedWeight) else (weight,)
     return all(c.imag == 0 for p in parts for c in p.coeffs.values())
 
 
@@ -508,9 +469,9 @@ def _charge_classes(basis: GalerkinBasis, weight: WeightPolynomial) -> list[np.n
     Laplacian couples charges only within a class, and g = 0 (every
     monomial rotation invariant) makes each charge its own class.
     """
-    step = math.gcd(*(abs(a - b) for (a,), (b,) in weight.coeffs))
-    n_a, n_b = np.array(basis.pairs).T
-    key = n_a - n_b if step == 0 else (n_a - n_b) % step
+    step = math.gcd(*(abs(a - b) for a, b in weight.coeffs))
+    charge = basis.n_a - basis.n_b
+    key = charge if step == 0 else charge % step
     return [np.flatnonzero(key == c) for c in np.unique(key)]
 
 
@@ -542,12 +503,11 @@ def leading_block_spectra(
     """
     import scipy.linalg
 
-    w = _as_weight(weight)
-    if not isinstance(w.source, WeightPolynomial):
+    if not isinstance(weight, WeightPolynomial):
         raise ValueError("leading-block spectra need a polynomial weight (the exact path)")
     if not all(0 <= b <= degree for b in blocks):
         raise ValueError(f"leading block degrees must lie in [0, {degree}], got {blocks}")
-    classes, laps = _class_laplacians(_basis(w, q, degree, None), w.source)
+    classes, laps = _class_laplacians(_basis(weight, q, degree, None), weight)
     spectra = []
     for b in blocks:
         cuts = [np.searchsorted(idx, (b + 1) * (b + 2) // 2) for idx in classes]
@@ -568,10 +528,11 @@ class HolomorphicBasis:
     factor in ``scipy.linalg.cho_factor`` form and ``cond`` the squared
     ratio of its smallest to largest pivot.  Spans the kernel candidates of
     the degree-0 Laplacian directly, so the Bergman kernel is a plain Gram
-    inversion, no eigensolve.
+    inversion, no eigensolve.  ``weight`` is read only through its
+    array-in/array-out ``value``.
     """
 
-    weight: _Weight1D
+    weight: object
     degree: int
     lam_ref: float
     gram: np.ndarray
@@ -589,11 +550,10 @@ def holomorphic_subsystem(
     """Gram matrix of the holomorphic sub-basis under the weight's L^2(dV) inner product."""
     import scipy.linalg
 
-    w = _as_weight(weight)
-    lam_ref = _reference_lambda(w, reference)
-    order = quad_order if quad_order is not None else _default_order(degree, w)
+    lam_ref = _reference_lambda(weight, reference)
+    order = quad_order if quad_order is not None else _default_order(degree, weight)
     z, wt = gauss_hermite_nodes(order, lam_ref)
-    corr = np.exp(-2.0 * (w.value(z) - lam_ref * np.abs(z) ** 2))
+    corr = np.exp(-2.0 * (weight.value(z) - lam_ref * np.abs(z) ** 2))
     v = _holomorphic_powers(degree, lam_ref, z)
     gram = (v.conj().T * (wt * corr)) @ v
     gram = 0.5 * (gram + gram.conj().T)
@@ -609,7 +569,7 @@ def holomorphic_subsystem(
             f"{context}: Gram pivot ratio {cond:.3e} below guard {GRAM_GUARD:.0e}"
         )
     return HolomorphicBasis(
-        weight=w,
+        weight=weight,
         degree=degree,
         lam_ref=lam_ref,
         gram=gram,
@@ -696,14 +656,14 @@ def dbar_pairings(sys0: GalerkinSystem, sys1: GalerkinSystem) -> tuple[np.ndarra
         raise ValueError("pairings need a degree-0 and a degree-1 system, in that order")
     if sys0.basis.lam_ref != sys1.basis.lam_ref:
         raise ValueError("systems use different reference Gaussians")
-    if sys0.weight.source != sys1.weight.source:
+    if sys0.weight != sys1.weight:
         raise ValueError("systems use different weights")
-    weight = sys0.weight.source
+    weight = sys0.weight
     if not isinstance(weight, WeightPolynomial):
         raise ValueError("pairings need a polynomial weight (the exact path)")
 
     def rows(system: GalerkinSystem, partner: GalerkinSystem) -> np.ndarray:
-        i, j = np.array(system.basis.pairs).T
+        i, j = system.basis.n_a, system.basis.n_b
         out = np.zeros((len(partner.basis), len(system.basis)), dtype=complex)
         for (da, db), f in _shift_terms(system.basis, weight).items():
             row = _positions(i + da, j + db, partner.degree)

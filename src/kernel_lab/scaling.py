@@ -30,7 +30,6 @@ from .galerkin import (
     _heat_weights,
     _kernel_sum,
     _projector_selection,
-    _Weight1D,
     bergman_kernel_numeric,
     build_system,
     holomorphic_subsystem,
@@ -131,6 +130,17 @@ def _extended(family: WeightFamily, k: int, epsilon: float) -> ExtendedWeight:
     )
 
 
+@dataclass(frozen=True)
+class _Dilated:
+    """The weight y -> weight(root * y), read only through its values."""
+
+    weight: ExtendedWeight
+    root: float
+
+    def value(self, y: np.ndarray) -> np.ndarray:
+        return self.weight.value(self.root * y)
+
+
 class _SweepBuilds:
     """``build_system`` over a k sweep, reusing the last system for an equal blend.
 
@@ -171,8 +181,6 @@ def scaled_bergman_convergence(
     are not part of this report (the Bergman projector is used whole).
     """
     spec = family.model_spectrum()
-    if spec.n != 1:
-        raise ValueError("scaled Bergman convergence is implemented for n = 1")
     if spec.q0 != 0:
         raise ValueError("scaled Bergman convergence needs lambda > 0")
     _require_gauge_normal(family)
@@ -230,8 +238,6 @@ def vanishing_convergence(
     and serves as the control.
     """
     spec = family.model_spectrum()
-    if spec.n != 1:
-        raise ValueError("vanishing convergence is implemented for n = 1")
     if d <= 0:
         raise ValueError("threshold exponent d must be positive")
     _require_gauge_normal(family)
@@ -396,17 +402,11 @@ def route_equivalence_gap(
     root = math.sqrt(ck)
     lam = abs(spec.lambdas[0])
     ext = _extended(family, k, epsilon)
-    unscaled = _Weight1D(
-        value=lambda y: np.asarray(ext.value(root * y), dtype=float),
-        d_z=lambda y: root * np.asarray(ext.d_z(root * y), dtype=complex),
-        d_zbar=lambda y: root * np.asarray(ext.d_zbar(root * y), dtype=complex),
-        degree=None,
-        ref_lambda=lam * ck,
-        source=ext,
-    )
     pts = kernel_grid() if grid is None else np.asarray(grid, dtype=complex).ravel()
     hol_scaled = holomorphic_subsystem(ext, degree, quad_order=quad_order)
-    hol_unscaled = holomorphic_subsystem(unscaled, degree, quad_order=quad_order)
+    hol_unscaled = holomorphic_subsystem(
+        _Dilated(ext, root), degree, quad_order=quad_order, reference=ModelSpectrum((lam * ck,))
+    )
     direct = bergman_kernel_numeric(hol_scaled, pts, pts)
     routed = bergman_kernel_numeric(hol_unscaled, pts / root, pts / root) / ck
     return float(np.abs(routed - direct).max())

@@ -1,8 +1,8 @@
 """Weight polynomials, gauge normalization, scaling, and extended weights.
 
-A local weight is a real-valued polynomial phi(z) = sum c_{ab} z^a zbar^b on C^n
-(a, b multi-indices, c_{ab} = conj(c_{ba})).  Weight families phi_k = C_k * base
-+ sum eps_k * perturbation model sequences of Hermitian metrics whose curvature
+A local weight is a real-valued polynomial phi(z) = sum c_ab z^a zbar^b on C
+(a, b >= 0, c_ab = conj(c_ba)).  Weight families phi_k = C_k * base + sum
+eps_k * perturbation model sequences of Hermitian metrics whose curvature
 grows like C_k; scaling by 1/sqrt(C_k) drives them to their quadratic model.
 Extended weights blend a scaled weight into its quadratic model outside a ball
 of radius C_k^epsilon, which keeps e^{-2 phi} integrable and pins the operator
@@ -33,110 +33,75 @@ __all__ = [
     "extend_weight",
 ]
 
-Key = tuple[tuple[int, ...], tuple[int, ...]]
+Key = tuple[int, int]
 
 
-def _clean(n: int, coeffs: dict) -> dict[Key, complex]:
+def _clean(coeffs: dict) -> dict[Key, complex]:
     out: dict[Key, complex] = {}
     for (a, b), c in coeffs.items():
-        a = tuple(int(x) for x in a)
-        b = tuple(int(x) for x in b)
-        if len(a) != n or len(b) != n:
-            raise ValueError(f"multi-index length mismatch for n={n}: {(a, b)}")
-        if any(x < 0 for x in a + b):
-            raise ValueError(f"negative multi-index entry in {(a, b)}")
+        a, b = int(a), int(b)
+        if a < 0 or b < 0:
+            raise ValueError(f"negative exponent in {(a, b)}")
         c = complex(c)
         if c != 0:
             out[(a, b)] = out.get((a, b), 0j) + c
     return {k: v for k, v in out.items() if v != 0}
 
 
-def _coords(pts, n: int) -> np.ndarray:
-    """Normalize points to shape (..., n); bare complex arrays are allowed for n = 1."""
-    arr = np.asarray(pts, dtype=complex)
-    if arr.ndim and arr.shape[-1] == n and (n > 1 or arr.ndim > 1):
-        return arr
-    if n == 1:
-        return arr.reshape(arr.shape + (1,))
-    raise ValueError(f"points must have shape (..., {n})")
-
-
 @dataclass(frozen=True)
 class Polynomial:
-    """Polynomial in (z, zbar) with complex coefficients, no reality constraint."""
+    """Polynomial sum c_ab z^a zbar^b on C, keyed by (a, b), with no reality constraint."""
 
-    n: int
     coeffs: dict[Key, complex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _clean(self.n, self.coeffs))
+        object.__setattr__(self, "coeffs", _clean(self.coeffs))
 
     @property
     def degree(self) -> int:
-        return max((sum(a) + sum(b) for a, b in self.coeffs), default=0)
+        return max((a + b for a, b in self.coeffs), default=0)
 
-    def value(self, pts) -> np.ndarray | complex:
-        """Evaluate at points of shape (..., n), or plain complex arrays when n = 1."""
-        zs = _coords(pts, self.n)
-        out = np.zeros(zs.shape[:-1], dtype=complex)
-        zc = np.conj(zs)
+    def value(self, pts) -> np.ndarray:
+        """Evaluate at complex points of any shape."""
+        z = np.asarray(pts, dtype=complex)
+        zc = np.conj(z)
+        out = np.zeros(z.shape, dtype=complex)
         for (a, b), c in self.coeffs.items():
-            term = np.full(zs.shape[:-1], c, dtype=complex)
-            for i in range(self.n):
-                if a[i]:
-                    term = term * zs[..., i] ** a[i]
-                if b[i]:
-                    term = term * zc[..., i] ** b[i]
+            term = np.full(z.shape, c, dtype=complex)
+            if a:
+                term = term * z**a
+            if b:
+                term = term * zc**b
             out += term
-        return out if out.shape else complex(out)
+        return out
 
-    def d_z(self, i: int = 0) -> "Polynomial":
-        """Wirtinger derivative d/dz^i as a new polynomial."""
-        out: dict[Key, complex] = {}
-        for (a, b), c in self.coeffs.items():
-            if a[i]:
-                aa = list(a)
-                aa[i] -= 1
-                key = (tuple(aa), b)
-                out[key] = out.get(key, 0j) + a[i] * c
-        return Polynomial(self.n, out)
+    def d_z(self) -> "Polynomial":
+        """Wirtinger derivative d/dz as a new polynomial."""
+        return Polynomial({(a - 1, b): a * c for (a, b), c in self.coeffs.items() if a})
 
-    def d_zbar(self, i: int = 0) -> "Polynomial":
-        """Wirtinger derivative d/dzbar^i as a new polynomial."""
-        out: dict[Key, complex] = {}
-        for (a, b), c in self.coeffs.items():
-            if b[i]:
-                bb = list(b)
-                bb[i] -= 1
-                key = (a, tuple(bb))
-                out[key] = out.get(key, 0j) + b[i] * c
-        return Polynomial(self.n, out)
+    def d_zbar(self) -> "Polynomial":
+        """Wirtinger derivative d/dzbar as a new polynomial."""
+        return Polynomial({(a, b - 1): b * c for (a, b), c in self.coeffs.items() if b})
 
     def _combine(self, other: "Polynomial", sign: float) -> dict[Key, complex]:
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0j) + sign * c
         return out
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return type(self)(self.n, self._combine(other, 1.0))
+        return type(self)(self._combine(other, 1.0))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return type(self)(self.n, self._combine(other, -1.0))
+        return type(self)(self._combine(other, -1.0))
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
 
 @dataclass(frozen=True, eq=False)
 class WeightPolynomial(Polynomial):
-    """Real-valued weight polynomial: coefficients satisfy c_{ab} = conj(c_{ba})."""
+    """Real-valued weight polynomial: coefficients satisfy c_ab = conj(c_ba)."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -146,26 +111,19 @@ class WeightPolynomial(Polynomial):
                 raise ValueError(f"weight not real: c{(a, b)}={c} vs conj(c{(b, a)})={mirror}")
 
     @classmethod
-    def zero(cls, n: int) -> "WeightPolynomial":
-        return cls(n, {})
-
-    @classmethod
     def quadratic(cls, lambdas: Sequence[float]) -> "WeightPolynomial":
-        """The model weight sum_i lambda_i |z^i|^2."""
-        n = len(lambdas)
-        coeffs: dict[Key, complex] = {}
-        for i, lam in enumerate(lambdas):
-            e = tuple(1 if j == i else 0 for j in range(n))
-            coeffs[(e, e)] = complex(lam)
-        return cls(n, coeffs)
+        """The model weight lambda |z|^2, from the one-element sequence (lambda,)."""
+        if len(lambdas) != 1:
+            raise ValueError(f"weights live on C: expected one lambda, got {len(lambdas)}")
+        return cls({(1, 1): complex(lambdas[0])})
 
-    def value(self, pts) -> np.ndarray | float:
+    def value(self, pts) -> np.ndarray:
         return super().value(pts).real
 
     def __mul__(self, s: float) -> "WeightPolynomial":
         if isinstance(s, complex) and s.imag != 0:
             raise TypeError("weights only scale by real numbers")
-        return WeightPolynomial(self.n, {k: float(s) * c for k, c in self.coeffs.items()})
+        return WeightPolynomial({k: float(s) * c for k, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -174,18 +132,21 @@ class WeightPolynomial(Polynomial):
 
 
 def real_term(n: int, alpha: Sequence[int], beta: Sequence[int], amplitude: complex) -> WeightPolynomial:
-    """Real weight term c z^alpha zbar^beta + conj(c) z^beta zbar^alpha.
+    """Real weight term c z^alpha zbar^beta + conj(c) z^beta zbar^alpha on C.
 
+    ``n`` must be 1 and ``alpha``, ``beta`` one-entry exponents such as (3,).
     For alpha == beta the mirror coincides with the term itself, so the
-    amplitude must be real and the result is amplitude * |z^alpha|^2.
+    amplitude must be real and the result is amplitude * |z|^(2 alpha).
     """
-    a, b = tuple(int(x) for x in alpha), tuple(int(x) for x in beta)
+    if n != 1 or len(alpha) != 1 or len(beta) != 1:
+        raise ValueError(f"weights live on C: got n={n}, exponents {alpha}, {beta}")
+    (a,), (b,) = alpha, beta
     c = complex(amplitude)
     if a == b:
         if c.imag != 0:
             raise ValueError("diagonal term needs a real amplitude")
-        return WeightPolynomial(n, {(a, b): c})
-    return WeightPolynomial(n, {(a, b): c, (b, a): np.conj(c)})
+        return WeightPolynomial({(a, b): c})
+    return WeightPolynomial({(a, b): c, (b, a): np.conj(c)})
 
 
 def normalize_gauge(phi: WeightPolynomial) -> tuple[WeightPolynomial, WeightPolynomial]:
@@ -193,34 +154,22 @@ def normalize_gauge(phi: WeightPolynomial) -> tuple[WeightPolynomial, WeightPoly
 
     F collects the constant, holomorphic-linear, and holomorphic-quadratic
     coefficients of phi; subtracting 2 Re F leaves a weight with no constant
-    term and no pure (a, 0) / (0, b) terms of order <= 2.  The split is exact:
+    term and no pure z^a / zbar^b terms of order <= 2.  The split is exact:
     normalized + removed = phi coefficient by coefficient.
     """
-    zero = (0,) * phi.n
     kept: dict[Key, complex] = {}
     removed: dict[Key, complex] = {}
     for (a, b), c in phi.coeffs.items():
-        pure_hol = b == zero and sum(a) <= 2
-        pure_anti = a == zero and sum(b) <= 2
-        if pure_hol or pure_anti:
+        if (b == 0 and a <= 2) or (a == 0 and b <= 2):
             removed[(a, b)] = c
         else:
             kept[(a, b)] = c
-    return WeightPolynomial(phi.n, kept), WeightPolynomial(phi.n, removed)
+    return WeightPolynomial(kept), WeightPolynomial(removed)
 
 
 def curvature_matrix(phi: WeightPolynomial, at) -> np.ndarray:
-    """Raw complex Hessian H_ij = d^2 phi / dz^i dzbar^j at the given point."""
-    pt = np.atleast_1d(np.asarray(at, dtype=complex))
-    if pt.shape != (phi.n,):
-        raise ValueError(f"expected a point in C^{phi.n}, got shape {pt.shape}")
-    point = pt[0] if phi.n == 1 else pt
-    out = np.empty((phi.n, phi.n), dtype=complex)
-    for i in range(phi.n):
-        row = phi.d_z(i)
-        for j in range(phi.n):
-            out[i, j] = complex(row.d_zbar(j).value(point))
-    return out
+    """Raw complex Hessian d^2 phi / dz dzbar at the point ``at`` of C, as a 1 x 1 matrix."""
+    return np.array([[complex(phi.d_z().d_zbar().value(complex(at)))]])
 
 
 @dataclass(frozen=True)
@@ -257,29 +206,18 @@ class WeightFamily:
     ck: CkRule
     perturbations: tuple[Perturbation, ...] = ()
 
-    @property
-    def n(self) -> int:
-        return self.base.n
-
     def c_value(self, k: int) -> float:
         return self.ck(k)
 
     def model_weight(self) -> WeightPolynomial:
-        """The (1,1)-bidegree part of the base, i.e. the quadratic model."""
-        coeffs = {
-            (a, b): c for (a, b), c in self.base.coeffs.items() if sum(a) == 1 and sum(b) == 1
-        }
-        return WeightPolynomial(self.base.n, coeffs)
+        """The |z|^2 term of the base, i.e. the quadratic model."""
+        return WeightPolynomial({(1, 1): self.base.coeffs.get((1, 1), 0j)})
 
     def model_spectrum(self):
-        """Diagonal curvature eigenvalues of the model part (diagonal bases only)."""
-        h = curvature_matrix(self.model_weight(), np.zeros(self.n, dtype=complex))
-        off = h - np.diag(np.diag(h))
-        if np.abs(off).max(initial=0.0) > 1e-12:
-            raise ValueError("base quadratic part is not diagonal; diagonalize it first")
+        """Curvature eigenvalue of the model: the |z|^2 coefficient of the base."""
         from .model import ModelSpectrum
 
-        return ModelSpectrum(tuple(np.diag(h).real))
+        return ModelSpectrum((self.base.coeffs.get((1, 1), 0j).real,))
 
 
 def assemble_weight(family: WeightFamily, k: int) -> WeightPolynomial:
@@ -295,47 +233,28 @@ def scale_weight(family: WeightFamily, k: int) -> WeightPolynomial:
     """Scaled weight phi_(k)(z) = phi_k(z / sqrt(C_k)) by exact coefficient transform."""
     ck = family.c_value(k)
     phi = assemble_weight(family, k)
-    coeffs = {
-        (a, b): c * ck ** (-(sum(a) + sum(b)) / 2.0) for (a, b), c in phi.coeffs.items()
-    }
-    return WeightPolynomial(phi.n, coeffs)
-
-
-def _ball_grid(n: int, radius: float) -> np.ndarray:
-    """Deterministic tensor grid on the closed ball B(radius) in C^n, shape (m, n)."""
-    if n > 2:
-        raise ValueError("C^2 distance grids support n <= 2")
-    per_axis = 13 if n == 1 else 7
-    axis = np.linspace(-radius, radius, per_axis)
-    grids = np.meshgrid(*([axis] * (2 * n)), indexing="ij")
-    pts = np.stack(
-        [grids[2 * i] + 1j * grids[2 * i + 1] for i in range(n)], axis=-1
-    ).reshape(-1, n)
-    keep = (np.abs(pts) ** 2).sum(axis=1) <= radius**2 + 1e-12
-    return pts[keep]
+    return WeightPolynomial(
+        {(a, b): c * ck ** (-(a + b) / 2.0) for (a, b), c in phi.coeffs.items()}
+    )
 
 
 def c2_distance_to_model(
     scaled: WeightPolynomial, model: WeightPolynomial, radius: float
 ) -> float:
-    """Max over a deterministic grid on B(radius) of |scaled - model| in C^2 norm.
+    """Max over a 13 x 13 grid on the disc |z| <= radius of |scaled - model| in C^2 norm.
 
-    The maximum runs over the value, all first Wirtinger derivatives, and all
-    second derivatives (zz and z-zbar types; conjugates add nothing), each
-    evaluated exactly from the polynomial coefficients.
+    The maximum runs over the value, the first Wirtinger derivative d/dz and
+    the second derivatives d^2/dz^2 and d^2/dz dzbar (conjugates add
+    nothing), each evaluated exactly from the polynomial coefficients.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
+    axis = np.linspace(-radius, radius, 13)
+    pts = (axis[:, None] + 1j * axis[None, :]).ravel()
+    pts = pts[np.abs(pts) ** 2 <= radius**2 + 1e-12]
     diff = scaled - model
-    pts = _ball_grid(diff.n, radius)
-    worst = float(np.abs(diff.value(pts)).max())
-    for i in range(diff.n):
-        di = diff.d_z(i)
-        worst = max(worst, float(np.abs(di.value(pts)).max(initial=0.0)))
-        for j in range(diff.n):
-            worst = max(worst, float(np.abs(di.d_z(j).value(pts)).max(initial=0.0)))
-            worst = max(worst, float(np.abs(di.d_zbar(j).value(pts)).max(initial=0.0)))
-    return worst
+    dz = diff.d_z()
+    return max(float(np.abs(p.value(pts)).max()) for p in (diff, dz, dz.d_z(), dz.d_zbar()))
 
 
 def _soft(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -390,18 +309,10 @@ class ExtendedWeight:
     ck: float
 
     def __post_init__(self) -> None:
-        if self.inner.n != self.model.n:
-            raise ValueError("dimension mismatch between scaled weight and model")
-        n = self.inner.n
-        cap = min(1.0 / (2 * n + 1), 1.0 / 6.0)
-        if not 0.0 < self.epsilon < cap:
-            raise ValueError(f"epsilon must lie in (0, {cap:.6g}) for n={n}")
+        if not 0.0 < self.epsilon < 1.0 / 6.0:
+            raise ValueError("epsilon must lie in (0, 1/6)")
         if not self.ck > 0:
             raise ValueError("C_k must be positive")
-
-    @property
-    def n(self) -> int:
-        return self.inner.n
 
     @property
     def radius(self) -> float:
@@ -409,88 +320,69 @@ class ExtendedWeight:
 
     @property
     def delta(self) -> Polynomial:
-        return Polynomial(self.n, (self.inner - self.model).coeffs)
+        return Polynomial((self.inner - self.model).coeffs)
 
-    @property
-    def degree(self) -> int:
-        return max(self.inner.degree, self.model.degree)
+    def _u(self, z: np.ndarray) -> np.ndarray:
+        return np.abs(z) ** 2 / self.radius**2
 
-    def _u(self, zs: np.ndarray) -> np.ndarray:
-        return (np.abs(zs) ** 2).sum(axis=-1) / self.radius**2
+    def value(self, pts) -> np.ndarray:
+        z = np.asarray(pts, dtype=complex)
+        p, _, _ = _cutoff_profile(self._u(z))
+        return self.model.value(z) + p * self.delta.value(z).real
 
-    def value(self, pts) -> np.ndarray | float:
-        zs = _coords(pts, self.n)
-        p, _, _ = _cutoff_profile(self._u(zs))
-        out = np.asarray(self.model.value(zs)) + p * np.asarray(
-            self.delta.value(zs)
-        ).real
-        return float(out.reshape(-1)[0]) if np.ndim(pts) == 0 else out
-
-    def d_z(self, pts, i: int = 0) -> np.ndarray | complex:
-        zs = _coords(pts, self.n)
-        r2 = self.radius**2
-        p, p1, _ = _cutoff_profile(self._u(zs))
+    def d_z(self, pts) -> np.ndarray:
+        z = np.asarray(pts, dtype=complex)
+        p, p1, _ = _cutoff_profile(self._u(z))
         d = self.delta
-        out = np.asarray(self.model.d_z(i).value(zs), dtype=complex)
-        out = out + p1 * (np.conj(zs[..., i]) / r2) * np.asarray(d.value(zs))
-        out = out + p * np.asarray(d.d_z(i).value(zs))
-        return complex(out.reshape(-1)[0]) if np.ndim(pts) == 0 else out
+        out = self.model.d_z().value(z)
+        out = out + p1 * (np.conj(z) / self.radius**2) * d.value(z)
+        return out + p * d.d_z().value(z)
 
-    def d_zbar(self, pts, i: int = 0) -> np.ndarray | complex:
-        out = np.conj(self.d_z(pts, i))
-        return out if isinstance(out, np.ndarray) else complex(out)
+    def d_zbar(self, pts) -> np.ndarray:
+        return np.conj(self.d_z(pts))
 
-    def d2_zzbar(self, pts, i: int = 0, j: int = 0) -> np.ndarray | complex:
-        """Mixed Hessian entry d^2 phi_tilde / dz^i dzbar^j."""
-        zs = _coords(pts, self.n)
+    def d2_zzbar(self, pts) -> np.ndarray:
+        """Mixed second derivative d^2 phi_tilde / dz dzbar."""
+        z = np.asarray(pts, dtype=complex)
         r2 = self.radius**2
-        p, p1, p2 = _cutoff_profile(self._u(zs))
+        p, p1, p2 = _cutoff_profile(self._u(z))
         d = self.delta
-        dv = np.asarray(d.value(zs))
-        ui = np.conj(zs[..., i]) / r2
-        ujb = zs[..., j] / r2
-        out = np.asarray(self.model.d_z(i).d_zbar(j).value(zs), dtype=complex)
+        dv = d.value(z)
+        ui = np.conj(z) / r2
+        ujb = z / r2
+        out = self.model.d_z().d_zbar().value(z)
         out = out + p2 * ujb * ui * dv
-        if i == j:
-            out = out + p1 * dv / r2
-        out = out + p1 * ui * np.asarray(d.d_zbar(j).value(zs))
-        out = out + p1 * ujb * np.asarray(d.d_z(i).value(zs))
-        out = out + p * np.asarray(d.d_z(i).d_zbar(j).value(zs))
-        return complex(out.reshape(-1)[0]) if np.ndim(pts) == 0 else out
+        out = out + p1 * dv / r2
+        out = out + p1 * ui * d.d_zbar().value(z)
+        out = out + p1 * ujb * d.d_z().value(z)
+        return out + p * d.d_z().d_zbar().value(z)
 
-    def d2_zz(self, pts, i: int = 0, j: int = 0) -> np.ndarray | complex:
-        zs = _coords(pts, self.n)
-        r2 = self.radius**2
-        p, p1, p2 = _cutoff_profile(self._u(zs))
+    def d2_zz(self, pts) -> np.ndarray:
+        z = np.asarray(pts, dtype=complex)
+        p, p1, p2 = _cutoff_profile(self._u(z))
         d = self.delta
-        dv = np.asarray(d.value(zs))
-        ui = np.conj(zs[..., i]) / r2
-        uj = np.conj(zs[..., j]) / r2
-        out = np.asarray(self.model.d_z(i).d_z(j).value(zs), dtype=complex)
-        out = out + p2 * uj * ui * dv
-        out = out + p1 * ui * np.asarray(d.d_z(j).value(zs))
-        out = out + p1 * uj * np.asarray(d.d_z(i).value(zs))
-        out = out + p * np.asarray(d.d_z(i).d_z(j).value(zs))
-        return complex(out.reshape(-1)[0]) if np.ndim(pts) == 0 else out
+        u = np.conj(z) / self.radius**2
+        out = self.model.d_z().d_z().value(z)
+        out = out + p2 * u * u * d.value(z)
+        out = out + 2.0 * p1 * u * d.d_z().value(z)
+        return out + p * d.d_z().d_z().value(z)
 
     def c2_sup_to_model(self, n_radial: int = 64, n_angle: int = 16) -> float:
-        """Measured sup over C^n of the C^2 distance to the model (n = 1 grids).
+        """Measured sup over C of the C^2 distance to the model.
 
         The difference vanishes identically outside B(2R), so a polar grid up
         to 2R plus a margin covers the whole plane.
         """
-        if self.n != 1:
-            raise ValueError("measured C^2 sup implemented for n = 1")
         radii = np.linspace(0.0, 2.2 * self.radius, n_radial + 1)[1:]
         angles = np.linspace(0.0, 2.0 * math.pi, n_angle, endpoint=False)
         zs = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
         pairs = [
             (self.value(zs), self.model.value(zs)),
-            (self.d_z(zs), self.model.d_z(0).value(zs)),
-            (self.d2_zz(zs), self.model.d_z(0).d_z(0).value(zs)),
-            (self.d2_zzbar(zs), self.model.d_z(0).d_zbar(0).value(zs)),
+            (self.d_z(zs), self.model.d_z().value(zs)),
+            (self.d2_zz(zs), self.model.d_z().d_z().value(zs)),
+            (self.d2_zzbar(zs), self.model.d_z().d_zbar().value(zs)),
         ]
-        return max(float(np.abs(np.asarray(a) - np.asarray(b)).max()) for a, b in pairs)
+        return max(float(np.abs(a - b).max()) for a, b in pairs)
 
 
 def extend_weight(

@@ -5,12 +5,15 @@ listed in its ``_FUNCTIONS``, ``_METHODS`` and ``_LAPACK`` tables by name, and
 its counters read arguments of those calls by name and fields of the systems
 they return.  A refactor that renames or deletes one of them breaks
 ``bench/run.py --trace 1`` without failing anything else, so the tables and
-the counters' reads are checked here.  The file is read, never edited.
+the counters' reads are checked here.  Likewise the api-sweep items in
+``bench/workloads.py`` call the public API, so they are made and one of them
+is run.  The bench files are read, never edited.
 """
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,17 +22,19 @@ import scipy.linalg
 
 from kernel_lab import WeightPolynomial, galerkin
 
-_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("_bench_tracing", _TRACING)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", _BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their defining module up in sys.modules
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
-_tracing = _load_tracing()
+_tracing = _load("tracing")
 
 
 @pytest.mark.parametrize(
@@ -87,3 +92,13 @@ def test_tracer_counts_lazily_imported_eigensolves():
     classes = galerkin._charge_classes(system.basis, weight)
     assert len(classes) > 1
     assert tracer.counts["galerkin.eigensolve.calls"] == len(classes)
+
+
+def test_api_sweep_items_build_and_hodge_runs(tmp_path):
+    # the api-sweep workload calls the public weight API (quadratic([1.0]),
+    # real_term(1, (3,), (0,), 0.25)) when its items are made, and its hodge
+    # item runs the exact builds and the Hodge residual end to end
+    workloads = _load("workloads")
+    items = workloads.WORKLOADS["api-sweep"].make_items(str(_BENCH.parent), 0, str(tmp_path))
+    (hodge,) = [item for item in items if item.name == "hodge"]
+    assert hodge.run()

@@ -278,6 +278,8 @@ def test_readme_config_example_parses(tmp_path):
         ("gap-cubic", "gap.q=2"),
         ("gap-cubic", "family.dimension=2"),
         ("gap-cubic", "family.base=1,0;0,0;1"),
+        ("gap-cubic", "family.base=1;1;1\\n1;0;0.5"),
+        ("gap-cubic", "family.base=2;1;0.5"),
         ("torus-flat", "torus.gram_grid=64"),
         ("torus-flat", "torus.psi=9;0;0.3"),
         ("torus-flat", "torus.ks=0,1"),

@@ -106,9 +106,9 @@ def test_terms_build_polynomial(tmp_path):
 
 
 def test_terms_imaginary_amplitude(tmp_path):
-    body = "[run]\nexperiment = converge\n[family]\nbase = 2;1;0;0.5\n"
+    body = "[run]\nexperiment = converge\n[family]\nbase =\n    1;1;1\n    2;1;0;0.5\n"
     cfg = load_config(write(tmp_path, body))
-    expected = real_term(1, (2,), (1,), 0.5j)
+    expected = WeightPolynomial.quadratic([1.0]) + real_term(1, (2,), (1,), 0.5j)
     assert cfg.family().base == expected
 
 
@@ -223,14 +223,17 @@ def test_sections_for():
 def test_echo_is_json_clean(tmp_path):
     body = (
         "[run]\nexperiment = converge\nseed = 3\n"
-        "[family]\nbase = 2;1;0;0.5\npert1 = 1;1;1\npert1_gamma = 0.5\n"
+        "[family]\nbase =\n    1;1;1\n    2;1;0;0.5\npert1 = 1;1;1\npert1_gamma = 0.5\n"
     )
     cfg = load_config(write(tmp_path, body))
     echoed = cfg.echo()
     text = json.dumps(echoed, sort_keys=True)
     assert json.loads(text) == echoed
     assert echoed["run"] == {"experiment": "converge", "seed": 3}
-    assert echoed["family"]["base"] == [[[2], [1], {"re": 0.0, "im": 0.5}]]
+    assert echoed["family"]["base"] == [
+        [[1], [1], {"re": 1.0, "im": 0.0}],
+        [[2], [1], {"re": 0.0, "im": 0.5}],
+    ]
 
 
 def test_gap_section_schema(tmp_path):

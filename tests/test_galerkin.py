@@ -55,7 +55,7 @@ def test_quadrature_moment_exactness():
 def test_high_degree_tabulation_orthonormal():
     # the Laguerre recurrence keeps the charge states orthonormal at D = 64 on
     # the order-66 rule; the plain (z, zbar) ladder recursion does not
-    basis = galerkin._basis(galerkin._as_weight(UNIT), 0, 64, None)
+    basis = galerkin._basis(UNIT, 0, 64, None)
     z, wt = gauss_hermite_nodes(66, basis.lam_ref)
     gram = galerkin._node_product(basis.tabulate(z) * np.sqrt(wt)[:, None], True)
     assert np.abs(gram - np.eye(len(basis))).max() <= 1e-12
@@ -63,7 +63,7 @@ def test_high_degree_tabulation_orthonormal():
 
 def test_basis_count():
     system = build_system(UNIT, q=0, degree=8)
-    assert len(system.basis.pairs) == 9 * 10 // 2
+    assert len(system.basis) == 9 * 10 // 2
     assert system.gram.shape == (45, 45)
 
 
@@ -246,10 +246,9 @@ def test_exact_laplacian_matches_quadrature(name, q, degree):
     # the order-(D + p + 2) rule integrates the polynomial Laplacian exactly,
     # so both paths must agree to roundoff
     weight = CROSS_CHECK_WEIGHTS[name]
-    w = galerkin._as_weight(weight)
-    basis = galerkin._basis(w, q, degree, None)
+    basis = galerkin._basis(weight, q, degree, None)
     exact = build_system(weight, q=q, degree=degree).laplacian
-    _, quad = galerkin._assemble(basis, w, degree + weight.degree + 2)
+    _, quad = galerkin._assemble(basis, weight, degree + weight.degree + 2)
     assert np.abs(exact - quad).max() <= 1e-12 * np.abs(quad).max()
 
 
@@ -351,7 +350,7 @@ CHARGE_WEIGHTS = {
 
 
 def _charge_basis(weight, q, degree):
-    basis = galerkin._basis(galerkin._as_weight(weight), q, degree, None)
+    basis = galerkin._basis(weight, q, degree, None)
     return basis, galerkin._charge_classes(basis, weight)
 
 
@@ -381,8 +380,7 @@ def test_charge_states_split_the_laplacian(name):
     weight, _ = CHARGE_WEIGHTS[name]
     degree = 12
     basis, classes = _charge_basis(weight, 1, degree)
-    w = galerkin._as_weight(weight)
-    gram, quad = galerkin._assemble(basis, w, degree + weight.degree + 2)
+    gram, quad = galerkin._assemble(basis, weight, degree + weight.degree + 2)
     assert np.abs(gram - np.eye(len(basis))).max() <= 1e-13
     scale = np.abs(quad).max()
     key = np.empty(len(basis), dtype=int)
@@ -422,11 +420,10 @@ def test_exact_path_properties(monomial, re, im, real, q, degree):
     # (a diagonal term |z|^4 takes only a real one)
     a, b = monomial
     weight = UNIT + real_term(1, (a,), (b,), re if real or a == b else complex(re, im))
-    w = galerkin._as_weight(weight)
-    basis = galerkin._basis(w, q, degree, None)
+    basis = galerkin._basis(weight, q, degree, None)
     system = build_system(weight, q=q, degree=degree)
     exact, mu = system.laplacian, system.eigenvalues
-    _, quad = galerkin._assemble(basis, w, degree + weight.degree + 2)
+    _, quad = galerkin._assemble(basis, weight, degree + weight.degree + 2)
     scale = np.abs(quad).max()
     assert np.abs(exact - quad).max() <= 1e-12 * scale
     assert np.abs(mu - scipy.linalg.eigh(exact, eigvals_only=True)).max() <= 1e-12 * scale

@@ -38,7 +38,7 @@ def test_gauge_removes_linear_part():
     phi = WeightPolynomial.quadratic([1.0]) + real_term(1, (1,), (0,), 0.5)
     normalized, removed = normalize_gauge(phi)
     assert normalized == WeightPolynomial.quadratic([1.0])
-    assert _coeffs_close(removed, {((1,), (0,)): 0.5, ((0,), (1,)): 0.5})
+    assert _coeffs_close(removed, {(1, 0): 0.5, (0, 1): 0.5})
 
 
 def test_gauge_removes_holomorphic_quadratic():
@@ -50,22 +50,34 @@ def test_gauge_removes_holomorphic_quadratic():
     normalized, removed = normalize_gauge(phi)
     expected = WeightPolynomial.quadratic([1.0]) + real_term(1, (2,), (1,), 0.5)
     assert normalized == expected
-    assert _coeffs_close(removed, {((2,), (0,)): 0.5, ((0,), (2,)): 0.5})
+    assert _coeffs_close(removed, {(2, 0): 0.5, (0, 2): 0.5})
     # the split is exact: normalized + removed re-assembles phi
     assert normalized + removed == phi
 
 
 def test_reality_rejected_when_broken():
     with pytest.raises(ValueError):
-        WeightPolynomial(n=1, coeffs={((1,), (0,)): 1.0 + 0j})
+        WeightPolynomial(coeffs={(1, 0): 1.0 + 0j})
 
 
 def test_curvature_matrix_quadratic():
     assert curvature_matrix(WeightPolynomial.quadratic([3.0]), 0.0) == pytest.approx(
         np.array([[3.0]])
     )
-    hess = curvature_matrix(WeightPolynomial.quadratic([1.0, -2.0]), (0.0, 0.0))
-    assert hess == pytest.approx(np.diag([1.0, -2.0]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: real_term(2, (1,), (1,), 1.0),
+        lambda: real_term(1, (1, 0), (0, 1), 1.0),
+        lambda: WeightPolynomial.quadratic([1.0, -2.0]),
+    ],
+    ids=["n2", "two-entry-exponents", "two-lambdas"],
+)
+def test_weights_live_on_c(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_curvature_matrix_cubic_frozen():
@@ -107,7 +119,7 @@ def test_scale_weight_perturbation_rate():
         base=WeightPolynomial.quadratic([1.0]), ck=CkRule(1e4), perturbations=(pert,)
     )
     scaled = scale_weight(family, 1)
-    extra = scaled.coeffs[((1,), (1,))] - 1.0
+    extra = scaled.coeffs[(1, 1)] - 1.0
     assert extra.real == pytest.approx(1e4 ** (-1.0 / 3.0), rel=1e-12)
     assert extra.real == pytest.approx(0.0464, abs=5e-5)
 
@@ -161,7 +173,7 @@ def test_extend_weight_regions():
 def test_extend_weight_epsilon_range():
     model = WeightPolynomial.quadratic([1.0])
     with pytest.raises(ValueError):
-        extend_weight(model, model, 0.2, 4.0)  # above min{1/(2n+1), 1/6}
+        extend_weight(model, model, 0.2, 4.0)  # above 1/6
     with pytest.raises(ValueError):
         extend_weight(model, model, 0.0, 4.0)
     extend_weight(model, model, 0.15, 4.0)
