@@ -61,6 +61,13 @@ def _positive_float(text: str) -> float:
     return v
 
 
+def _epsilon(text: str) -> float:
+    v = _float(text)
+    if not 0.0 < v < 1.0 / 6.0:  # the blend radius C_k^epsilon (weights.ExtendedWeight)
+        raise ValueError("must lie in (0, 1/6)")
+    return v
+
+
 def _bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("1", "true", "yes", "on"):
@@ -208,7 +215,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "ks": _Key(_increasing_ints, "1, 2, 3, 4, 5, 6, 7"),
         "degree": _Key(_positive_int, "30"),
         "quad_order": _Key(_positive_int, "44"),
-        "epsilon": _Key(_positive_float, _EPS_DEFAULT),
+        "epsilon": _Key(_epsilon, _EPS_DEFAULT),
         "slope_target": _Key(_optional(_float), ""),
         "slope_tolerance": _Key(_positive_float, "0.2"),
         "max_error": _Key(_optional(_positive_float), ""),
@@ -220,7 +227,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "ks": _Key(_increasing_ints, "1, 2, 3, 4, 5, 6, 7"),
         "degree": _Key(_positive_int, "30"),
         "quad_order": _Key(_positive_int, "44"),
-        "epsilon": _Key(_positive_float, _EPS_DEFAULT),
+        "epsilon": _Key(_epsilon, _EPS_DEFAULT),
         "d": _Key(_positive_float, "1"),
         "q": _Key(_optional(_form_degree), ""),
         "min_ck": _Key(_positive_float, "16"),
@@ -240,7 +247,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "ts": _Key(_floats, "1, 2, 4, 8"),
         "degree": _Key(_positive_int, "24"),
         "quad_order": _Key(_positive_int, "44"),
-        "epsilon": _Key(_positive_float, _EPS_DEFAULT),
+        "epsilon": _Key(_epsilon, _EPS_DEFAULT),
         "slope_tolerance": _Key(_positive_float, "0.1"),
         "spread_tolerance": _Key(_positive_float, "1e-8"),
         **_GRID_KEYS,

@@ -67,8 +67,11 @@ derivatives.
 The Bergman kernel uses the holomorphic sub-basis v_a e^{-phi} (the states
 |a, 0> for the model weight), whose Gram matrix differs from the identity
 only through phi - phi_ref.  It is integrated by quadrature for every
-weight, and its Cholesky factor is the one guarded step: a Gram that is not
-positive definite, or whose pivot ratio falls below GRAM_GUARD, raises
+weight, from one table of nodes and powers per (order, D, lam_ref); when phi
+is symmetric under y -> -y on the nodes the Gram matrix is real, a real
+product over the y < 0 half of the rule with doubled weights (plus the y = 0
+row at odd orders).  Its Cholesky factor is the one guarded step: a Gram that
+is not positive definite, or whose pivot ratio falls below GRAM_GUARD, raises
 GramConditioningError.
 
 scipy is imported inside the functions that solve or factor, so loading the
@@ -150,12 +153,28 @@ def gauss_hermite_nodes(order: int, lam_ref: float) -> tuple[np.ndarray, np.ndar
 
 
 def _holomorphic_powers(degree: int, lam_ref: float, z: np.ndarray) -> np.ndarray:
-    """Model-normalized powers v_a(z), a <= degree, shape (len(z), degree + 1)."""
-    v = np.empty((z.size, degree + 1), dtype=complex)
-    v[:, 0] = math.sqrt(lam_ref / math.pi)
+    """Model-normalized powers v_a(z), a <= degree, shape (degree + 1, len(z))."""
+    v = np.empty((degree + 1, z.size), dtype=complex)
+    v[0] = math.sqrt(lam_ref / math.pi)
     for a in range(1, degree + 1):
-        v[:, a] = v[:, a - 1] * z * math.sqrt(2.0 * lam_ref / a)
+        v[a] = v[a - 1] * z * math.sqrt(2.0 * lam_ref / a)
     return v
+
+
+@functools.lru_cache(maxsize=2)
+def _holomorphic_table(order: int, degree: int, lam_ref: float) -> tuple[np.ndarray, ...]:
+    """The tensor rule y-major (nodes, weights), its folded weights and v_a at the nodes; read-only.
+
+    Row r of the (order, order) node grid mirrors row -1 - r, so the y < 0
+    rows lead; the folded weights cover the rows y <= 0, doubled for y < 0.
+    """
+    z, wt = (a.reshape(order, order).T.ravel() for a in gauss_hermite_nodes(order, lam_ref))
+    lower = order // 2 * order
+    folded = np.concatenate((2.0 * wt[:lower], wt[lower : lower + order % 2 * order]))
+    table = (z, wt, folded, _holomorphic_powers(degree, lam_ref, z))
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -203,7 +222,7 @@ class GalerkinBasis:
         """
         z = np.asarray(z, dtype=complex).ravel()
         x = 2.0 * self.lam_ref * np.abs(z) ** 2
-        v = _holomorphic_powers(self.degree, self.lam_ref, z).T
+        v = _holomorphic_powers(self.degree, self.lam_ref, z)
         values = np.empty((len(self), z.size), dtype=complex)
         prev = ell = np.ones((self.degree + 1, z.size))
         for j in range(self.degree // 2 + 1):
@@ -476,15 +495,17 @@ def _charge_classes(basis: GalerkinBasis, weight: WeightPolynomial) -> list[np.n
 
 
 def _solve_classes(classes: list, blocks: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The blocks scattered into one matrix, and its eigenpairs solved block by block."""
+    """Eigenpairs solved block by block; blocks and eigenvectors scattered by one flat index."""
     import scipy.linalg
 
     n = sum(idx.size for idx in classes)
+    flat = np.concatenate([(idx[:, None] * n + idx).ravel() for idx in classes])
     lap = np.zeros((n, n), dtype=blocks[0].dtype)
     mu, vecs = np.empty(n), np.zeros_like(lap)
-    for idx, block in zip(classes, blocks):
-        lap[np.ix_(idx, idx)] = block
-        mu[idx], vecs[idx[:, None], idx] = scipy.linalg.eigh(block)
+    pairs = [scipy.linalg.eigh(block) for block in blocks]
+    lap.ravel()[flat] = np.concatenate([block.ravel() for block in blocks])
+    mu[np.concatenate(classes)] = np.concatenate([m for m, _ in pairs])
+    vecs.ravel()[flat] = np.concatenate([v.ravel() for _, v in pairs])
     order = np.argsort(mu, kind="stable")
     return lap, mu[order], vecs[:, order]
 
@@ -547,16 +568,22 @@ def holomorphic_subsystem(
     quad_order: int | None = None,
     reference: ModelSpectrum | None = None,
 ) -> HolomorphicBasis:
-    """Gram matrix of the holomorphic sub-basis under the weight's L^2(dV) inner product."""
+    """Gram matrix of the holomorphic sub-basis under the weight's L^2(dV) inner product.
+
+    Real when the weight is symmetric under y -> -y on the rule's nodes.
+    """
     import scipy.linalg
 
     lam_ref = _reference_lambda(weight, reference)
     order = quad_order if quad_order is not None else _default_order(degree, weight)
-    z, wt = gauss_hermite_nodes(order, lam_ref)
-    corr = np.exp(-2.0 * (weight.value(z) - lam_ref * np.abs(z) ** 2))
-    v = _holomorphic_powers(degree, lam_ref, z)
-    gram = (v.conj().T * (wt * corr)) @ v
-    gram = 0.5 * (gram + gram.conj().T)
+    z, wt, folded, v = _holomorphic_table(order, degree, lam_ref)
+    phi = weight.value(z)
+    grid = phi.reshape(order, order)
+    symmetric = np.array_equal(grid, grid[::-1])
+    mass = folded if symmetric else wt
+    n = mass.size
+    mass = mass * np.exp(-2.0 * (phi[:n] - lam_ref * np.abs(z[:n]) ** 2))
+    gram = _node_product((v[:, :n] * np.sqrt(mass)).T, symmetric)
     context = f"holomorphic_subsystem(D={degree})"
     try:
         factor = scipy.linalg.cho_factor(gram, lower=True)
@@ -588,9 +615,13 @@ def bergman_kernel_numeric(hol: HolomorphicBasis, z, w) -> np.ndarray:
     import scipy.linalg
 
     zs, ws = _points(z, 1)[:, 0], _points(w, 1)[:, 0]
-    vz = _holomorphic_powers(hol.degree, hol.lam_ref, zs) * np.exp(-hol.weight.value(zs))[:, None]
-    vw = _holomorphic_powers(hol.degree, hol.lam_ref, ws) * np.exp(-hol.weight.value(ws))[:, None]
-    return vz @ scipy.linalg.cho_solve(hol.factor, vw.conj().T)
+
+    def table(p: np.ndarray) -> np.ndarray:
+        return _holomorphic_powers(hol.degree, hol.lam_ref, p) * np.exp(-hol.weight.value(p))
+
+    vz = table(zs)
+    vw = vz if np.array_equal(zs, ws) else table(ws)
+    return vz.T @ scipy.linalg.cho_solve(hol.factor, vw.conj())
 
 
 def _kernel_sum(fz: np.ndarray, fw: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -12,20 +12,22 @@ term of total order m in the weight scales as C_k^{gamma - m/2}, so any
 perturbation with gamma < 1 and order >= 2 decays and the errors should
 shrink; the fitted slope measures how fast.
 
-Sweeps build one Galerkin system per distinct blended weight: when the scaled
-weight is its own quadratic model, as for a pure quadratic base, every k
-blends to that model and one system serves the whole run of k.
+Sweeps build once per distinct blended weight: when the scaled weight is its
+own quadratic model, as for a pure quadratic base, every k blends to that
+model and one Galerkin system, or one holomorphic Gram and its grid error,
+serves the whole run of k.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .galerkin import (
-    GalerkinSystem,
     GramConditioningError,
     _heat_weights,
     _kernel_sum,
@@ -142,27 +144,28 @@ class _Dilated:
 
 
 class _SweepBuilds:
-    """``build_system`` over a k sweep, reusing the last system for an equal blend.
+    """``build(weight)`` over a k sweep, reusing the last result for an equal blend.
 
     A blended weight whose scaled part is its model (``delta`` has no terms)
     is that model everywhere, whatever C_k and epsilon, so it is built as the
-    model polynomial, on the exact path, and consecutive such k share one
-    build.  Any other blend is built anew by quadrature, and only the last
-    system is held.
+    model polynomial (``build_system`` takes the exact path), and consecutive
+    such k share one build.  Any other blend is built anew, and only the last
+    result is held.  ``build`` is made when the sweep starts, so the Galerkin
+    functions it calls are looked up then, not when this module loads.
     """
 
-    def __init__(self, **options) -> None:
-        self.options = options
+    def __init__(self, build: Callable) -> None:
+        self.build = build
         self.model: WeightPolynomial | None = None
-        self.system: GalerkinSystem | None = None
+        self.result = None
 
-    def __call__(self, blend: ExtendedWeight) -> GalerkinSystem:
+    def __call__(self, blend: ExtendedWeight):
         model = None if blend.delta.coeffs else blend.model
-        if self.system is None or model is None or model != self.model:
-            self.system = None
-            self.system = build_system(blend if model is None else model, **self.options)
+        if self.result is None or model is None or model != self.model:
+            self.result = None
+            self.result = self.build(blend if model is None else model)
             self.model = model
-        return self.system
+        return self.result
 
 
 def scaled_bergman_convergence(
@@ -187,20 +190,21 @@ def scaled_bergman_convergence(
     pts = kernel_grid() if grid is None else np.asarray(grid, dtype=complex).ravel()
     model = eval_model_bergman(spec, 0, pts, pts)
 
+    def grid_error(weight) -> float:
+        hol = holomorphic_subsystem(weight, degree, quad_order=quad_order)
+        return float(np.abs(bergman_kernel_numeric(hol, pts, pts) - model).max())
+
     kept: list[int] = []
     errors: list[float] = []
     failures: list[str] = []
+    builds = _SweepBuilds(grid_error)
     for k in ks:
         try:
-            hol = holomorphic_subsystem(
-                _extended(family, k, epsilon), degree, quad_order=quad_order
-            )
+            errors.append(builds(_extended(family, k, epsilon)))
         except GramConditioningError as err:
             failures.append(f"k={k}: {err}")
             continue
-        kern = bergman_kernel_numeric(hol, pts, pts)
         kept.append(k)
-        errors.append(float(np.abs(kern - model).max()))
 
     cs = tuple(family.c_value(k) for k in kept)
     slope, resid = fit_loglog(cs, errors)
@@ -250,7 +254,7 @@ def vanishing_convergence(
     errors: list[float] = []
     ranks: list[int] = []
     failures: list[str] = []
-    builds = _SweepBuilds(q=q, degree=degree, quad_order=quad_order)
+    builds = _SweepBuilds(partial(build_system, q=q, degree=degree, quad_order=quad_order))
     for k in ks:
         ck = family.c_value(k)
         try:
@@ -341,7 +345,7 @@ def heat_route_comparison(
     else:
         _require_gauge_normal(source)
         kss = DEFAULT_KS if ks is None else tuple(ks)
-        builds = _SweepBuilds(q=q, degree=degree, quad_order=quad_order)
+        builds = _SweepBuilds(partial(build_system, q=q, degree=degree, quad_order=quad_order))
         systems = (builds(_extended(source, k, epsilon)) for k in kss)
         cs = tuple(source.c_value(k) for k in kss)
 

@@ -11,6 +11,7 @@ to the model near infinity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -318,8 +319,9 @@ class ExtendedWeight:
     def radius(self) -> float:
         return self.ck**self.epsilon
 
-    @property
+    @functools.cached_property
     def delta(self) -> Polynomial:
+        """inner - model, built once per instance."""
         return Polynomial((self.inner - self.model).coeffs)
 
     def _u(self, z: np.ndarray) -> np.ndarray:

@@ -205,6 +205,18 @@ def test_value_rejections(tmp_path):
             load_config(path, overrides=(override,))
 
 
+@pytest.mark.parametrize("experiment", ["converge", "vanish", "heat"])
+def test_epsilon_range(tmp_path, experiment):
+    # the blend needs epsilon in (0, 1/6); the parse names the key
+    path = _family_config(tmp_path, experiment)
+    for bad in ("0.2", repr(1.0 / 6.0), "0", "-0.1"):
+        with pytest.raises(ConfigError, match=rf"{experiment}\.epsilon: must lie in \(0, 1/6\)"):
+            load_config(path, overrides=(f"{experiment}.epsilon={bad}",))
+    assert load_config(path).values[experiment]["epsilon"] == 1.0 / 7.0
+    cfg = load_config(path, overrides=(f"{experiment}.epsilon={1.0 / 7.0!r}",))
+    assert cfg.values[experiment]["epsilon"] == 1.0 / 7.0
+
+
 def test_optional_flags(tmp_path):
     path = write(tmp_path, MINIMAL_CONVERGE)
     cfg = load_config(path, overrides=("converge.require_decreasing=yes",))

@@ -294,6 +294,41 @@ def test_real_and_complex_solves_agree(amplitude):
     assert np.abs(block - mu).max() <= 1e-12 * top
 
 
+def _full_rule_gram(weight, degree, order):
+    # the sum over every node of the tensor rule, as one complex product
+    z, wt = gauss_hermite_nodes(order, 1.0)
+    v = galerkin._holomorphic_powers(degree, 1.0, z)
+    gram = (v.conj() * (wt * np.exp(-2.0 * (weight.value(z) - np.abs(z) ** 2)))) @ v.T
+    return 0.5 * (gram + gram.conj().T)
+
+
+@pytest.mark.parametrize("order", [44, 45])
+def test_half_rule_gram_matches_full_rule(cubic_family, order):
+    # a real-coefficient blend is symmetric under y -> -y: the Gram is the real
+    # product over y < 0 with doubled weights, plus the y = 0 row at odd orders
+    weight = extend_weight(scale_weight(cubic_family, 2), UNIT, 1.0 / 7.0, 16.0)
+    hol = holomorphic_subsystem(weight, 30, quad_order=order)
+    assert hol.gram.dtype == float
+    assert np.abs(hol.gram - _full_rule_gram(weight, 30, order)).max() <= 1e-14
+
+
+def test_complex_coefficient_keeps_complex_gram():
+    family = WeightFamily(base=UNIT + real_term(1, (3,), (0,), 0.25j), ck=CkRule(4.0))
+    weight = extend_weight(scale_weight(family, 2), UNIT, 1.0 / 7.0, 16.0)
+    hol = holomorphic_subsystem(weight, 30, quad_order=44)
+    gram = _full_rule_gram(weight, 30, 44)
+    assert np.iscomplexobj(hol.gram) and np.abs(gram.imag).max() > 0.1
+    assert np.abs(hol.gram - gram).max() <= 1e-14
+    grid = kernel_grid(5, 1.5)
+    factor = scipy.linalg.cho_factor(gram, lower=True)
+    full = galerkin.HolomorphicBasis(weight, 30, 1.0, gram, factor, hol.cond, 44)
+    kernel = bergman_kernel_numeric(hol, grid, grid)
+    assert np.abs(kernel - bergman_kernel_numeric(full, grid, grid)).max() <= 1e-12
+    # equal point sets share one table; distinct ones give the same entries
+    wider = bergman_kernel_numeric(hol, grid, np.append(grid, 0.3 + 0.2j))
+    assert np.abs(kernel - wider[:, :-1]).max() <= 1e-14
+
+
 def _assert_same_spectrum(mu, system):
     if system.q == 1:
         # no zero band: every eigenvalue agrees to 1e-12 relative

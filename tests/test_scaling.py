@@ -12,6 +12,8 @@ from kernel_lab import (
     ModelSpectrum,
     WeightFamily,
     WeightPolynomial,
+    bergman_kernel_numeric,
+    eval_model_bergman,
     fit_loglog,
     heat_kernel_numeric,
     heat_route_comparison,
@@ -232,3 +234,29 @@ def test_cubic_family_builds_once_per_k(cubic_family, monkeypatch):
     assert builds == [12, 12, 12]
     heat_route_comparison(cubic_family, ks=(1, 2, 3), ts=(1.0, 2.0), degree=12)
     assert builds == [12] * 6
+
+
+def test_bergman_sweep_builds_once_per_distinct_weight(
+    quadratic_family, cubic_family, monkeypatch
+):
+    ks = (1, 2, 3, 4, 5)
+    degrees: list[int] = []
+    build = scaling.holomorphic_subsystem
+
+    def counted(weight, degree, **kwargs):
+        degrees.append(degree)
+        return build(weight, degree, **kwargs)
+
+    monkeypatch.setattr(scaling, "holomorphic_subsystem", counted)
+    report = scaled_bergman_convergence(quadratic_family, ks=ks, degree=16)
+    # every k blends to the model weight: one Gram and one grid error serve all k
+    assert degrees == [16]
+    assert report.ks == ks
+    pts = report.grid
+    model = eval_model_bergman(quadratic_family.model_spectrum(), 0, pts, pts)
+    for k, error in zip(ks, report.errors):
+        # bit for bit the error of a fresh build of the blend itself
+        hol = build(scaling._extended(quadratic_family, k, 1.0 / 7.0), 16, quad_order=44)
+        assert error == float(np.abs(bergman_kernel_numeric(hol, pts, pts) - model).max())
+    scaled_bergman_convergence(cubic_family, ks=(1, 2, 3), degree=12)
+    assert degrees == [16, 12, 12, 12]

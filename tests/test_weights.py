@@ -168,6 +168,10 @@ def test_extend_weight_regions():
     assert ext.d_z(inside) == pytest.approx(scaled.d_z().value(inside), abs=1e-15)
     assert ext.value(outside) == pytest.approx(model.value(outside), abs=1e-15)
     assert ext.d_z(outside) == pytest.approx(model.d_z().value(outside), abs=1e-15)
+    # inner - model is built once per instance and left out of equality
+    assert ext.delta is ext.delta
+    assert ext.delta == scaled - model
+    assert ext == extend_weight(scaled, model, 1.0 / 7.0, ck)
 
 
 def test_extend_weight_epsilon_range():
