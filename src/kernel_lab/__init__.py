@@ -42,7 +42,6 @@ from .weights import (
     WeightFamily,
     WeightPolynomial,
     assemble_weight,
-    c2_distance_to_model,
     curvature_matrix,
     extend_weight,
     normalize_gauge,

@@ -35,7 +35,8 @@ P_(n_a-1, n_b).  The Laplacian is assembled on one of two paths:
   A expands into ladder terms (a^+)^k a^l b^m (b^+)^r, each a shift by
   (k - l, r - m) with a coefficient depending on n_a and n_b; terms with the
   same shift are merged, and A^H A is summed from pairs of shifts straight
-  into its charge-class blocks.
+  into its charge-class blocks by an index plan made once per D, g (below)
+  and shifts; the dense ``laplacian`` and ``gram`` are built only when read.
 * Blended weights (``ExtendedWeight``) take the quadrature path: tensor
   Gauss-Hermite quadrature against e^{-2 phi_ref}, by default a dense rule.
   An order-m rule integrates the Gram matrix exactly once m > D; orders
@@ -280,16 +281,29 @@ class GalerkinSystem:
     ascending.  ``gram`` is the identity on the exact path (``quad_order`` 0)
     and the quadrature Gram matrix otherwise (real, the identity up to
     ``gram_defect`` = max|G - I|); the eigensolve takes it to be the identity.
+    The Laplacian is kept in class blocks; ``laplacian`` and an exact ``gram`` are built when read.
     """
 
     basis: GalerkinBasis
     weight: WeightPolynomial | ExtendedWeight
-    gram: np.ndarray
-    laplacian: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     gram_defect: float
     quad_order: int
+    _classes: tuple[np.ndarray, ...] = field(repr=False)
+    _blocks: tuple[np.ndarray, ...] = field(repr=False)
+    _gram: np.ndarray | None = field(default=None, repr=False)
+
+    @functools.cached_property
+    def laplacian(self) -> np.ndarray:
+        lap = np.zeros((len(self.basis),) * 2, dtype=self._blocks[0].dtype)
+        for idx, block in zip(self._classes, self._blocks):
+            lap[idx[:, None], idx] = block
+        return lap
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        return np.eye(len(self.basis)) if self._gram is None else self._gram
 
     @property
     def q(self) -> int:
@@ -356,8 +370,9 @@ def build_system(
     """
     basis = _basis(weight, q, degree, reference)
     if isinstance(weight, WeightPolynomial):
-        lap, mu, vecs = _solve_classes(*_class_laplacians(basis, weight))
-        gram, defect, order = np.eye(len(basis)), 0.0, 0
+        classes, blocks = _class_laplacians(basis, weight)
+        mu, vecs = _solve_classes(classes, blocks)
+        gram, defect, order = None, 0.0, 0
     else:
         order = quad_order if quad_order is not None else _default_order(degree, weight)
         if order <= degree:
@@ -371,8 +386,9 @@ def build_system(
         # evd beats the default evr on real matrices, not on complex ones
         mu, vecs = scipy.linalg.eigh(lap, driver="evd" if np.isrealobj(lap) else None)
         defect = float(np.abs(gram - np.eye(len(basis))).max())
+        classes, blocks = (np.arange(len(basis)),), (lap,)
     _check_psd(mu, q, degree)
-    return GalerkinSystem(basis, weight, gram, lap, mu, vecs, defect, order)
+    return GalerkinSystem(basis, weight, mu, vecs, defect, order, classes, blocks, gram)
 
 
 def _positions(i: np.ndarray, j: np.ndarray, degree: int) -> np.ndarray:
@@ -408,32 +424,53 @@ def _shift_terms(basis: GalerkinBasis, weight: WeightPolynomial) -> dict:
     return {shift: f.real if _real_coefficients(weight) else f for shift, f in terms.items()}
 
 
-def _class_laplacians(basis: GalerkinBasis, weight: WeightPolynomial) -> tuple[list, list]:
-    """The charge classes and the blocks of A^H A on them, Hermitian to the last bit.
+@functools.lru_cache(maxsize=4)
+def _class_plan(degree: int, step: int, shifts: tuple) -> tuple[np.ndarray, ...]:
+    """(classes, starts, flat, left, right) of the blocks for charge step g, read-only.
 
-    Column |c> meets row |c + sigma - sigma'> where its image under the shift
-    sigma meets the row's under sigma'; one scatter-add fills every block.
+    Block c fills ``starts[c]:starts[c + 1]`` of one flat array.  Column |c>
+    meets row |c + sigma - sigma'> where its image under the shift sigma
+    meets the row's under sigma'; the row's sigma' term times the column's
+    sigma term (``left`` and ``right`` in the shift-major term table) adds at ``flat``.
     """
-    classes = _charge_classes(basis, weight)
+    basis = GalerkinBasis(0, degree, ModelSpectrum((1.0,)))  # its states depend on D only
+    n_a, n_b = basis.n_a, basis.n_b
+    key = n_a - n_b if step == 0 else (n_a - n_b) % step
+    classes = tuple(np.flatnonzero(key == c) for c in np.unique(key))
     sizes = np.array([idx.size for idx in classes])
     starts = np.concatenate(([0], np.cumsum(sizes**2)))
-    base, width, local = np.empty((3, len(basis)), dtype=int)
+    base, width, local = np.empty((3, n_a.size), dtype=int)
     for idx, start, size in zip(classes, starts, sizes):
         base[idx], width[idx], local[idx] = start, size, np.arange(size)
-    i, j = basis.n_a, basis.n_b
-    terms = _shift_terms(basis, weight).items()
-    flat, vals = [], []
-    for ((da, db), f), ((ea, eb), g) in itertools.product(terms, terms):
-        row = _positions(i + da - ea, j + db - eb, basis.degree)
+    flat, left, right = [], [], []
+    for (d, (da, db)), (e, (ea, eb)) in itertools.product(enumerate(shifts), repeat=2):
+        row = _positions(n_a + da - ea, n_b + db - eb, degree)
         col = np.flatnonzero(row >= 0)
         flat.append(base[col] + local[row[col]] * width[col] + local[col])
-        vals.append(g[row[col]].conj() * f[col])
-    flat, vals = np.concatenate(flat), np.concatenate(vals)
+        left.append(e * n_a.size + row[col])
+        right.append(d * n_a.size + col)
+    plan = (classes, starts, *map(np.concatenate, (flat, left, right)))
+    for a in (*classes, *plan[1:]):
+        a.flags.writeable = False
+    return plan
+
+
+def _class_laplacians(basis: GalerkinBasis, weight: WeightPolynomial) -> tuple[tuple, list]:
+    """The charge classes and the blocks of A^H A on them, Hermitian to the last bit."""
+    terms = _shift_terms(basis, weight)
+    step = math.gcd(*(abs(a - b) for a, b in weight.coeffs))
+    classes, starts, flat, left, right = _class_plan(basis.degree, step, tuple(terms))
+    table = np.concatenate(list(terms.values()))
+    vals = table[left].conj()
+    vals *= table[right]
     lap = np.bincount(flat, vals.real, starts[-1])
     if np.iscomplexobj(vals):
         lap = lap + 1j * np.bincount(flat, vals.imag, starts[-1])
-    blocks = [lap[a:b].reshape(n, n) for a, b, n in zip(starts, starts[1:], sizes)]
-    return classes, [0.5 * (block + block.conj().T) for block in blocks]
+    blocks = [lap[a:b].reshape(idx.size, -1) for a, b, idx in zip(starts, starts[1:], classes)]
+    for block in blocks:  # in place: every block stays a view of the one bincount
+        block += block.conj().T
+        block *= 0.5
+    return classes, blocks
 
 
 def _node_product(x: np.ndarray, real: bool) -> np.ndarray:
@@ -494,20 +531,20 @@ def _charge_classes(basis: GalerkinBasis, weight: WeightPolynomial) -> list[np.n
     return [np.flatnonzero(key == c) for c in np.unique(key)]
 
 
-def _solve_classes(classes: list, blocks: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs solved block by block; blocks and eigenvectors scattered by one flat index."""
+def _solve_classes(classes: tuple, blocks: list) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs by class block, stably sorted; eigenvectors go straight to their columns."""
     import scipy.linalg
 
     n = sum(idx.size for idx in classes)
-    flat = np.concatenate([(idx[:, None] * n + idx).ravel() for idx in classes])
-    lap = np.zeros((n, n), dtype=blocks[0].dtype)
-    mu, vecs = np.empty(n), np.zeros_like(lap)
     pairs = [scipy.linalg.eigh(block) for block in blocks]
-    lap.ravel()[flat] = np.concatenate([block.ravel() for block in blocks])
+    mu = np.empty(n)
     mu[np.concatenate(classes)] = np.concatenate([m for m, _ in pairs])
-    vecs.ravel()[flat] = np.concatenate([v.ravel() for _, v in pairs])
     order = np.argsort(mu, kind="stable")
-    return lap, mu[order], vecs[:, order]
+    rank = np.argsort(order)
+    vecs = np.zeros((n, n), dtype=blocks[0].dtype)
+    for idx, (_, v) in zip(classes, pairs):
+        vecs[idx[:, None], rank[idx]] = v
+    return mu[order], vecs
 
 
 def leading_block_spectra(

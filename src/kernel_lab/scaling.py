@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -168,6 +168,12 @@ class _SweepBuilds:
         return self.result
 
 
+@lru_cache(maxsize=1)
+def _holomorphic(weight, degree: int, quad_order: int):
+    """``holomorphic_subsystem``, reused by the next equal call (a route check at a sweep's last k)."""
+    return holomorphic_subsystem(weight, degree, quad_order=quad_order)
+
+
 def scaled_bergman_convergence(
     family: WeightFamily,
     ks: tuple[int, ...] = DEFAULT_KS,
@@ -191,7 +197,7 @@ def scaled_bergman_convergence(
     model = eval_model_bergman(spec, 0, pts, pts)
 
     def grid_error(weight) -> float:
-        hol = holomorphic_subsystem(weight, degree, quad_order=quad_order)
+        hol = _holomorphic(weight, degree, quad_order)
         return float(np.abs(bergman_kernel_numeric(hol, pts, pts) - model).max())
 
     kept: list[int] = []
@@ -407,7 +413,7 @@ def route_equivalence_gap(
     lam = abs(spec.lambdas[0])
     ext = _extended(family, k, epsilon)
     pts = kernel_grid() if grid is None else np.asarray(grid, dtype=complex).ravel()
-    hol_scaled = holomorphic_subsystem(ext, degree, quad_order=quad_order)
+    hol_scaled = _holomorphic(ext if ext.delta.coeffs else ext.model, degree, quad_order)
     hol_unscaled = holomorphic_subsystem(
         _Dilated(ext, root), degree, quad_order=quad_order, reference=ModelSpectrum((lam * ck,))
     )

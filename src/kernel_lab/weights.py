@@ -30,7 +30,6 @@ __all__ = [
     "curvature_matrix",
     "assemble_weight",
     "scale_weight",
-    "c2_distance_to_model",
     "extend_weight",
 ]
 
@@ -98,6 +97,9 @@ class Polynomial:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.coeffs.items()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,25 +239,6 @@ def scale_weight(family: WeightFamily, k: int) -> WeightPolynomial:
     return WeightPolynomial(
         {(a, b): c * ck ** (-(a + b) / 2.0) for (a, b), c in phi.coeffs.items()}
     )
-
-
-def c2_distance_to_model(
-    scaled: WeightPolynomial, model: WeightPolynomial, radius: float
-) -> float:
-    """Max over a 13 x 13 grid on the disc |z| <= radius of |scaled - model| in C^2 norm.
-
-    The maximum runs over the value, the first Wirtinger derivative d/dz and
-    the second derivatives d^2/dz^2 and d^2/dz dzbar (conjugates add
-    nothing), each evaluated exactly from the polynomial coefficients.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    axis = np.linspace(-radius, radius, 13)
-    pts = (axis[:, None] + 1j * axis[None, :]).ravel()
-    pts = pts[np.abs(pts) ** 2 <= radius**2 + 1e-12]
-    diff = scaled - model
-    dz = diff.d_z()
-    return max(float(np.abs(p.value(pts)).max()) for p in (diff, dz, dz.d_z(), dz.d_zbar()))
 
 
 def _soft(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 """Galerkin systems: Gram exactness, spectra, kernels, Hodge identity, refusals."""
 
+import itertools
 import math
 
 import numpy as np
@@ -439,6 +440,109 @@ def test_charge_leading_block_is_lower_degree_build(q):
     fine_lap = build_system(weight, q=q, degree=32).laplacian
     coarse_lap = build_system(weight, q=q, degree=24).laplacian
     assert np.abs(fine_lap[:n, :n] - coarse_lap).max() <= 1e-12 * np.abs(coarse_lap).max()
+
+
+def _plan_free_blocks(basis, weight):
+    # the class blocks scattered pair by pair through basis positions, with
+    # no shared plan, in the plan's order of pairs (so bit for bit comparable)
+    classes = galerkin._charge_classes(basis, weight)
+    sizes = np.array([idx.size for idx in classes])
+    starts = np.concatenate(([0], np.cumsum(sizes**2)))
+    base, width, local = np.empty((3, len(basis)), dtype=int)
+    for idx, start, size in zip(classes, starts, sizes):
+        base[idx], width[idx], local[idx] = start, size, np.arange(size)
+    i, j = basis.n_a, basis.n_b
+    terms = galerkin._shift_terms(basis, weight).items()
+    flat, vals = [], []
+    for ((da, db), f), ((ea, eb), g) in itertools.product(terms, terms):
+        row = galerkin._positions(i + da - ea, j + db - eb, basis.degree)
+        col = np.flatnonzero(row >= 0)
+        flat.append(base[col] + local[row[col]] * width[col] + local[col])
+        vals.append(g[row[col]].conj() * f[col])
+    flat, vals = np.concatenate(flat), np.concatenate(vals)
+    lap = np.bincount(flat, vals.real, starts[-1])
+    if np.iscomplexobj(vals):
+        lap = lap + 1j * np.bincount(flat, vals.imag, starts[-1])
+    blocks = [lap[a:b].reshape(n, n) for a, b, n in zip(starts, starts[1:], sizes)]
+    return classes, [0.5 * (block + block.conj().T) for block in blocks]
+
+
+PLAN_WEIGHTS = {
+    "g0": CHARGE_WEIGHTS["g0"][0],
+    "g1": CHARGE_WEIGHTS["g1"][0],
+    "g3": CHARGE_WEIGHTS["g3"][0],
+    "g3-imaginary": UNIT + real_term(1, (3,), (0,), 0.25j),
+}
+
+
+@pytest.mark.parametrize("name", list(PLAN_WEIGHTS))
+@pytest.mark.parametrize("q", [0, 1])
+def test_planned_blocks_match_plan_free_assembly(name, q):
+    weight = PLAN_WEIGHTS[name]
+    for degree in (15, 16):
+        basis = galerkin._basis(weight, q, degree, None)
+        classes, blocks = galerkin._class_laplacians(basis, weight)
+        ref_classes, ref_blocks = _plan_free_blocks(basis, weight)
+        for idx, ref in zip(classes, ref_classes, strict=True):
+            np.testing.assert_array_equal(idx, ref)
+        for block, ref in zip(blocks, ref_blocks, strict=True):
+            assert block.dtype == ref.dtype and block.tobytes() == ref.tobytes()
+
+
+def test_gap_sweep_builds_one_class_plan():
+    # the seven scaled weights of the gap-cubic sweep differ only in their
+    # coefficients, so they share one class-assembly plan
+    galerkin._class_plan.cache_clear()
+    for k in range(1, 8):
+        leading_block_spectra(scale_weight(_GAP_CUBIC, k), 1, 32, (24, 32))
+    info = galerkin._class_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 6)
+    weight = scale_weight(_GAP_CUBIC, 7)
+    terms = galerkin._shift_terms(galerkin._basis(weight, 1, 32, None), weight)
+    plan = galerkin._class_plan(32, 3, tuple(terms))
+    assert galerkin._class_plan.cache_info().misses == 1
+    assert not any(a.flags.writeable for a in (*plan[0], *plan[1:]))
+
+
+@pytest.mark.parametrize("name", ["g3", "g3-imaginary"])
+def test_exact_dense_fields_built_on_first_read(name):
+    system = build_system(PLAN_WEIGHTS[name], q=1, degree=12)
+    assert "laplacian" not in vars(system) and "gram" not in vars(system)
+    lap = system.laplacian
+    assert (lap == lap.conj().T).all()
+    np.testing.assert_array_equal(system.gram, np.eye(len(system.basis)))
+    assert {"laplacian", "gram"} <= set(vars(system))
+    assert system.laplacian is lap
+
+
+def _q1_minus_q0_blocks(weight, degree):
+    # the q = 1 class blocks minus the q = 0 ones, and the q = 0 blocks' scale
+    _, b0 = galerkin._class_laplacians(galerkin._basis(weight, 0, degree, None), weight)
+    _, b1 = galerkin._class_laplacians(galerkin._basis(weight, 1, degree, None), weight)
+    scale = max(np.abs(x).max() for x in b0)
+    return [x1 - x0 for x0, x1 in zip(b0, b1, strict=True)], scale
+
+
+@pytest.mark.parametrize("amplitude", [0.25, 0.25j, 0.25 + 0.1j])
+@pytest.mark.parametrize("degree", [32, 48])
+def test_pluriharmonic_term_shifts_every_mode_by_twice_the_curvature(amplitude, degree):
+    # dbar dbar^* = dbar^* dbar + 2 phi_zzbar, and z^3 + zbar^3 is
+    # pluriharmonic, so phi_zzbar = lam everywhere: the q = 1 blocks are the
+    # q = 0 blocks plus 2 lam I, over the whole truncated spectrum
+    lam = 0.5
+    weight = WeightPolynomial.quadratic([lam]) + real_term(1, (3,), (0,), amplitude)
+    diffs, scale = _q1_minus_q0_blocks(weight, degree)
+    assert len(diffs) == 3
+    for diff in diffs:
+        assert np.abs(diff - 2.0 * lam * np.eye(len(diff))).max() <= 1e-13 * scale
+
+
+def test_curved_term_breaks_the_curvature_shift():
+    # z^2 zbar + z zbar^2 has phi_zzbar = lam + 0.6 (z + zbar): not a shift
+    lam = 0.5
+    weight = WeightPolynomial.quadratic([lam]) + real_term(1, (2,), (1,), 0.3)
+    (diff,), scale = _q1_minus_q0_blocks(weight, 32)
+    assert np.abs(diff - 2.0 * lam * np.eye(len(diff))).max() > 1e-3 * scale
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

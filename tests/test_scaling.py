@@ -242,6 +242,7 @@ def test_bergman_sweep_builds_once_per_distinct_weight(
     ks = (1, 2, 3, 4, 5)
     degrees: list[int] = []
     build = scaling.holomorphic_subsystem
+    scaling._holomorphic.cache_clear()  # a Gram held from an earlier test
 
     def counted(weight, degree, **kwargs):
         degrees.append(degree)
@@ -260,3 +261,27 @@ def test_bergman_sweep_builds_once_per_distinct_weight(
         assert error == float(np.abs(bergman_kernel_numeric(hol, pts, pts) - model).max())
     scaled_bergman_convergence(cubic_family, ks=(1, 2, 3), degree=12)
     assert degrees == [16, 12, 12, 12]
+
+
+@pytest.mark.parametrize("name", ["quadratic_family", "cubic_family"])
+def test_route_check_reuses_the_sweeps_last_gram(name, request, monkeypatch):
+    # the direct route at the sweep's last k asks for the Gram the sweep has
+    # just built (a quadratic family's model's), so only the route's unscaled
+    # Gram is new, and the route reads as it does from fresh builds
+    family = request.getfixturevalue(name)
+    scaling._holomorphic.cache_clear()
+    weights = []
+    build = scaling.holomorphic_subsystem
+
+    def counted(weight, degree, **kwargs):
+        weights.append(weight)
+        return build(weight, degree, **kwargs)
+
+    monkeypatch.setattr(scaling, "holomorphic_subsystem", counted)
+    scaled_bergman_convergence(family, ks=(1, 2), degree=12)
+    swept = len(weights)
+    gap = route_equivalence_gap(family, 2, degree=12)
+    assert len(weights) == swept + 1 and isinstance(weights[-1], scaling._Dilated)
+    scaling._holomorphic.cache_clear()
+    assert route_equivalence_gap(family, 2, degree=12) == gap
+    assert len(weights) == swept + 3

@@ -12,7 +12,6 @@ from kernel_lab import (
     WeightFamily,
     WeightPolynomial,
     assemble_weight,
-    c2_distance_to_model,
     curvature_matrix,
     extend_weight,
     fit_loglog,
@@ -130,6 +129,25 @@ def test_scale_weight_identity_at_unit_scale():
     # C_0 = 4^0 = 1: scaling is the identity on the assembled weight
     assert family.c_value(0) == 1.0
     assert scale_weight(family, 0) == assemble_weight(family, 0)
+
+
+def c2_distance_to_model(
+    scaled: WeightPolynomial, model: WeightPolynomial, radius: float
+) -> float:
+    """Max over a 13 x 13 grid on the disc |z| <= radius of |scaled - model| in C^2 norm.
+
+    The maximum runs over the value, the first Wirtinger derivative d/dz and
+    the second derivatives d^2/dz^2 and d^2/dz dzbar (conjugates add
+    nothing), each evaluated exactly from the polynomial coefficients.
+    """
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    axis = np.linspace(-radius, radius, 13)
+    pts = (axis[:, None] + 1j * axis[None, :]).ravel()
+    pts = pts[np.abs(pts) ** 2 <= radius**2 + 1e-12]
+    diff = scaled - model
+    dz = diff.d_z()
+    return max(float(np.abs(p.value(pts)).max()) for p in (diff, dz, dz.d_z(), dz.d_zbar()))
 
 
 def test_c2_distance_basics():
