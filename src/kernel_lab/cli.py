@@ -8,7 +8,6 @@ a fixed config.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 
@@ -64,24 +63,20 @@ def list_command(as_json: bool) -> int:
     metavar="SECTION.KEY=VALUE",
     help="Override a config value (repeatable).",
 )
-@click.option("--seed", type=int, default=None, help="Override the run seed.")
+@click.option("--seed", type=int, default=None, help="Shorthand for --override run.seed=N.")
 @click.option("--json", "as_json", is_flag=True, help="Print the summary JSON to stdout.")
 def run_command(config_path, out_dir, overrides, seed, as_json) -> int:
     """Run one experiment and write its artifacts."""
-    from .config import ConfigError, load_config
+    from .config import load_config
     from .experiments import run_experiment
     from .galerkin import GramConditioningError
     from .output import write_csv, write_json
 
+    if seed is not None:
+        overrides = (*overrides, f"run.seed={seed}")
     try:
         cfg = load_config(config_path, overrides)
-        if seed is not None:
-            if seed < 0:
-                raise ConfigError("run.seed: must be nonnegative")
-            cfg = dataclasses.replace(cfg, seed=seed)
         result = run_experiment(cfg)
-    except ConfigError as err:
-        raise click.ClickException(str(err))
     except GramConditioningError as err:
         raise click.ClickException(f"numerical failure: {err}")
     except ValueError as err:

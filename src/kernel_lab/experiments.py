@@ -278,14 +278,12 @@ def _run_heat(cfg: ParsedConfig) -> ExperimentResult:
     family = cfg.family()
     sec = cfg.values["heat"]
     grid = kernel_grid(sec["grid_points"], sec["grid_radius"])
-    spec = family.model_spectrum()
     rep = heat_route_comparison(
         family,
         ks=sec["ks"],
         ts=sec["ts"],
         degree=sec["degree"],
         grid=grid,
-        q=spec.q0,
         epsilon=sec["epsilon"],
         quad_order=sec["quad_order"],
     )

@@ -2,7 +2,9 @@
 
 The truncated space in degree q is spanned by the Landau-level (charge)
 states |n_a, n_b>, n_a + n_b <= D, of the reference Gaussian
-phi_ref = lam |z|^2, lam = lambda_ref (times dzbar when q = 1).  With
+phi_ref = lam |z|^2 (times dzbar when q = 1), where lam = lam_ref > 0 is a
+plain float: the |z|^2 coefficient of the weight's quadratic model, in
+absolute value, unless a caller passes its own.  With
 s = sqrt(2 lam), z = x + iy and the commuting ladders a, b of the model
 operator,
 
@@ -90,7 +92,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelSpectrum, _points
+from .model import _points
 from .weights import ExtendedWeight, WeightPolynomial
 
 __all__ = [
@@ -118,16 +120,12 @@ class GramConditioningError(np.linalg.LinAlgError):
     """Gram matrix too ill-conditioned for the requested truncation."""
 
 
-def _reference_lambda(weight, reference: ModelSpectrum | None) -> float:
-    """|lambda| of the reference spectrum, or of the weight's |z|^2 coefficient (its model's)."""
-    if reference is not None:
-        if reference.n != 1:
-            raise ValueError("reference spectrum must have n = 1")
-        return abs(reference.lambdas[0])
+def _model_lambda(weight) -> float:
+    """|lambda| of the weight's |z|^2 coefficient (its model's): the reference Gaussian's lam."""
     model = weight.model if isinstance(weight, ExtendedWeight) else weight
     lam = abs(model.coeffs.get((1, 1), 0j).real)
     if not lam:
-        raise ValueError("weight has no quadratic part at 0; pass an explicit reference")
+        raise ValueError("weight has no quadratic part at 0 to fix the reference Gaussian")
     return lam
 
 
@@ -185,30 +183,27 @@ class GalerkinBasis:
     ``n_a`` and ``n_b`` (read-only) index the charge states |n_a, n_b>,
     n_a + n_b <= D, graded by level n_a + n_b so that a lower truncation is a
     leading block of a higher one; level n occupies positions
-    n(n+1)/2 .. n(n+1)/2 + n, n_a ascending.
+    n(n+1)/2 .. n(n+1)/2 + n, n_a ascending.  ``lam_ref`` is the reference
+    Gaussian's lam.
     """
 
     q: int
     degree: int
-    reference: ModelSpectrum
+    lam_ref: float
     n_a: np.ndarray = field(init=False, repr=False, compare=False)
     n_b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.q not in (0, 1):
             raise ValueError("q must be 0 or 1")
-        if self.reference.n != 1:
-            raise ValueError("basis reference must be a one-dimensional spectrum")
+        if self.degree < 0:
+            raise ValueError("truncation degree must be nonnegative")
         level = np.repeat(np.arange(self.degree + 1), np.arange(1, self.degree + 2))
         n_a = np.arange(level.size) - level * (level + 1) // 2
         n_b = level - n_a
         n_a.flags.writeable = n_b.flags.writeable = False
         object.__setattr__(self, "n_a", n_a)
         object.__setattr__(self, "n_b", n_b)
-
-    @property
-    def lam_ref(self) -> float:
-        return abs(self.reference.lambdas[0])
 
     def __len__(self) -> int:
         return self.n_a.size
@@ -338,21 +333,12 @@ def _default_order(degree: int, weight) -> int:
     return max(2 * degree, degree + 12)
 
 
-def _basis(weight, q: int, degree: int, reference: ModelSpectrum | None) -> GalerkinBasis:
-    if degree < 0:
-        raise ValueError("truncation degree must be nonnegative")
-    lam_ref = _reference_lambda(weight, reference)
-    ref = reference if reference is not None else ModelSpectrum((lam_ref,))
-    return GalerkinBasis(q=q, degree=degree, reference=ref)
+def _basis(weight, q: int, degree: int) -> GalerkinBasis:
+    """The basis in degree q whose reference Gaussian is the weight's model."""
+    return GalerkinBasis(q, degree, _model_lambda(weight))
 
 
-def build_system(
-    weight,
-    q: int,
-    degree: int,
-    quad_order: int | None = None,
-    reference: ModelSpectrum | None = None,
-) -> GalerkinSystem:
+def build_system(weight, q: int, degree: int, quad_order: int | None = None) -> GalerkinSystem:
     """Assemble Gram G and Laplacian form Q for the weight in degree q, and solve Qv = mu v.
 
     Parameters
@@ -365,10 +351,10 @@ def build_system(
     quad_order : Gauss-Hermite points per axis, read only on the quadrature
         path.  The default is a dense rule; orders <= D raise
         GramConditioningError.
-    reference : spectrum fixing the reference Gaussian; defaults to the
-        weight's own quadratic part at 0.
+
+    The reference Gaussian is the weight's own quadratic part at 0.
     """
-    basis = _basis(weight, q, degree, reference)
+    basis = _basis(weight, q, degree)
     if isinstance(weight, WeightPolynomial):
         classes, blocks = _class_laplacians(basis, weight)
         mu, vecs = _solve_classes(classes, blocks)
@@ -433,7 +419,7 @@ def _class_plan(degree: int, step: int, shifts: tuple) -> tuple[np.ndarray, ...]
     meets the row's under sigma'; the row's sigma' term times the column's
     sigma term (``left`` and ``right`` in the shift-major term table) adds at ``flat``.
     """
-    basis = GalerkinBasis(0, degree, ModelSpectrum((1.0,)))  # its states depend on D only
+    basis = GalerkinBasis(0, degree, 1.0)  # its states depend on D only
     n_a, n_b = basis.n_a, basis.n_b
     key = n_a - n_b if step == 0 else (n_a - n_b) % step
     classes = tuple(np.flatnonzero(key == c) for c in np.unique(key))
@@ -518,19 +504,6 @@ def _real_coefficients(weight) -> bool:
     return all(c.imag == 0 for p in parts for c in p.coeffs.values())
 
 
-def _charge_classes(basis: GalerkinBasis, weight: WeightPolynomial) -> list[np.ndarray]:
-    """Positions of the charge states, one array per class of charge mod g, in level order.
-
-    g = gcd |a - b| over the monomials z^a zbar^b of the weight: the
-    Laplacian couples charges only within a class, and g = 0 (every
-    monomial rotation invariant) makes each charge its own class.
-    """
-    step = math.gcd(*(abs(a - b) for a, b in weight.coeffs))
-    charge = basis.n_a - basis.n_b
-    key = charge if step == 0 else charge % step
-    return [np.flatnonzero(key == c) for c in np.unique(key)]
-
-
 def _solve_classes(classes: tuple, blocks: list) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs by class block, stably sorted; eigenvectors go straight to their columns."""
     import scipy.linalg
@@ -565,7 +538,7 @@ def leading_block_spectra(
         raise ValueError("leading-block spectra need a polynomial weight (the exact path)")
     if not all(0 <= b <= degree for b in blocks):
         raise ValueError(f"leading block degrees must lie in [0, {degree}], got {blocks}")
-    classes, laps = _class_laplacians(_basis(weight, q, degree, None), weight)
+    classes, laps = _class_laplacians(_basis(weight, q, degree), weight)
     spectra = []
     for b in blocks:
         cuts = [np.searchsorted(idx, (b + 1) * (b + 2) // 2) for idx in classes]
@@ -603,15 +576,16 @@ def holomorphic_subsystem(
     weight,
     degree: int,
     quad_order: int | None = None,
-    reference: ModelSpectrum | None = None,
+    lam_ref: float | None = None,
 ) -> HolomorphicBasis:
     """Gram matrix of the holomorphic sub-basis under the weight's L^2(dV) inner product.
 
+    ``lam_ref`` fixes the reference Gaussian, by default the weight's model's.
     Real when the weight is symmetric under y -> -y on the rule's nodes.
     """
     import scipy.linalg
 
-    lam_ref = _reference_lambda(weight, reference)
+    lam_ref = _model_lambda(weight) if lam_ref is None else lam_ref
     order = quad_order if quad_order is not None else _default_order(degree, weight)
     z, wt, folded, v = _holomorphic_table(order, degree, lam_ref)
     phi = weight.value(z)

@@ -143,29 +143,63 @@ class _Dilated:
         return self.weight.value(self.root * y)
 
 
-class _SweepBuilds:
-    """``build(weight)`` over a k sweep, reusing the last result for an equal blend.
+def _swept(blend: ExtendedWeight):
+    """What a sweep builds for a blend: the blend itself, or its model polynomial.
 
-    A blended weight whose scaled part is its model (``delta`` has no terms)
-    is that model everywhere, whatever C_k and epsilon, so it is built as the
-    model polynomial (``build_system`` takes the exact path), and consecutive
-    such k share one build.  Any other blend is built anew, and only the last
-    result is held.  ``build`` is made when the sweep starts, so the Galerkin
-    functions it calls are looked up then, not when this module loads.
+    The model is built when ``delta`` has no terms: such a blend is its model
+    everywhere, whatever C_k and epsilon, so it takes the exact path, and
+    every k of a pure quadratic family shares it.
     """
+    return blend if blend.delta.coeffs else blend.model
 
-    def __init__(self, build: Callable) -> None:
-        self.build = build
-        self.model: WeightPolynomial | None = None
-        self.result = None
 
-    def __call__(self, blend: ExtendedWeight):
-        model = None if blend.delta.coeffs else blend.model
-        if self.result is None or model is None or model != self.model:
-            self.result = None
-            self.result = self.build(blend if model is None else model)
-            self.model = model
-        return self.result
+def _sweep(family: WeightFamily, ks, epsilon: float, build: Callable, failures: list | None = None):
+    """Yield (k, build(weight)) over the ks, building once per run of equal swept weights.
+
+    Only the last result is held.  A GramConditioningError is recorded in
+    ``failures`` as ``k=<k>: <message>`` and its k skipped, or re-raised
+    when no list is given.  Callers make ``build`` when the sweep starts,
+    so the Galerkin functions it calls are looked up then, not when this
+    module loads.
+    """
+    _require_gauge_normal(family)
+    weight = None
+    for k in ks:
+        swept = _swept(_extended(family, k, epsilon))
+        if swept != weight:
+            weight = result = None
+            try:
+                result = build(swept)
+            except GramConditioningError as err:
+                if failures is None:
+                    raise
+                failures.append(f"k={k}: {err}")
+                continue
+            weight = swept
+        yield k, result
+
+
+def _grid(grid) -> np.ndarray:
+    return kernel_grid() if grid is None else np.asarray(grid, dtype=complex).ravel()
+
+
+def _report(family: WeightFamily, rows: list, pts, failures: list, d=None) -> ConvergenceReport:
+    """A sweep's report from its (k, error) rows, or (k, error, rank) rows for a threshold d."""
+    ks = tuple(row[0] for row in rows)
+    errors = tuple(row[1] for row in rows)
+    cs = tuple(family.c_value(k) for k in ks)
+    slope, resid = fit_loglog(cs, errors)
+    return ConvergenceReport(
+        ks=ks,
+        c_values=cs,
+        errors=errors,
+        ranks=None if d is None else tuple(row[2] for row in rows),
+        slope=slope,
+        slope_residual=resid,
+        grid=pts,
+        threshold_exponent=None if d is None else float(d),
+        failures=tuple(failures),
+    )
 
 
 @lru_cache(maxsize=1)
@@ -192,38 +226,15 @@ def scaled_bergman_convergence(
     spec = family.model_spectrum()
     if spec.q0 != 0:
         raise ValueError("scaled Bergman convergence needs lambda > 0")
-    _require_gauge_normal(family)
-    pts = kernel_grid() if grid is None else np.asarray(grid, dtype=complex).ravel()
+    pts = _grid(grid)
     model = eval_model_bergman(spec, 0, pts, pts)
 
     def grid_error(weight) -> float:
         hol = _holomorphic(weight, degree, quad_order)
         return float(np.abs(bergman_kernel_numeric(hol, pts, pts) - model).max())
 
-    kept: list[int] = []
-    errors: list[float] = []
     failures: list[str] = []
-    builds = _SweepBuilds(grid_error)
-    for k in ks:
-        try:
-            errors.append(builds(_extended(family, k, epsilon)))
-        except GramConditioningError as err:
-            failures.append(f"k={k}: {err}")
-            continue
-        kept.append(k)
-
-    cs = tuple(family.c_value(k) for k in kept)
-    slope, resid = fit_loglog(cs, errors)
-    return ConvergenceReport(
-        ks=tuple(kept),
-        c_values=cs,
-        errors=tuple(errors),
-        ranks=None,
-        slope=slope,
-        slope_residual=resid,
-        grid=pts,
-        failures=tuple(failures),
-    )
+    return _report(family, list(_sweep(family, ks, epsilon, grid_error, failures)), pts, failures)
 
 
 def vanishing_convergence(
@@ -250,43 +261,21 @@ def vanishing_convergence(
     spec = family.model_spectrum()
     if d <= 0:
         raise ValueError("threshold exponent d must be positive")
-    _require_gauge_normal(family)
     if q is None:
         q = 1 - spec.q0
-    pts = kernel_grid() if grid is None else np.asarray(grid, dtype=complex).ravel()
+    pts = _grid(grid)
     model = eval_model_bergman(spec, q, pts, pts)
 
-    kept: list[int] = []
-    errors: list[float] = []
-    ranks: list[int] = []
+    rows: list[tuple] = []
     failures: list[str] = []
-    builds = _SweepBuilds(partial(build_system, q=q, degree=degree, quad_order=quad_order))
-    for k in ks:
+    build = partial(build_system, q=q, degree=degree, quad_order=quad_order)
+    for k, system in _sweep(family, ks, epsilon, build, failures):
         ck = family.c_value(k)
-        try:
-            system = builds(_extended(family, k, epsilon))
-        except GramConditioningError as err:
-            failures.append(f"k={k}: {err}")
-            continue
         c_scaled = ck ** (-d) / ck
         kern = spectral_projector_kernel(system, c_scaled, pts, pts)
-        kept.append(k)
-        ranks.append(int(_projector_selection(system, c_scaled).sum()))
-        errors.append(float(np.abs(kern - model).max()))
-
-    cs = tuple(family.c_value(k) for k in kept)
-    slope, resid = fit_loglog(cs, errors)
-    return ConvergenceReport(
-        ks=tuple(kept),
-        c_values=cs,
-        errors=tuple(errors),
-        ranks=tuple(ranks),
-        slope=slope,
-        slope_residual=resid,
-        grid=pts,
-        threshold_exponent=float(d),
-        failures=tuple(failures),
-    )
+        rank = int(_projector_selection(system, c_scaled).sum())
+        rows.append((k, float(np.abs(kern - model).max()), rank))
+    return _report(family, rows, pts, failures, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,43 +308,34 @@ def heat_route_comparison(
     degree: int = DEFAULT_DEGREE,
     grid: np.ndarray | None = None,
     *,
-    q: int = 0,
     epsilon: float = DEFAULT_EPSILON,
     quad_order: int | None = DEFAULT_QUAD_ORDER,
 ) -> HeatRouteReport:
     """Compare heat kernels H(t) of the scaled operator with the projector P.
 
-    Requires the matched signature q = q0 so that P is a genuine limit; the
-    decay of |H(t) - P| in t then measures the spectral gap.  ``source`` may
-    be a weight family (one system per distinct blended weight, built as the
-    sweep reaches it) or a bare model spectrum (a single exactly quadratic
-    system, reported as k = 1).  Each system's modes are evaluated on the
-    grid once, however many k it serves; the projector, every heat kernel and
-    the trace bound are read from that one table.
+    Runs in the matched degree q = q0 of the source's model spectrum, so that
+    P is a genuine limit; the decay of |H(t) - P| in t then measures the
+    spectral gap.  ``source`` may be a weight family (one system per distinct
+    blended weight, built as the sweep reaches it) or a bare n = 1 model
+    spectrum (a single exactly quadratic system, reported as k = 1).  Each
+    system's modes are evaluated on the grid once, however many k it serves;
+    the projector, every heat kernel and the trace bound are read from that
+    one table.
     """
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t schedule must be strictly increasing")
     spec = source if isinstance(source, ModelSpectrum) else source.model_spectrum()
-    if spec.n != 1:
-        raise ValueError("heat route comparison is implemented for n = 1")
-    if q != spec.q0:
-        raise ValueError("heat route comparison needs the matched q = q0")
+    build = partial(build_system, q=spec.q0, degree=degree, quad_order=quad_order)
     if isinstance(source, ModelSpectrum):
         kss = (1,) if ks is None else tuple(ks)
-        systems = [
-            build_system(
-                WeightPolynomial.quadratic([source.lambdas[0]]), q=q, degree=degree
-            )
-        ] * len(kss)
-        cs = tuple(1.0 for _ in kss)
+        systems = [build(WeightPolynomial.quadratic(source.lambdas))] * len(kss)
+        cs = (1.0,) * len(kss)
     else:
-        _require_gauge_normal(source)
         kss = DEFAULT_KS if ks is None else tuple(ks)
-        builds = _SweepBuilds(partial(build_system, q=q, degree=degree, quad_order=quad_order))
-        systems = (builds(_extended(source, k, epsilon)) for k in kss)
+        systems = (system for _, system in _sweep(source, kss, epsilon, build))
         cs = tuple(source.c_value(k) for k in kss)
 
-    pts = kernel_grid() if grid is None else np.asarray(grid, dtype=complex).ravel()
+    pts = _grid(grid)
     diffs = np.empty((len(kss), len(ts)))
     gaps: list[float] = []
     slopes: list[float | None] = []
@@ -412,10 +392,10 @@ def route_equivalence_gap(
     root = math.sqrt(ck)
     lam = abs(spec.lambdas[0])
     ext = _extended(family, k, epsilon)
-    pts = kernel_grid() if grid is None else np.asarray(grid, dtype=complex).ravel()
-    hol_scaled = _holomorphic(ext if ext.delta.coeffs else ext.model, degree, quad_order)
+    pts = _grid(grid)
+    hol_scaled = _holomorphic(_swept(ext), degree, quad_order)
     hol_unscaled = holomorphic_subsystem(
-        _Dilated(ext, root), degree, quad_order=quad_order, reference=ModelSpectrum((lam * ck,))
+        _Dilated(ext, root), degree, quad_order=quad_order, lam_ref=lam * ck
     )
     direct = bergman_kernel_numeric(hol_scaled, pts, pts)
     routed = bergman_kernel_numeric(hol_unscaled, pts / root, pts / root) / ck

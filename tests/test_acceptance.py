@@ -25,6 +25,7 @@ from kernel_lab import (
     curvature_field,
     eval_model_basis,
     eval_model_bergman,
+    fit_loglog,
     heat_route_comparison,
     hodge_residual,
     holomorphic_subsystem,
@@ -53,6 +54,12 @@ def _cubic_family() -> WeightFamily:
 
 def _quadratic_family() -> WeightFamily:
     return WeightFamily(base=WeightPolynomial.quadratic([1.0]), ck=CkRule(4.0))
+
+
+def _curved_family() -> WeightFamily:
+    # z^2 zbar + z zbar^2 is not pluriharmonic, so it moves the curvature
+    base = WeightPolynomial.quadratic([1.0]) + real_term(1, (2,), (1,), 0.05)
+    return WeightFamily(base=base, ck=CkRule(4.0))
 
 
 def test_criterion_01_model_prefactor(capsys):
@@ -197,16 +204,35 @@ def test_criterion_06_vanishing(capsys):
     assert elapsed < 60.0
 
 
-def test_criterion_07_spectral_gap(capsys):
-    t0 = time.monotonic()
-    family = _quadratic_family()
-    ks = (1, 2, 3, 4, 5, 6, 7)
-    rels = []
+def _gap_sweep(family: WeightFamily, ks) -> tuple[list[float], list[float]]:
+    """rel_change |g(24) - g(32)| / g(32) and g(32) of the scaled q = 1 Laplacian, per k."""
+    rels, fine_gaps = [], []
     for k in ks:
         scaled = scale_weight(family, k)
         coarse, fine = map(spectral_gap, leading_block_spectra(scaled, 1, 32, (24, 32)))
         rels.append(abs(coarse - fine) / fine)
+        fine_gaps.append(fine)
+    return rels, fine_gaps
+
+
+def test_criterion_07_spectral_gap(capsys):
+    t0 = time.monotonic()
+    ks = (1, 2, 3, 4, 5, 6, 7)
+    rels, _ = _gap_sweep(_quadratic_family(), ks)
     plateau = max(rels)
+    # off the model the scaled gap approaches 2 as C_k^{-1/2}: the cubic
+    # term scales as C_k^{-1/2}, and the truncation settles from k = 4 on
+    curved = _curved_family()
+    curved_rels, curved_gaps = _gap_sweep(curved, ks)
+    offsets = [2.0 - g for g in curved_gaps]
+    curved_slope, _ = fit_loglog([curved.c_value(k) for k in ks], offsets)
+    curved_plateau = max(r for k, r in zip(ks, curved_rels) if k >= 4)
+    curved_ok = (
+        curved_slope is not None
+        and abs(curved_slope + 0.5) <= 0.05
+        and offsets[-1] <= 0.02
+        and curved_plateau <= 0.02
+    )
     # before rescaling the gap grows linearly: weight k|z|^2 has gap ~ 2k
     base = spectral_gap(build_system(WeightPolynomial.quadratic([1.0]), q=1, degree=24))
     ratios = [
@@ -216,15 +242,21 @@ def test_criterion_07_spectral_gap(capsys):
     ]
     linear_dev = max(abs(r - 1.0) for r in ratios)
     elapsed = time.monotonic() - t0
-    ok = plateau <= 0.02 and linear_dev <= 0.05 and elapsed < 60.0
+    ok = plateau <= 0.02 and curved_ok and linear_dev <= 0.05 and elapsed < 60.0
     _verdict(
         capsys,
         "criterion 07 spectral gap",
         ok,
         f"plateau |g(24)-g(32)|/g {plateau:.3e} <= 0.02, "
+        f"curved 2-g slope {curved_slope or math.nan:.4f} in -0.5 +/- 0.05, "
+        f"2-g(k=7) {offsets[-1]:.3e} <= 0.02, "
+        f"k>=4 plateau {curved_plateau:.3e} <= 0.02, "
         f"linear ratio dev {linear_dev:.3e} <= 0.05, {elapsed:.1f}s < 60s",
     )
     assert plateau <= 0.02, rels
+    assert curved_slope is not None and abs(curved_slope + 0.5) <= 0.05, (curved_slope, offsets)
+    assert offsets[-1] <= 0.02, offsets
+    assert curved_plateau <= 0.02, curved_rels
     assert linear_dev <= 0.05, ratios
     assert elapsed < 60.0
 

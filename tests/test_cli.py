@@ -167,6 +167,14 @@ def test_seed_flag_overrides_config(model_config, tmp_path):
     assert summary["config"]["run"]["seed"] == 99
 
 
+def test_seed_flag_wins_over_seed_override(model_config, tmp_path):
+    out = tmp_path / "r3"
+    args = ["run", "--config", model_config, "--out", str(out)]
+    assert main(args + ["--override", "run.seed=7", "--seed", "99"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["run"]["seed"] == 99
+
+
 def test_json_flag_prints_summary(model_config, tmp_path, capsys):
     out = tmp_path / "artifacts"
     assert main(

@@ -56,7 +56,7 @@ def test_quadrature_moment_exactness():
 def test_high_degree_tabulation_orthonormal():
     # the Laguerre recurrence keeps the charge states orthonormal at D = 64 on
     # the order-66 rule; the plain (z, zbar) ladder recursion does not
-    basis = galerkin._basis(UNIT, 0, 64, None)
+    basis = galerkin._basis(UNIT, 0, 64)
     z, wt = gauss_hermite_nodes(66, basis.lam_ref)
     gram = galerkin._node_product(basis.tabulate(z) * np.sqrt(wt)[:, None], True)
     assert np.abs(gram - np.eye(len(basis))).max() <= 1e-12
@@ -247,7 +247,7 @@ def test_exact_laplacian_matches_quadrature(name, q, degree):
     # the order-(D + p + 2) rule integrates the polynomial Laplacian exactly,
     # so both paths must agree to roundoff
     weight = CROSS_CHECK_WEIGHTS[name]
-    basis = galerkin._basis(weight, q, degree, None)
+    basis = galerkin._basis(weight, q, degree)
     exact = build_system(weight, q=q, degree=degree).laplacian
     _, quad = galerkin._assemble(basis, weight, degree + weight.degree + 2)
     assert np.abs(exact - quad).max() <= 1e-12 * np.abs(quad).max()
@@ -385,9 +385,19 @@ CHARGE_WEIGHTS = {
 }
 
 
+def _charge_classes(basis, weight):
+    # the positions of each class of charge mod g = gcd |a - b| over the
+    # weight's monomials z^a zbar^b, in level order, with no plan (g = 0
+    # makes each charge its own class)
+    step = math.gcd(*(abs(a - b) for a, b in weight.coeffs))
+    charge = basis.n_a - basis.n_b
+    key = charge if step == 0 else charge % step
+    return [np.flatnonzero(key == c) for c in np.unique(key)]
+
+
 def _charge_basis(weight, q, degree):
-    basis = galerkin._basis(weight, q, degree, None)
-    return basis, galerkin._charge_classes(basis, weight)
+    basis = galerkin._basis(weight, q, degree)
+    return basis, _charge_classes(basis, weight)
 
 
 @pytest.mark.parametrize("name", list(CHARGE_WEIGHTS))
@@ -445,7 +455,7 @@ def test_charge_leading_block_is_lower_degree_build(q):
 def _plan_free_blocks(basis, weight):
     # the class blocks scattered pair by pair through basis positions, with
     # no shared plan, in the plan's order of pairs (so bit for bit comparable)
-    classes = galerkin._charge_classes(basis, weight)
+    classes = _charge_classes(basis, weight)
     sizes = np.array([idx.size for idx in classes])
     starts = np.concatenate(([0], np.cumsum(sizes**2)))
     base, width, local = np.empty((3, len(basis)), dtype=int)
@@ -480,7 +490,7 @@ PLAN_WEIGHTS = {
 def test_planned_blocks_match_plan_free_assembly(name, q):
     weight = PLAN_WEIGHTS[name]
     for degree in (15, 16):
-        basis = galerkin._basis(weight, q, degree, None)
+        basis = galerkin._basis(weight, q, degree)
         classes, blocks = galerkin._class_laplacians(basis, weight)
         ref_classes, ref_blocks = _plan_free_blocks(basis, weight)
         for idx, ref in zip(classes, ref_classes, strict=True):
@@ -498,7 +508,7 @@ def test_gap_sweep_builds_one_class_plan():
     info = galerkin._class_plan.cache_info()
     assert (info.misses, info.hits) == (1, 6)
     weight = scale_weight(_GAP_CUBIC, 7)
-    terms = galerkin._shift_terms(galerkin._basis(weight, 1, 32, None), weight)
+    terms = galerkin._shift_terms(galerkin._basis(weight, 1, 32), weight)
     plan = galerkin._class_plan(32, 3, tuple(terms))
     assert galerkin._class_plan.cache_info().misses == 1
     assert not any(a.flags.writeable for a in (*plan[0], *plan[1:]))
@@ -517,8 +527,8 @@ def test_exact_dense_fields_built_on_first_read(name):
 
 def _q1_minus_q0_blocks(weight, degree):
     # the q = 1 class blocks minus the q = 0 ones, and the q = 0 blocks' scale
-    _, b0 = galerkin._class_laplacians(galerkin._basis(weight, 0, degree, None), weight)
-    _, b1 = galerkin._class_laplacians(galerkin._basis(weight, 1, degree, None), weight)
+    _, b0 = galerkin._class_laplacians(galerkin._basis(weight, 0, degree), weight)
+    _, b1 = galerkin._class_laplacians(galerkin._basis(weight, 1, degree), weight)
     scale = max(np.abs(x).max() for x in b0)
     return [x1 - x0 for x0, x1 in zip(b0, b1, strict=True)], scale
 
@@ -559,7 +569,7 @@ def test_exact_path_properties(monomial, re, im, real, q, degree):
     # (a diagonal term |z|^4 takes only a real one)
     a, b = monomial
     weight = UNIT + real_term(1, (a,), (b,), re if real or a == b else complex(re, im))
-    basis = galerkin._basis(weight, q, degree, None)
+    basis = galerkin._basis(weight, q, degree)
     system = build_system(weight, q=q, degree=degree)
     exact, mu = system.laplacian, system.eigenvalues
     _, quad = galerkin._assemble(basis, weight, degree + weight.degree + 2)

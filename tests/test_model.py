@@ -137,8 +137,7 @@ def test_reproducing_property():
 
 def _model_system(q: int, degree: int = 24):
     """Galerkin system of the unit model weight |z|^2, the heat kernel's source."""
-    spec = ModelSpectrum((1.0,))
-    return build_system(WeightPolynomial.quadratic((1.0,)), q, degree, reference=spec)
+    return build_system(WeightPolynomial.quadratic((1.0,)), q, degree)
 
 
 def test_heat_long_time_limit():

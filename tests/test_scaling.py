@@ -140,9 +140,26 @@ def test_heat_route_requires_increasing_times():
         heat_route_comparison(ModelSpectrum((1.0,)), ts=(2.0, 1.0), degree=8)
 
 
-def test_heat_route_requires_matched_degree(quadratic_family):
-    with pytest.raises(ValueError):
-        heat_route_comparison(quadratic_family, ks=(1,), ts=(1.0, 2.0), degree=8, q=1)
+@pytest.mark.parametrize("kind", ["spectrum", "family"])
+def test_heat_route_runs_in_the_matched_degree(kind, monkeypatch):
+    # negative curvature has q0 = 1: the route builds q = 1 systems, whose
+    # zero band is the projector's, and H(t) - P decays at the gap
+    degrees = []
+    build = scaling.build_system
+
+    def counted(*args, **kwargs):
+        degrees.append(kwargs["q"])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(scaling, "build_system", counted)
+    minus = WeightPolynomial.quadratic([-1.0])
+    family = WeightFamily(base=minus, ck=CkRule(4.0))
+    source = family if kind == "family" else ModelSpectrum((-1.0,))
+    report = heat_route_comparison(source, ks=(1, 2, 3), ts=(1.0, 2.0, 4.0, 8.0), degree=20)
+    assert degrees == [1]
+    assert report.gaps == (pytest.approx(2.0, abs=1e-9),) * 3
+    for gap, slope in zip(report.gaps, report.slopes):
+        assert abs(slope + gap) <= 0.1 * gap
 
 
 def test_route_equivalence(cubic_family):
