@@ -311,9 +311,6 @@ class GalerkinSystem:
     def zero_tolerance(self) -> float:
         return _zero_tolerance(self.eigenvalues)
 
-    def kernel_dimension(self) -> int:
-        return int(np.count_nonzero(self.eigenvalues <= self.zero_tolerance()))
-
     def eval_modes(self, z, columns=None) -> np.ndarray:
         """Eigenfunction values psi_j(z), shape (len(z), #columns)."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))

@@ -123,21 +123,34 @@ def eval_model_bergman(spec: ModelSpectrum, q: int, z, w) -> np.ndarray:
     return prefactor * np.exp(2.0 * cross - quad)
 
 
+def _one_variable_norms(lam: np.ndarray, top: int) -> np.ndarray:
+    """N[i, a] = sqrt(2^a |lambda_i|^(a + 1) / (pi a!)) for a <= top.
+
+    Factorials are floats, so no product wraps; where the squared norm leaves
+    the normal float range the norm is taken in log space instead.
+    """
+    a = np.arange(top + 1)
+    # 171! is the first factorial past the float range
+    fact = np.array([float(math.factorial(j)) if j <= 170 else math.inf for j in a])
+    lam = lam[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm2 = 2.0**a * lam ** (a + 1) / (math.pi * fact)
+    logs = a * np.log(2.0 * lam) + np.log(lam / math.pi) - np.cumsum(np.log(np.maximum(a, 1)))
+    normal = np.isfinite(norm2) & (norm2 >= np.finfo(float).tiny)
+    return np.where(normal, np.sqrt(norm2), np.exp(0.5 * logs))
+
+
 def _basis_matrix(spec: ModelSpectrum, alphas, zp: np.ndarray) -> np.ndarray:
     """B[alpha, p] = Psi_alpha(z_p) for an (m, n) point array."""
-    table = [tuple(int(ai) for ai in a) for a in alphas]
-    if any(len(a) != spec.n for a in table):
+    exps = np.asarray(alphas, dtype=int)
+    if exps.ndim != 2 or exps.shape[1] != spec.n:
         raise ValueError(f"multi-index length does not match n={spec.n}")
-    if any(ai < 0 for a in table for ai in a):
+    if (exps < 0).any():
         raise ValueError("multi-index entries must be nonnegative")
     lam = np.abs(np.asarray(spec.lambdas))
-    norms = np.empty(len(table))
-    for k, a in enumerate(table):
-        norm2 = 2.0 ** sum(a) * float(np.prod(lam ** (np.asarray(a) + 1)))
-        norm2 /= math.pi ** spec.n * float(np.prod([math.factorial(ai) for ai in a]))
-        norms[k] = math.sqrt(norm2)
+    table = _one_variable_norms(lam, int(exps.max()))
+    norms = np.prod(table[np.arange(spec.n), exps], axis=1)
     coords = np.where(np.arange(spec.n) < spec.q0, np.conj(zp), zp)
-    exps = np.asarray(table, dtype=int).reshape(len(table), spec.n)
     mono = np.prod(coords[None, :, :] ** exps[:, None, :], axis=-1)
     gauss = np.exp(-(lam * np.abs(zp) ** 2).sum(axis=-1))
     return norms[:, None] * mono * gauss[None, :]
@@ -151,7 +164,8 @@ def eval_model_basis(spec: ModelSpectrum, alphas, z) -> np.ndarray:
 
     where the mixed monomial z_q^alpha conjugates the first q0 coordinates.
     ``alphas`` is a sequence of multi-indices and ``z`` a point set.  Returns
-    the (len(alphas), m) matrix B[a, p] = Psi_alphas[a](z_p).
+    the (len(alphas), m) matrix B[a, p] = Psi_alphas[a](z_p).  Each norm is a
+    product of one-variable norms in floats, valid for any n and order.
     """
     return _basis_matrix(spec, alphas, _points(z, spec.n))
 
@@ -167,4 +181,6 @@ def model_kernel_from_basis(spec: ModelSpectrum, q: int, degree: int, z, w) -> n
     if q != spec.q0:
         return np.zeros((len(zp), len(wp)), dtype=complex)
     alphas = tuple(multi_indices(spec.n, degree))
-    return _basis_matrix(spec, alphas, zp).T @ _basis_matrix(spec, alphas, wp).conj()
+    bz = _basis_matrix(spec, alphas, zp)
+    bw = bz if np.array_equal(zp, wp) else _basis_matrix(spec, alphas, wp)
+    return bz.T @ bw.conj()

@@ -22,6 +22,7 @@ lattice index, with exponentials taken per grid axis, not per grid point.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -114,9 +115,19 @@ class CurvatureField:
     values: np.ndarray
     labels: np.ndarray
 
-    @property
+    @functools.cached_property
     def sign_changing(self) -> bool:
         return bool((self.labels == 0).any() and (self.labels == 1).any())
+
+    @functools.cached_property
+    def _tally(self) -> tuple[tuple[float, float], int, float]:
+        """Sums of |R| over M(0) and M(1), sign-crossing grid edges, and max |R|."""
+        absr = np.abs(self.values)
+        sums = (float(absr[self.labels == 0].sum()), float(absr[self.labels == 1].sum()))
+        crossings = sum(
+            int((self.labels != np.roll(self.labels, 1, axis=axis)).sum()) for axis in (0, 1)
+        )
+        return sums, crossings, float(absr.max())
 
     def measure(self, label: int) -> float:
         cell = self.bundle.area / self.grid_n**2
@@ -168,22 +179,18 @@ def morse_integrals(
 
 
 def _morse_integral(field: CurvatureField, k: int, q: int) -> float:
-    """Morse integral of ``morse_integrals`` over an already sampled field."""
+    """Morse integral of ``morse_integrals`` from an already sampled field's tally."""
     cell = field.bundle.area / field.grid_n**2
+    sums, crossings, max_abs = field._tally
     if field.sign_changing:
-        crossings = int(
-            (field.labels != np.roll(field.labels, 1, axis=0)).sum()
-            + (field.labels != np.roll(field.labels, 1, axis=1)).sum()
-        )
-        estimate = k / (2.0 * math.pi) * crossings * cell * float(np.abs(field.values).max())
+        estimate = k / (2.0 * math.pi) * crossings * cell * max_abs
         warnings.warn(
             f"grid crosses the degenerate set; integration error is first order"
             f" (rough estimate {estimate:.3e})",
             BoundaryCrossingWarning,
             stacklevel=3,
         )
-    total = float(np.abs(field.values[field.labels == q]).sum()) * cell
-    return k / (2.0 * math.pi) * total
+    return k / (2.0 * math.pi) * (sums[q] * cell)
 
 
 def dolbeault_dims(bundle: TorusBundle, k: int) -> tuple[int, int]:
@@ -202,6 +209,14 @@ def dolbeault_dims(bundle: TorusBundle, k: int) -> tuple[int, int]:
 def _theta_radius(tau2: float, m: int) -> int:
     spread = math.sqrt(1.0 + 18.0 * math.log(10.0) / (math.pi * tau2 * m))
     return max(6, math.ceil(1.0 + spread) + 2)
+
+
+@functools.lru_cache(maxsize=2)
+def _psi_table(bundle: TorusBundle, n: int) -> np.ndarray:
+    """psi on the n x n lattice grid as one column in ``_lattice_grid`` order; read-only."""
+    table = bundle.psi_values(*_lattice_grid(n)).reshape(-1, 1)
+    table.flags.writeable = False
+    return table
 
 
 def _theta_matrix(bundle: TorusBundle, k: int, n: int, radius: int) -> np.ndarray:
@@ -227,8 +242,7 @@ def _theta_matrix(bundle: TorusBundle, k: int, n: int, radius: int) -> np.ndarra
     )
     values = np.matmul(phase, decay).transpose(1, 2, 0).reshape(n * n, m)
     if bundle.psi_modes:
-        xg, yg = _lattice_grid(n)
-        values *= np.exp(-k * bundle.psi_values(xg, yg)).reshape(-1, 1)
+        values *= np.exp(-k * _psi_table(bundle, n))
     return values
 
 

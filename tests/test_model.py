@@ -115,6 +115,45 @@ def test_expansion_matches_closed_form():
     assert abs(partial - closed) <= 1e-8
 
 
+@pytest.mark.parametrize("a", [13, 16])
+def test_two_variable_basis_is_separable_past_int64_factorials(a):
+    # 13!^2 and 16!^2 overflow int64; the two-variable element must still be
+    # the product of the one-variable ones
+    p = np.array([[0.3 + 0.2j, -0.1 + 0.4j], [2.5, 2.0j], [-1.7j, 2.6 - 0.1j]])
+    one = ModelSpectrum((1.0,))
+    product = eval_model_basis(one, [(a,)], p[:, 0]) * eval_model_basis(one, [(a,)], p[:, 1])
+    two = eval_model_basis(ModelSpectrum((1.0, 1.0)), [(a, a)], p)
+    assert np.abs(two - product).max() <= 1e-12 * np.abs(product).max()
+
+
+@pytest.mark.parametrize("lam", [1.0, 100.0])
+def test_basis_ladder_past_float_factorials(lam):
+    # Psi_{a+1} / Psi_a = sqrt(2 lam / (a + 1)) z across 170! (the last finite
+    # float factorial) and past 2^a lam^(a + 1) overflowing at lam = 100
+    spec = ModelSpectrum((lam,))
+    orders = (168, 169, 170, 171, 172, 200, 201)
+    z = np.array([math.sqrt(170 / (2.0 * lam)) * (0.8 + 0.6j)])
+    basis = eval_model_basis(spec, [(a,) for a in orders], z)[:, 0]
+    assert np.isfinite(basis).all() and (basis != 0).all()
+    for i in (0, 1, 2, 3, 5):
+        a = orders[i]
+        ratio = math.sqrt(2.0 * lam / (a + 1)) * z[0]
+        assert abs(basis[i + 1] / basis[i] - ratio) <= 1e-10 * abs(ratio)
+
+
+@pytest.mark.parametrize("lambdas", [(1.0, 1.0), (-1.0, 2.0)])
+def test_two_variable_expansion_at_degree_30(lambdas):
+    spec = ModelSpectrum(lambdas)
+    rng = np.random.default_rng(3)
+    pts = 0.3 * (rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)))
+    closed = eval_model_bergman(spec, spec.q0, pts, pts)
+    expansion = model_kernel_from_basis(spec, spec.q0, 30, pts, pts)
+    assert np.abs(expansion - closed).max() <= 1e-12 * np.abs(closed).max()
+    # equal point sets share one tabulation; a distinct w gives the same columns
+    part = model_kernel_from_basis(spec, spec.q0, 30, pts, pts[:3])
+    assert np.abs(part - expansion[:, :3]).max() <= 1e-15 * np.abs(closed).max()
+
+
 def test_reproducing_property():
     # u in the span of the first five basis elements is reproduced by the kernel
     spec = ModelSpectrum((1.0,))

@@ -166,6 +166,14 @@ def test_route_equivalence(cubic_family):
     assert route_equivalence_gap(cubic_family, 2, degree=16) <= 1e-10
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_route_equivalence_inexact_dilation(cubic_family, k):
+    # under C_k = 4^k the dilation by sqrt(C_k) is a power of two and both
+    # routes do the same arithmetic; sqrt(3^k) is inexact, so they differ
+    family = WeightFamily(base=cubic_family.base, ck=CkRule(3.0))
+    assert route_equivalence_gap(family, k, degree=16) <= 1e-10
+
+
 def _count_builds(monkeypatch) -> list[int]:
     degrees: list[int] = []
     build = scaling.build_system

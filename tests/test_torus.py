@@ -18,7 +18,7 @@ from kernel_lab import (
     theta_trace_check,
     torus,
 )
-from kernel_lab.torus import _lattice_grid, _theta_matrix, _theta_radius
+from kernel_lab.torus import _lattice_grid, _psi_table, _theta_matrix, _theta_radius
 
 BUNDLES = [
     TorusBundle(tau=1j, degree=1),
@@ -110,6 +110,51 @@ def test_morse_integrals_refinement_positive_curvature():
     values = [morse_integrals(bundle, 3, 0, grid_n=n) for n in (16, 32, 64)]
     for v in values:
         assert v == pytest.approx(3.0, abs=1e-12)
+
+
+def _recount_morse(field, k, q):
+    # every (k, q) from the samples: crossings, max |R| and the |R| sum afresh
+    cell = field.bundle.area / field.grid_n**2
+    message = None
+    if (field.labels == 0).any() and (field.labels == 1).any():
+        crossings = int(
+            (field.labels != np.roll(field.labels, 1, axis=0)).sum()
+            + (field.labels != np.roll(field.labels, 1, axis=1)).sum()
+        )
+        estimate = k / (2.0 * math.pi) * crossings * cell * float(np.abs(field.values).max())
+        message = (
+            "grid crosses the degenerate set; integration error is first order"
+            f" (rough estimate {estimate:.3e})"
+        )
+    total = float(np.abs(field.values[field.labels == q]).sum()) * cell
+    return k / (2.0 * math.pi) * total, message
+
+
+@pytest.mark.parametrize("bundle", BUNDLES[:2], ids=BUNDLE_IDS[:2])
+def test_morse_tally_matches_recount(bundle):
+    ks = tuple(range(1, 11))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", BoundaryCrossingWarning)
+        report = audit_morse(bundle, ks)
+        single = [morse_integrals(bundle, k, q) for k in ks for q in (0, 1)]
+    field = curvature_field(bundle)
+    expected = [_recount_morse(field, k, q) for k in ks for q in (0, 1)]
+    values = [v for pair in zip(report.i0, report.i1) for v in pair]
+    assert values == single == [v for v, _ in expected]
+    messages = [m for _, m in expected if m is not None]
+    assert [str(w.message) for w in caught] == messages * 2
+    assert all(w.category is BoundaryCrossingWarning for w in caught)
+    assert bool(messages) == report.sign_changing == (bundle.psi_modes != ())
+
+
+def test_psi_table_is_read_only(wavy_torus):
+    table = _psi_table(wavy_torus, 48)
+    assert table.shape == (48 * 48, 1) and not table.flags.writeable
+    x, y = _lattice_grid(48)
+    assert np.array_equal(table[:, 0], wavy_torus.psi_values(x, y).ravel())
+    assert _psi_table(wavy_torus, 48) is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
 
 
 def test_dolbeault_dims():
