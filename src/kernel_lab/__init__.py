@@ -42,7 +42,6 @@ from .weights import (
     WeightFamily,
     WeightPolynomial,
     assemble_weight,
-    curvature_matrix,
     extend_weight,
     normalize_gauge,
     real_term,

@@ -7,11 +7,11 @@ the echoed configuration in ``summary.json`` reproduces the run exactly.
 
 Weight families live in ``[family]``: ``ck_rule`` (``BASE^k``), a ``base``
 polynomial given as term lines ``alpha;beta;re[;im]`` (one per line, each
-line adds c z^alpha zbar^beta plus its Hermitian mirror; the base must be
-gauge-normal with a nonzero ``1;1;lambda`` line), and optional
+line adds c z^alpha zbar^beta plus its Hermitian mirror), and optional
 perturbations ``pertN`` (same term syntax) with exponents ``pertN_gamma``.
 Torus bundles live in ``[torus]`` with psi modes as ``m1;m2;amplitude``
-lines.
+lines.  The family or bundle is built while the config is parsed, so the
+rules its types enforce reject a config with the offending key path.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ from __future__ import annotations
 import configparser
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
+from .model import ModelSpectrum
 from .torus import TorusBundle
-from .weights import CkRule, Perturbation, WeightFamily, WeightPolynomial, normalize_gauge, real_term
+from .weights import CkRule, Perturbation, WeightFamily, WeightPolynomial, real_term
 
 EXPERIMENTS = ("converge", "gap", "heat", "model", "torus-audit", "vanish")
 
@@ -77,15 +78,18 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    parts = [p for p in re.split(r"[,\s]+", text.strip()) if p]
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(int(p) for p in parts)
+def _list(item: Callable[[str], object]) -> Callable[[str], tuple]:
+    def parse(text: str) -> tuple:
+        parts = [p for p in re.split(r"[,\s]+", text.strip()) if p]
+        if not parts:
+            raise ValueError("empty list")
+        return tuple(item(p) for p in parts)
+
+    return parse
 
 
 def _increasing_ints(text: str) -> tuple[int, ...]:
-    v = _ints(text)
+    v = _list(int)(text)
     if any(b <= a for a, b in zip(v, v[1:])):
         raise ValueError(f"must be strictly increasing, got {', '.join(map(str, v))}")
     return v
@@ -98,21 +102,11 @@ def _form_degree(text: str) -> int:
     return v
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    parts = [p for p in re.split(r"[,\s]+", text.strip()) if p]
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
-
-
 def _ck_rule(text: str) -> float:
     m = re.fullmatch(r"\s*([0-9]+(?:\.[0-9]+)?)\s*\^\s*k\s*", text)
     if not m:
         raise ValueError(f"expected the form BASE^k (e.g. 4^k), got {text!r}")
-    base = float(m.group(1))
-    if base <= 1.0:
-        raise ValueError("rule base must exceed 1")
-    return base
+    return float(m.group(1))
 
 
 def _choice(options: tuple[str, ...]) -> Callable[[str], str]:
@@ -132,49 +126,37 @@ def _optional(parser: Callable[[str], object]) -> Callable[[str], object]:
     return parse
 
 
-def _index_tuple(text: str) -> tuple[int, ...]:
-    idx = tuple(int(p) for p in text.split(","))
-    if any(a < 0 for a in idx):
-        raise ValueError("multi-index entries must be nonnegative")
-    return idx
+def _lines(text: str, form: str, sizes: tuple[int, ...]) -> list[list[str]]:
+    """The ;-separated fields of each nonblank line, which must read ``form``."""
+    out = []
+    for line in filter(None, map(str.strip, text.splitlines())):
+        fields = [f.strip() for f in line.split(";")]
+        if len(fields) not in sizes:
+            raise ValueError(f"line needs {form}, got {line!r}")
+        out.append(fields)
+    return out
 
 
 def _terms(text: str) -> tuple[tuple[tuple[int, ...], tuple[int, ...], complex], ...]:
-    """Weight term lines alpha;beta;re[;im], one Hermitian pair per line.
-
-    Families live on C, so each multi-index is a single integer.
-    """
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        fields = [f.strip() for f in line.split(";")]
-        if len(fields) not in (3, 4):
-            raise ValueError(f"term line needs alpha;beta;re[;im], got {line!r}")
-        alpha = _index_tuple(fields[0])
-        beta = _index_tuple(fields[1])
-        if len(alpha) != 1 or len(beta) != 1:
-            raise ValueError(f"term z^{alpha} zbar^{beta} does not match dimension 1")
-        amp = complex(float(fields[2]), float(fields[3]) if len(fields) == 4 else 0.0)
-        out.append((alpha, beta, amp))
+    """Weight term lines alpha;beta;re[;im], one Hermitian pair per line."""
+    out = tuple(
+        (
+            tuple(map(int, f[0].split(","))),
+            tuple(map(int, f[1].split(","))),
+            complex(float(f[2]), float(f[3]) if len(f) == 4 else 0.0),
+        )
+        for f in _lines(text, "alpha;beta;re[;im]", (3, 4))
+    )
     if not out:
         raise ValueError("needs at least one term line")
-    return tuple(out)
+    return out
 
 
 def _psi_modes(text: str) -> tuple[tuple[int, int, float], ...]:
     """Torus psi mode lines m1;m2;amplitude."""
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        fields = [f.strip() for f in line.split(";")]
-        if len(fields) != 3:
-            raise ValueError(f"psi line needs m1;m2;amplitude, got {line!r}")
-        out.append((int(fields[0]), int(fields[1]), float(fields[2])))
-    return tuple(out)
+    return tuple(
+        (int(m1), int(m2), float(amp)) for m1, m2, amp in _lines(text, "m1;m2;amplitude", (3,))
+    )
 
 
 @dataclass(frozen=True)
@@ -203,8 +185,8 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "spectra": _Key(_positive_int, "20"),
         "max_n": _Key(_positive_int, "3"),
         "max_order": _Key(_positive_int, "6"),
-        "lambdas": _Key(_floats, "0.5, 1, 3"),
-        "degrees": _Key(_ints, "8, 16, 24, 32, 40"),
+        "lambdas": _Key(_list(float), "0.5, 1, 3"),
+        "degrees": _Key(_list(_nonneg_int), "8, 16, 24, 32, 40"),
         "grid_points": _Key(_positive_int, "5"),
         "grid_radius": _Key(_positive_float, "1.0"),
         "prefactor_tolerance": _Key(_positive_float, "1e-12"),
@@ -235,7 +217,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         **_GRID_KEYS,
     },
     "gap": {
-        "ks": _Key(_ints, "1, 2, 3, 4, 5, 6, 7"),
+        "ks": _Key(_list(int), "1, 2, 3, 4, 5, 6, 7"),
         "degree_coarse": _Key(_positive_int, "24"),
         "degree_fine": _Key(_positive_int, "32"),
         "q": _Key(_optional(_form_degree), ""),
@@ -243,8 +225,8 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "linearity_tolerance": _Key(_positive_float, "0.05"),
     },
     "heat": {
-        "ks": _Key(_ints, "1, 2, 3, 4, 5"),
-        "ts": _Key(_floats, "1, 2, 4, 8"),
+        "ks": _Key(_list(int), "1, 2, 3, 4, 5"),
+        "ts": _Key(_list(float), "1, 2, 4, 8"),
         "degree": _Key(_positive_int, "24"),
         "quad_order": _Key(_positive_int, "44"),
         "epsilon": _Key(_epsilon, _EPS_DEFAULT),
@@ -254,10 +236,10 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
     },
     "torus": {
         "tau_re": _Key(_float, "0"),
-        "tau_im": _Key(_positive_float, "1"),
+        "tau_im": _Key(_float, "1"),
         "degree": _Key(_int, "1"),
         "psi": _Key(_psi_modes, ""),
-        "ks": _Key(_ints, "1, 2, 3, 4, 5, 6, 7, 8, 9, 10"),
+        "ks": _Key(_list(int), "1, 2, 3, 4, 5, 6, 7, 8, 9, 10"),
         "grid_n": _Key(_positive_int, "64"),
         "theta_max_k": _Key(_nonneg_int, "6"),
         "gram_grid": _Key(_positive_int, "48"),
@@ -279,7 +261,21 @@ def sections_for(experiment: str) -> tuple[str, ...]:
     return ("run", "family", experiment)
 
 
-def _parse_section(section: str, raw: Mapping[str, str]) -> dict[str, object]:
+def _keyed(key: str, make: Callable, *args, **kwargs):
+    """make(*args, **kwargs), with a ValueError re-raised as a ConfigError naming ``key``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{key}: {err}") from None
+
+
+_PERT = re.compile(r"pert([0-9]+)(_gamma)?")
+
+
+def _parse_section(
+    section: str, raw: Mapping[str, str]
+) -> tuple[dict[str, object], WeightFamily | TorusBundle | None]:
+    """The section's typed values, and the family or bundle it defines (else None)."""
     schema = _SCHEMAS[section]
     extra = dict(raw)
     out: dict[str, object] = {}
@@ -290,60 +286,63 @@ def _parse_section(section: str, raw: Mapping[str, str]) -> dict[str, object]:
             raise ConfigError(f"{section}.{key}: required key missing")
         else:
             text = spec.default
-        try:
-            out[key] = spec.parse(text)
-        except ValueError as err:
-            raise ConfigError(f"{section}.{key}: {err}") from None
+        out[key] = _keyed(f"{section}.{key}", spec.parse, text)
+    unknown = sorted(k for k in extra if section != "family" or not _PERT.fullmatch(k))
+    if unknown:
+        raise ConfigError(f"{section}.{unknown[0]}: unknown key")
 
     if section == "family":
-        shapes: dict[int, object] = {}
-        gammas: dict[int, float] = {}
-        for key in sorted(extra):
-            m = re.fullmatch(r"pert([0-9]+)(_gamma)?", key)
-            if not m:
-                raise ConfigError(f"{section}.{key}: unknown key")
-            idx = int(m.group(1))
-            try:
-                if m.group(2):
-                    gammas[idx] = float(extra[key])
-                else:
-                    shapes[idx] = _terms(extra[key])
-            except ValueError as err:
-                raise ConfigError(f"{section}.{key}: {err}") from None
-        if set(shapes) != set(gammas):
-            odd = sorted(set(shapes) ^ set(gammas))[0]
-            raise ConfigError(
-                f"family.pert{odd}: needs both pert{odd} and pert{odd}_gamma"
-            )
-        out["perturbations"] = tuple(
-            (shapes[i], gammas[i]) for i in sorted(shapes)
-        )
-        _check_base(out["base"])
-    elif extra:
-        key = sorted(extra)[0]
-        raise ConfigError(f"{section}.{key}: unknown key")
+        return out, _family(out, extra)
+    if section == "torus":
+        bundle = _bundle(out)
+        _check_torus(out, bundle)
+        return out, bundle
+    if section == "model":
+        for lam in out["lambdas"]:
+            _keyed("model.lambdas", ModelSpectrum, (lam,))
     _check_truncation(section, out)
-    return out
+    return out, None
 
 
-def _check_base(terms) -> None:
-    """A family base must be gauge-normal and carry a nonzero |z|^2 term.
+def _family(values: dict[str, object], perts: Mapping[str, str]) -> WeightFamily:
+    """The weight family; records the (terms, gamma) pairs as ``values["perturbations"]``."""
+    keys: dict[int, dict[bool, str]] = {}
+    for key in perts:
+        m = _PERT.fullmatch(key)
+        keys.setdefault(int(m.group(1)), {})[bool(m.group(2))] = key
+    pairs, perturbations = [], []
+    for i in sorted(keys):
+        if len(keys[i]) != 2:
+            raise ConfigError(f"family.pert{i}: needs both pert{i} and pert{i}_gamma")
+        shape_key, gamma_key = keys[i][False], keys[i][True]
+        terms = _keyed(f"family.{shape_key}", _terms, perts[shape_key])
+        gamma = _keyed(f"family.{gamma_key}", _float, perts[gamma_key])
+        shape = _keyed(f"family.{shape_key}", _poly_from_terms, terms)
+        perturbations.append(_keyed(f"family.{gamma_key}", Perturbation, shape, gamma))
+        pairs.append((terms, gamma))
+    values["perturbations"] = tuple(pairs)
+    return _keyed(
+        "family.base",
+        WeightFamily,
+        base=_keyed("family.base", _poly_from_terms, values["base"]),
+        ck=_keyed("family.ck_rule", CkRule, values["ck_rule"]),
+        perturbations=tuple(perturbations),
+    )
 
-    Gauge terms (constant, linear or pure second order) change no curvature
-    but do not decay under the scaling, so the scaled weights never reach
-    their quadratic model; without a |z|^2 term there is no model.
-    """
-    try:
-        base = _poly_from_terms(terms)
-    except ValueError as err:
-        raise ConfigError(f"family.base: {err}") from None
-    gauge = ", ".join(f"{a};{b}" for a, b in sorted(normalize_gauge(base)[1].coeffs))
-    if gauge:
-        raise ConfigError(
-            f"family.base: gauge terms {gauge} (constant, linear or pure second order) not allowed"
-        )
-    if (1, 1) not in base.coeffs:
-        raise ConfigError("family.base: needs a nonzero 1;1;lambda term (the quadratic model)")
+
+def _poly_from_terms(terms) -> WeightPolynomial:
+    """The terms summed into a weight on C; families are one-dimensional."""
+    total = WeightPolynomial()
+    for alpha, beta, amp in terms:
+        total = total + real_term(1, alpha, beta, amp)
+    return total
+
+
+def _bundle(values: Mapping[str, object]) -> TorusBundle:
+    """The torus bundle, built up one key at a time so that each rule names its key."""
+    bundle = _keyed("torus.tau_im", TorusBundle, complex(values["tau_re"], values["tau_im"]), 1)
+    bundle = _keyed("torus.degree", replace, bundle, degree=values["degree"])
+    return _keyed("torus.psi", replace, bundle, psi_modes=values["psi"])
 
 
 def _check_truncation(section: str, values: Mapping[str, object]) -> None:
@@ -363,11 +362,9 @@ def _check_truncation(section: str, values: Mapping[str, object]) -> None:
             f"{section}.quad_order: must exceed degree ({values['degree']}),"
             f" got {values['quad_order']}"
         )
-    if section == "torus":
-        _check_torus(values)
 
 
-def _check_torus(values: Mapping[str, object]) -> None:
+def _check_torus(values: Mapping[str, object], bundle: TorusBundle) -> None:
     """Level and grid rules of the torus audit and its theta trace check.
 
     Every level k needs k * degree != 0; the trace check integrates on a grid
@@ -377,15 +374,13 @@ def _check_torus(values: Mapping[str, object]) -> None:
     if 0 in values["ks"]:
         raise ConfigError("torus.ks: levels must be nonzero (k * degree = 0 at k = 0)")
     grids = ["grid_n"]
-    if any(0 < k <= values["theta_max_k"] and k * values["degree"] > 0 for k in values["ks"]):
+    if any(0 < k <= values["theta_max_k"] and k * bundle.degree > 0 for k in values["ks"]):
         if values["gram_grid"] == values["trace_grid"]:
             raise ConfigError(
                 f"torus.gram_grid: must differ from trace_grid ({values['trace_grid']})"
             )
         grids += ["gram_grid", "trace_grid"]
-    top = max(
-        (max(abs(m1), abs(m2)) for m1, m2, amp in values["psi"] if amp != 0.0), default=1
-    )
+    top = bundle.top_frequency
     coarse = [f"{key}={values[key]}" for key in grids if values[key] < 8 * top]
     if coarse:
         raise ConfigError(
@@ -404,11 +399,12 @@ def _jsonable(value):
 
 @dataclass(frozen=True)
 class ParsedConfig:
-    """A fully materialized experiment configuration."""
+    """A fully materialized experiment configuration and the family or bundle it defines."""
 
     experiment: str
     seed: int
     values: dict[str, dict[str, object]]
+    _built: WeightFamily | TorusBundle | None = None
 
     def echo(self) -> dict:
         body = {
@@ -419,39 +415,12 @@ class ParsedConfig:
         return body
 
     def family(self) -> WeightFamily:
-        sec = self.values["family"]
-        try:
-            base = _poly_from_terms(sec["base"])
-            perturbations = tuple(
-                Perturbation(_poly_from_terms(terms), gamma)
-                for terms, gamma in sec["perturbations"]
-            )
-            return WeightFamily(
-                base=base,
-                ck=CkRule(sec["ck_rule"]),
-                perturbations=perturbations,
-            )
-        except ValueError as err:
-            raise ConfigError(f"family: {err}") from None
+        """The weight family built when the config was parsed."""
+        return self._built
 
     def bundle(self) -> TorusBundle:
-        sec = self.values["torus"]
-        try:
-            return TorusBundle(
-                tau=complex(sec["tau_re"], sec["tau_im"]),
-                degree=sec["degree"],
-                psi_modes=sec["psi"],
-            )
-        except ValueError as err:
-            raise ConfigError(f"torus: {err}") from None
-
-
-def _poly_from_terms(terms) -> WeightPolynomial:
-    """The terms summed into a weight on C; families are one-dimensional."""
-    total = WeightPolynomial()
-    for alpha, beta, amp in terms:
-        total = total + real_term(1, alpha, beta, amp)
-    return total
+        """The torus bundle built when the config was parsed."""
+        return self._built
 
 
 def _apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
@@ -484,7 +453,7 @@ def load_config(path: str, overrides=()) -> ParsedConfig:
 
     if not parser.has_section("run"):
         raise ConfigError("run: missing section")
-    run = _parse_section("run", parser["run"])
+    run, _ = _parse_section("run", parser["run"])
     experiment = run["experiment"]
 
     allowed = sections_for(experiment)
@@ -493,12 +462,13 @@ def load_config(path: str, overrides=()) -> ParsedConfig:
             raise ConfigError(
                 f"{section}: section not used by experiment {experiment!r}"
             )
-    values = {}
+    values, built = {}, None
     for section in allowed:
         if section == "run":
             continue
         raw = parser[section] if parser.has_section(section) else {}
         if section == "family" and not parser.has_section(section):
             raise ConfigError("family: missing section (defines the weight family)")
-        values[section] = _parse_section(section, raw)
-    return ParsedConfig(experiment=experiment, seed=run["seed"], values=values)
+        values[section], section_built = _parse_section(section, raw)
+        built = built or section_built
+    return ParsedConfig(experiment, run["seed"], values, built)

@@ -142,6 +142,8 @@ def _one_variable_norms(lam: np.ndarray, top: int) -> np.ndarray:
 
 def _basis_matrix(spec: ModelSpectrum, alphas, zp: np.ndarray) -> np.ndarray:
     """B[alpha, p] = Psi_alpha(z_p) for an (m, n) point array."""
+    if len(alphas) == 0:
+        raise ValueError("needs at least one multi-index")
     exps = np.asarray(alphas, dtype=int)
     if exps.ndim != 2 or exps.shape[1] != spec.n:
         raise ValueError(f"multi-index length does not match n={spec.n}")
@@ -177,6 +179,8 @@ def model_kernel_from_basis(spec: ModelSpectrum, q: int, degree: int, z, w) -> n
     shapes and return values; converges to it as degree grows, uniformly on
     compact sets.  A zero matrix when q != q0.
     """
+    if degree < 0:
+        raise ValueError(f"truncation degree must be nonnegative, got {degree}")
     zp, wp = _kernel_points(spec, q, z, w)
     if q != spec.q0:
         return np.zeros((len(zp), len(wp)), dtype=complex)

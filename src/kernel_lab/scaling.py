@@ -44,7 +44,6 @@ from .weights import (
     WeightFamily,
     WeightPolynomial,
     extend_weight,
-    normalize_gauge,
     scale_weight,
 )
 
@@ -117,15 +116,6 @@ def fit_exp_decay(ts, values) -> float | None:
     return float(slope)
 
 
-def _require_gauge_normal(family: WeightFamily) -> None:
-    _, removed = normalize_gauge(family.base)
-    if removed.coeffs:
-        raise ValueError(
-            "family base carries gauge terms (constant, linear or pure second"
-            " order); apply normalize_gauge to the base first"
-        )
-
-
 def _extended(family: WeightFamily, k: int, epsilon: float) -> ExtendedWeight:
     return extend_weight(
         scale_weight(family, k), family.model_weight(), epsilon, family.c_value(k)
@@ -162,7 +152,6 @@ def _sweep(family: WeightFamily, ks, epsilon: float, build: Callable, failures: 
     so the Galerkin functions it calls are looked up then, not when this
     module loads.
     """
-    _require_gauge_normal(family)
     weight = None
     for k in ks:
         swept = _swept(_extended(family, k, epsilon))
@@ -387,7 +376,6 @@ def route_equivalence_gap(
     spec = family.model_spectrum()
     if spec.q0 != 0:
         raise ValueError("route equivalence uses the Bergman (q = 0) kernel")
-    _require_gauge_normal(family)
     ck = family.c_value(k)
     root = math.sqrt(ck)
     lam = abs(spec.lambdas[0])

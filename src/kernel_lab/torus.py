@@ -64,10 +64,9 @@ class TorusBundle:
                 raise ValueError("psi must have zero mean: (0, 0) mode not allowed")
             if (m1, m2) in seen:
                 raise ValueError(f"duplicate psi mode {(m1, m2)}")
-            if amp == 0.0:
-                continue
             seen.add((m1, m2))
-            modes.append((m1, m2, amp))
+            if amp != 0.0:
+                modes.append((m1, m2, amp))
         object.__setattr__(self, "psi_modes", tuple(modes))
 
     @property
@@ -253,7 +252,6 @@ class TraceCheckResult:
     dimension: int
     trace: float
     deviation: float
-    gram_rank: int
     lattice_radius: int
     truncation_estimate: float
     gram_grid: int
@@ -309,7 +307,6 @@ def theta_trace_check(
         dimension=m,
         trace=trace,
         deviation=abs(trace - m),
-        gram_rank=int(np.linalg.matrix_rank(gram)),
         lattice_radius=radius,
         truncation_estimate=truncation,
         gram_grid=gram_grid,

@@ -27,7 +27,6 @@ __all__ = [
     "ExtendedWeight",
     "real_term",
     "normalize_gauge",
-    "curvature_matrix",
     "assemble_weight",
     "scale_weight",
     "extend_weight",
@@ -142,7 +141,7 @@ def real_term(n: int, alpha: Sequence[int], beta: Sequence[int], amplitude: comp
     amplitude must be real and the result is amplitude * |z|^(2 alpha).
     """
     if n != 1 or len(alpha) != 1 or len(beta) != 1:
-        raise ValueError(f"weights live on C: got n={n}, exponents {alpha}, {beta}")
+        raise ValueError(f"weights live on C (dimension 1): got n={n}, exponents {alpha}, {beta}")
     (a,), (b,) = alpha, beta
     c = complex(amplitude)
     if a == b:
@@ -168,11 +167,6 @@ def normalize_gauge(phi: WeightPolynomial) -> tuple[WeightPolynomial, WeightPoly
         else:
             kept[(a, b)] = c
     return WeightPolynomial(kept), WeightPolynomial(removed)
-
-
-def curvature_matrix(phi: WeightPolynomial, at) -> np.ndarray:
-    """Raw complex Hessian d^2 phi / dz dzbar at the point ``at`` of C, as a 1 x 1 matrix."""
-    return np.array([[complex(phi.d_z().d_zbar().value(complex(at)))]])
 
 
 @dataclass(frozen=True)
@@ -203,24 +197,39 @@ class Perturbation:
 
 @dataclass(frozen=True)
 class WeightFamily:
-    """Weight sequence phi_k = C_k * base + sum_i C_k^gamma_i * perturbation_i."""
+    """Weight sequence phi_k = C_k * base + sum_i C_k^gamma_i * perturbation_i.
+
+    The base must be gauge-normal and carry a nonzero |z|^2 term.  Gauge
+    terms (constant, linear or pure second order) change no curvature but do
+    not decay under the scaling, so the scaled weights would never reach
+    their quadratic model; without a |z|^2 term there is no model.
+    """
 
     base: WeightPolynomial
     ck: CkRule
     perturbations: tuple[Perturbation, ...] = ()
+
+    def __post_init__(self) -> None:
+        gauge = ", ".join(f"{a};{b}" for a, b in sorted(normalize_gauge(self.base)[1].coeffs))
+        if gauge:
+            raise ValueError(
+                f"base has gauge terms {gauge} (constant, linear or pure second order)"
+            )
+        if (1, 1) not in self.base.coeffs:
+            raise ValueError("base needs a nonzero |z|^2 term (1;1;lambda, the quadratic model)")
 
     def c_value(self, k: int) -> float:
         return self.ck(k)
 
     def model_weight(self) -> WeightPolynomial:
         """The |z|^2 term of the base, i.e. the quadratic model."""
-        return WeightPolynomial({(1, 1): self.base.coeffs.get((1, 1), 0j)})
+        return WeightPolynomial({(1, 1): self.base.coeffs[(1, 1)]})
 
     def model_spectrum(self):
         """Curvature eigenvalue of the model: the |z|^2 coefficient of the base."""
         from .model import ModelSpectrum
 
-        return ModelSpectrum((self.base.coeffs.get((1, 1), 0j).real,))
+        return ModelSpectrum((self.base.coeffs[(1, 1)].real,))
 
 
 def assemble_weight(family: WeightFamily, k: int) -> WeightPolynomial:

@@ -291,14 +291,29 @@ def test_readme_config_example_parses(tmp_path):
         ("torus-flat", "torus.gram_grid=64"),
         ("torus-flat", "torus.psi=9;0;0.3"),
         ("torus-flat", "torus.ks=0,1"),
+        ("torus-flat", "torus.psi=0;0;0.3"),
+        ("torus-flat", "torus.degree=0"),
+        ("torus-flat", "torus.tau_im=0"),
+        ("model", "model.lambdas=0, 1"),
+        ("model", "model.degrees=-1"),
+        # the last override names the key; the ones before it pair pert1 up
+        pytest.param(
+            "gap-cubic", ("family.pert1=1;1;1", "family.pert1_gamma=1.5"),
+            id="gap-cubic-family.pert1_gamma=1.5",
+        ),
+        pytest.param(
+            "gap-cubic", ("family.pert1_gamma=0.5", "family.pert1=1;1;0;0.5"),
+            id="gap-cubic-family.pert1=1;1;0;0.5",
+        ),
     ],
 )
 def test_invalid_truncation_is_usage_error(config, override, tmp_path, capsys):
+    overrides = (override,) if isinstance(override, str) else override
     out = tmp_path / "o"
-    code = main(
-        ["run", "--config", str(CONFIGS / f"{config}.ini"), "--out", str(out),
-         "--override", override]
-    )
+    argv = ["run", "--config", str(CONFIGS / f"{config}.ini"), "--out", str(out)]
+    for item in overrides:
+        argv += ["--override", item]
+    code = main(argv)
     assert code == 1
-    assert override.split("=")[0] in capsys.readouterr().err
+    assert overrides[-1].split("=")[0] + ":" in capsys.readouterr().err
     assert not out.exists()

@@ -161,10 +161,10 @@ def test_psi_modes_parse(tmp_path):
 def test_psi_modes_rejections(tmp_path):
     with pytest.raises(ConfigError, match=r"torus\.psi"):
         load_config(write(tmp_path, MINIMAL_TORUS + "[torus]\npsi = 1;0\n"))
-    # (0, 0) mode is caught at bundle construction, with the section prefix
-    cfg = load_config(write(tmp_path, MINIMAL_TORUS + "[torus]\npsi = 0;0;0.3\n"))
-    with pytest.raises(ConfigError, match="torus:"):
-        cfg.bundle()
+    # the bundle is built at parse: its (0, 0) and duplicate mode rules name the key
+    for psi in ("0;0;0.3", "1;0;0.3\n    1;0;0.2", "1;0;0\n    1;0;0.3"):
+        with pytest.raises(ConfigError, match=r"torus\.psi: (psi must have zero mean|duplicate)"):
+            load_config(write(tmp_path, MINIMAL_TORUS + f"[torus]\npsi =\n    {psi}\n"))
 
 
 def test_overrides(tmp_path):

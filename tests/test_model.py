@@ -254,6 +254,19 @@ def test_array_calls_match_single_points(n):
                 eval_model_basis(spec, [bad_alpha], z)
 
 
+def test_empty_basis_has_its_own_error():
+    with pytest.raises(ValueError, match="at least one multi-index"):
+        eval_model_basis(ModelSpectrum((1.0,)), [], 0.0)
+
+
+def test_negative_truncation_degree_has_its_own_error():
+    spec = ModelSpectrum((1.0,))
+    with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
+        model_kernel_from_basis(spec, 0, -1, 0.0, 0.0)
+    # degree 0 keeps the single constant basis element
+    assert model_kernel_from_basis(spec, 0, 0, 0.0, 0.0)[0, 0] == pytest.approx(1.0 / math.pi)
+
+
 def test_one_dimensional_point_arrays():
     spec = ModelSpectrum((1.0,))
     pts = np.array([0.0, 0.5 - 0.2j, -0.3j])

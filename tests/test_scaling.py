@@ -94,10 +94,12 @@ def test_quadratic_perturbation_slope(perturbed_family):
 
 
 def test_gauge_normal_guard():
+    # a family refuses a base that is not gauge-normal or has no |z|^2 term
     base = WeightPolynomial.quadratic([1.0]) + real_term(1, (1,), (0,), 0.5)
-    family = WeightFamily(base=base, ck=CkRule(4.0))
-    with pytest.raises(ValueError):
-        scaled_bergman_convergence(family, ks=(1,), degree=8)
+    with pytest.raises(ValueError, match="gauge terms 0;1, 1;0"):
+        WeightFamily(base=base, ck=CkRule(4.0))
+    with pytest.raises(ValueError, match=r"\|z\|\^2 term"):
+        WeightFamily(base=real_term(1, (2,), (1,), 0.5), ck=CkRule(4.0))
 
 
 def test_vanishing_mismatched_form_degree(quadratic_family):
