@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 from .model import ModelSpectrum
-from .torus import TorusBundle
-from .weights import CkRule, Perturbation, WeightFamily, WeightPolynomial, real_term
+from .torus import TorusBundle, _check_resolution, _theta_levels
+from .weights import CkRule, Perturbation, WeightFamily, WeightPolynomial, _check_epsilon, real_term
 
 EXPERIMENTS = ("converge", "gap", "heat", "model", "torus-audit", "vanish")
 
@@ -63,19 +63,7 @@ def _positive_float(text: str) -> float:
 
 
 def _epsilon(text: str) -> float:
-    v = _float(text)
-    if not 0.0 < v < 1.0 / 6.0:  # the blend radius C_k^epsilon (weights.ExtendedWeight)
-        raise ValueError("must lie in (0, 1/6)")
-    return v
-
-
-def _bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    return _check_epsilon(_float(text))
 
 
 def _list(item: Callable[[str], object]) -> Callable[[str], tuple]:
@@ -88,11 +76,14 @@ def _list(item: Callable[[str], object]) -> Callable[[str], tuple]:
     return parse
 
 
-def _increasing_ints(text: str) -> tuple[int, ...]:
-    v = _list(int)(text)
-    if any(b <= a for a, b in zip(v, v[1:])):
-        raise ValueError(f"must be strictly increasing, got {', '.join(map(str, v))}")
-    return v
+def _increasing(item: Callable[[str], object]) -> Callable[[str], tuple]:
+    def parse(text: str) -> tuple:
+        v = _list(item)(text)
+        if any(b <= a for a, b in zip(v, v[1:])):
+            raise ValueError(f"must be strictly increasing, got {', '.join(map(str, v))}")
+        return v
+
+    return parse
 
 
 def _form_degree(text: str) -> int:
@@ -186,7 +177,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "max_n": _Key(_positive_int, "3"),
         "max_order": _Key(_positive_int, "6"),
         "lambdas": _Key(_list(float), "0.5, 1, 3"),
-        "degrees": _Key(_list(_nonneg_int), "8, 16, 24, 32, 40"),
+        "degrees": _Key(_increasing(_nonneg_int), "8, 16, 24, 32, 40"),
         "grid_points": _Key(_positive_int, "5"),
         "grid_radius": _Key(_positive_float, "1.0"),
         "prefactor_tolerance": _Key(_positive_float, "1e-12"),
@@ -194,19 +185,18 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "expansion_tolerance": _Key(_positive_float, "1e-6"),
     },
     "converge": {
-        "ks": _Key(_increasing_ints, "1, 2, 3, 4, 5, 6, 7"),
+        "ks": _Key(_increasing(int), "1, 2, 3, 4, 5, 6, 7"),
         "degree": _Key(_positive_int, "30"),
         "quad_order": _Key(_positive_int, "44"),
         "epsilon": _Key(_epsilon, _EPS_DEFAULT),
         "slope_target": _Key(_optional(_float), ""),
         "slope_tolerance": _Key(_positive_float, "0.2"),
         "max_error": _Key(_optional(_positive_float), ""),
-        "require_decreasing": _Key(_optional(_bool), ""),
         "route_tolerance": _Key(_positive_float, "1e-8"),
         **_GRID_KEYS,
     },
     "vanish": {
-        "ks": _Key(_increasing_ints, "1, 2, 3, 4, 5, 6, 7"),
+        "ks": _Key(_increasing(int), "1, 2, 3, 4, 5, 6, 7"),
         "degree": _Key(_positive_int, "30"),
         "quad_order": _Key(_positive_int, "44"),
         "epsilon": _Key(_epsilon, _EPS_DEFAULT),
@@ -226,7 +216,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
     },
     "heat": {
         "ks": _Key(_list(int), "1, 2, 3, 4, 5"),
-        "ts": _Key(_list(float), "1, 2, 4, 8"),
+        "ts": _Key(_increasing(_positive_float), "1, 2, 4, 8"),
         "degree": _Key(_positive_int, "24"),
         "quad_order": _Key(_positive_int, "44"),
         "epsilon": _Key(_epsilon, _EPS_DEFAULT),
@@ -244,7 +234,6 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "theta_max_k": _Key(_nonneg_int, "6"),
         "gram_grid": _Key(_positive_int, "48"),
         "trace_grid": _Key(_positive_int, "64"),
-        "lattice_radius": _Key(_optional(_positive_int), ""),
         "morse3_tolerance": _Key(_positive_float, "1e-9"),
         "equality_tolerance": _Key(_positive_float, "1e-9"),
         "margin_floor": _Key(_positive_float, "0.1"),
@@ -368,25 +357,19 @@ def _check_torus(values: Mapping[str, object], bundle: TorusBundle) -> None:
     """Level and grid rules of the torus audit and its theta trace check.
 
     Every level k needs k * degree != 0; the trace check integrates on a grid
-    other than its Gram grid, and each grid in use resolves psi with at least
-    8 points per period of its top frequency.
+    other than its Gram grid, and each grid in use must resolve psi.
     """
     if 0 in values["ks"]:
         raise ConfigError("torus.ks: levels must be nonzero (k * degree = 0 at k = 0)")
     grids = ["grid_n"]
-    if any(0 < k <= values["theta_max_k"] and k * bundle.degree > 0 for k in values["ks"]):
+    if _theta_levels(bundle, values["ks"], values["theta_max_k"]):
         if values["gram_grid"] == values["trace_grid"]:
             raise ConfigError(
                 f"torus.gram_grid: must differ from trace_grid ({values['trace_grid']})"
             )
         grids += ["gram_grid", "trace_grid"]
-    top = bundle.top_frequency
-    coarse = [f"{key}={values[key]}" for key in grids if values[key] < 8 * top]
-    if coarse:
-        raise ConfigError(
-            f"torus.psi: top frequency {top} needs grids of >= {8 * top} points"
-            f" per axis, got {', '.join(coarse)}"
-        )
+    for key in grids:
+        _keyed("torus.psi", _check_resolution, bundle, values[key])
 
 
 def _jsonable(value):

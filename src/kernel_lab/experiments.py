@@ -31,7 +31,7 @@ from .scaling import (
     scaled_bergman_convergence,
     vanishing_convergence,
 )
-from .torus import BoundaryCrossingWarning, audit_morse, theta_trace_check
+from .torus import BoundaryCrossingWarning, _theta_levels, audit_morse, theta_trace_check
 from .weights import WeightFamily, scale_weight
 
 
@@ -159,10 +159,7 @@ def _run_converge(cfg: ParsedConfig) -> ExperimentResult:
     )
 
     checks: list[Check] = []
-    decreasing = sec["require_decreasing"]
-    if decreasing is None:
-        decreasing = not _is_pure_quadratic(family)
-    if decreasing:
+    if not _is_pure_quadratic(family):
         worst = max(
             (b - a for a, b in zip(rep.errors, rep.errors[1:])), default=-math.inf
         )
@@ -325,17 +322,10 @@ def _run_torus_audit(cfg: ParsedConfig) -> ExperimentResult:
         rep = audit_morse(bundle, sec["ks"], sec["grid_n"])
     notes = sorted({str(w.message) for w in caught})
 
-    trace_devs: dict[int, float] = {}
-    for k in sec["ks"]:
-        if 0 < k * bundle.degree and 0 < k <= sec["theta_max_k"]:
-            result = theta_trace_check(
-                bundle,
-                k,
-                lattice_radius=sec["lattice_radius"],
-                gram_grid=sec["gram_grid"],
-                trace_grid=sec["trace_grid"],
-            )
-            trace_devs[k] = result.deviation
+    trace_devs = {
+        k: theta_trace_check(bundle, k, sec["gram_grid"], sec["trace_grid"]).deviation
+        for k in _theta_levels(bundle, sec["ks"], sec["theta_max_k"])
+    }
     rows = tuple(
         (
             k,

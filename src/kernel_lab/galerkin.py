@@ -644,7 +644,9 @@ def _mode_kernel(system: GalerkinSystem, coeffs: np.ndarray, z, w) -> np.ndarray
     cols = np.nonzero(coeffs)[0]
     if not cols.size:
         return np.zeros((zs.size, ws.size), dtype=complex)
-    return _kernel_sum(system.eval_modes(zs, cols), system.eval_modes(ws, cols), coeffs[cols])
+    fz = system.eval_modes(zs, cols)
+    fw = fz if np.array_equal(zs, ws) else system.eval_modes(ws, cols)
+    return _kernel_sum(fz, fw, coeffs[cols])
 
 
 def _projector_selection(system: GalerkinSystem, c: float) -> np.ndarray:

@@ -205,6 +205,11 @@ def dolbeault_dims(bundle: TorusBundle, k: int) -> tuple[int, int]:
     return (kd, 0) if kd > 0 else (0, -kd)
 
 
+def _theta_levels(bundle: TorusBundle, ks, max_k: int) -> tuple[int, ...]:
+    """The levels among ``ks`` whose theta trace is checked: 0 < k <= max_k and k * degree > 0."""
+    return tuple(k for k in ks if 0 < k <= max_k and k * bundle.degree > 0)
+
+
 def _theta_radius(tau2: float, m: int) -> int:
     spread = math.sqrt(1.0 + 18.0 * math.log(10.0) / (math.pi * tau2 * m))
     return max(6, math.ceil(1.0 + spread) + 2)
@@ -261,7 +266,6 @@ class TraceCheckResult:
 def theta_trace_check(
     bundle: TorusBundle,
     k: int,
-    lattice_radius: int | None = None,
     gram_grid: int = DEFAULT_GRAM_GRID,
     trace_grid: int = DEFAULT_TRACE_GRID,
 ) -> TraceCheckResult:
@@ -286,9 +290,7 @@ def theta_trace_check(
         raise ValueError("trace grid must differ from the Gram grid")
     _check_resolution(bundle, min(gram_grid, trace_grid))
     tau2 = bundle.tau.imag
-    radius = _theta_radius(tau2, m) if lattice_radius is None else int(lattice_radius)
-    if radius < 1:
-        raise ValueError("lattice radius must be positive")
+    radius = _theta_radius(tau2, m)
     truncation = 2.0 * math.exp(-math.pi * m * tau2 * (radius - 1) ** 2)
 
     vg = _theta_matrix(bundle, k, gram_grid, radius)

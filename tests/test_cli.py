@@ -296,6 +296,9 @@ def test_readme_config_example_parses(tmp_path):
         ("torus-flat", "torus.tau_im=0"),
         ("model", "model.lambdas=0, 1"),
         ("model", "model.degrees=-1"),
+        ("model", "model.degrees=40, 8"),
+        ("heat-quadratic", "heat.ts=4, 2"),
+        ("heat-quadratic", "heat.ts=0, 1"),
         # the last override names the key; the ones before it pair pert1 up
         pytest.param(
             "gap-cubic", ("family.pert1=1;1;1", "family.pert1_gamma=1.5"),

@@ -79,6 +79,12 @@ def test_unknown_key_and_section_rejected(tmp_path):
         load_config(write(tmp_path, MINIMAL_CONVERGE + "[torus]\ndegree = 1\n"))
     with pytest.raises(ConfigError, match="expected one of"):
         load_config(write(tmp_path, "[run]\nexperiment = frobnicate\n"))
+    # the decreasing check and the theta lattice radius are worked out, not set
+    with pytest.raises(ConfigError, match=r"converge\.require_decreasing: unknown key"):
+        load_config(write(tmp_path, MINIMAL_CONVERGE + "[converge]\nrequire_decreasing = yes\n"))
+    torus = "[run]\nexperiment = torus-audit\n[torus]\nlattice_radius = 3\n"
+    with pytest.raises(ConfigError, match=r"torus\.lattice_radius: unknown key"):
+        load_config(write(tmp_path, torus))
 
 
 @pytest.mark.parametrize("rule", ["1^k", "0.5^k", "4*k", "k^4", "four^k"])
@@ -197,7 +203,6 @@ def test_value_rejections(tmp_path):
         ("run.seed=-1", r"run\.seed"),
         ("converge.quad_order=0", r"converge\.quad_order"),
         ("converge.epsilon=abc", r"converge\.epsilon"),
-        ("converge.require_decreasing=maybe", r"converge\.require_decreasing"),
     ]
     path = write(tmp_path, MINIMAL_CONVERGE)
     for override, pattern in cases:
@@ -215,14 +220,6 @@ def test_epsilon_range(tmp_path, experiment):
     assert load_config(path).values[experiment]["epsilon"] == 1.0 / 7.0
     cfg = load_config(path, overrides=(f"{experiment}.epsilon={1.0 / 7.0!r}",))
     assert cfg.values[experiment]["epsilon"] == 1.0 / 7.0
-
-
-def test_optional_flags(tmp_path):
-    path = write(tmp_path, MINIMAL_CONVERGE)
-    cfg = load_config(path, overrides=("converge.require_decreasing=yes",))
-    assert cfg.values["converge"]["require_decreasing"] is True
-    cfg = load_config(path, overrides=("converge.require_decreasing=off",))
-    assert cfg.values["converge"]["require_decreasing"] is False
 
 
 def test_sections_for():

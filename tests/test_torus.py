@@ -18,7 +18,7 @@ from kernel_lab import (
     theta_trace_check,
     torus,
 )
-from kernel_lab.torus import _lattice_grid, _psi_table, _theta_matrix, _theta_radius
+from kernel_lab.torus import _lattice_grid, _psi_table, _theta_levels, _theta_matrix, _theta_radius
 
 BUNDLES = [
     TorusBundle(tau=1j, degree=1),
@@ -221,6 +221,13 @@ def test_theta_trace_guards(flat_torus):
         theta_trace_check(TorusBundle(tau=1j, degree=-1), 2)
     with pytest.raises(ValueError):
         theta_trace_check(flat_torus, 2, gram_grid=64, trace_grid=64)
+
+
+def test_theta_levels(flat_torus):
+    ks = (-2, -1, 1, 2, 3, 7)
+    assert _theta_levels(flat_torus, ks, 3) == (1, 2, 3)
+    assert _theta_levels(TorusBundle(tau=1j, degree=-1), ks, 3) == ()
+    assert _theta_levels(flat_torus, ks, 0) == ()
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])
