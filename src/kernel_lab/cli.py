@@ -1,129 +1,124 @@
 """Command line front door: list experiments, run one from a config file.
 
-Exit codes: 0 when every enabled check passes, 2 when a check fails, 1 on
-usage, config or numerical-setup errors.  Artifacts (``<experiment>.csv`` and
-``summary.json``) land in the ``--out`` directory and are deterministic for
-a fixed config.
+Exit codes: 0 when every enabled check passes (and for ``-h``/``--help`` and
+``--version``), 2 when a check fails, 1 on usage, config, path or
+numerical-setup errors.  Usage errors that argparse reports (an unknown
+option, a missing ``--config``, a ``--seed`` that is not an integer) exit 1,
+not argparse's own 2, so 2 always means a failed check.  Artifacts
+(``<experiment>.csv`` and ``summary.json``) land in the ``--out`` directory
+and are deterministic for a fixed config.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import json
 import os
-
-import click
+import sys
 
 from . import __version__
 
 
-@click.group(name="kernel-lab", context_settings={"help_option_names": ["-h", "--help"]})
-@click.version_option(version=__version__, prog_name="kernel-lab")
-def cli() -> None:
-    """Numerical experiments on semiclassical Bergman, spectral and heat kernels."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process; --override defaults to None, so no list carries over between calls
+    parser = argparse.ArgumentParser(
+        prog="kernel-lab",
+        description="Numerical experiments on semiclassical Bergman, spectral and heat kernels.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    listing = commands.add_parser("list", help="List the available experiments.")
+    listing.add_argument("--json", action="store_true", help="Emit a machine readable listing.")
+    run = commands.add_parser("run", help="Run one experiment and write its artifacts.")
+    run.add_argument("--config", required=True, metavar="PATH", help="Experiment config (INI).")
+    run.add_argument("--out", default=".", metavar="DIR", help="Directory for the artifacts.")
+    run.add_argument(
+        "--override", action="append", metavar="SECTION.KEY=VALUE",
+        help="Override a config value (repeatable).",
+    )
+    run.add_argument("--seed", type=int, metavar="N", help="Shorthand for --override run.seed=N.")
+    run.add_argument("--json", action="store_true", help="Print the summary JSON to stdout.")
+    return parser
 
 
-@cli.command("list")
-@click.option("--json", "as_json", is_flag=True, help="Emit a machine readable listing.")
-def list_command(as_json: bool) -> int:
-    """List the available experiments."""
+def _list(as_json: bool) -> int:
     from .experiments import list_experiments
 
     pairs = list_experiments()
     if as_json:
-        payload = {
-            "experiments": [{"name": n, "description": d} for n, d in pairs]
-        }
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        payload = {"experiments": [{"name": n, "description": d} for n, d in pairs]}
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         width = max(len(n) for n, _ in pairs)
         for name, description in pairs:
-            click.echo(f"{name:<{width}}  {description}")
+            print(f"{name:<{width}}  {description}")
     return 0
 
 
-@cli.command("run")
-@click.option(
-    "--config",
-    "config_path",
-    required=True,
-    type=click.Path(dir_okay=False),
-    help="Experiment config file (INI).",
-)
-@click.option(
-    "--out",
-    "out_dir",
-    default=".",
-    type=click.Path(file_okay=False),
-    help="Directory for the CSV table and summary.json.",
-)
-@click.option(
-    "--override",
-    "overrides",
-    multiple=True,
-    metavar="SECTION.KEY=VALUE",
-    help="Override a config value (repeatable).",
-)
-@click.option("--seed", type=int, default=None, help="Shorthand for --override run.seed=N.")
-@click.option("--json", "as_json", is_flag=True, help="Print the summary JSON to stdout.")
-def run_command(config_path, out_dir, overrides, seed, as_json) -> int:
-    """Run one experiment and write its artifacts."""
+def _check_out_dir(out_dir: str) -> None:
+    """Refuse an ``--out`` that cannot become a directory, before anything runs."""
+    head = os.path.abspath(out_dir)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise NotADirectoryError(f"--out {out_dir}: {head} is not a directory")
+
+
+def _run(args: argparse.Namespace) -> int:
     from .config import load_config
     from .experiments import run_experiment
-    from .galerkin import GramConditioningError
     from .output import write_csv, write_json
 
-    if seed is not None:
-        overrides = (*overrides, f"run.seed={seed}")
+    overrides = args.override or []
+    if args.seed is not None:
+        overrides = [*overrides, f"run.seed={args.seed}"]
+    # ConfigError and GramConditioningError are ValueErrors
     try:
-        cfg = load_config(config_path, overrides)
+        _check_out_dir(args.out)
+        cfg = load_config(args.config, overrides)
         result = run_experiment(cfg)
-    except GramConditioningError as err:
-        raise click.ClickException(f"numerical failure: {err}")
-    except ValueError as err:
-        raise click.ClickException(str(err))
+        os.makedirs(args.out, exist_ok=True)
+        csv_path = os.path.join(args.out, f"{result.name}.csv")
+        write_csv(csv_path, list(result.columns), result.rows)
+        summary = {
+            "tool": "kernel-lab",
+            "version": __version__,
+            "experiment": result.name,
+            "config": cfg.echo(),
+            "checks": [c.as_dict() for c in result.checks],
+            "passed": result.passed,
+            "notes": list(result.notes),
+            "rows": len(result.rows),
+            "csv": os.path.basename(csv_path),
+        }
+        write_json(os.path.join(args.out, "summary.json"), summary)
+    except (ValueError, OSError) as err:
+        print(f"Error: {err}", file=sys.stderr)
+        return 1
 
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{result.name}.csv")
-    write_csv(csv_path, list(result.columns), result.rows)
-    summary = {
-        "tool": "kernel-lab",
-        "version": __version__,
-        "experiment": result.name,
-        "config": cfg.echo(),
-        "checks": [c.as_dict() for c in result.checks],
-        "passed": result.passed,
-        "notes": list(result.notes),
-        "rows": len(result.rows),
-        "csv": os.path.basename(csv_path),
-    }
-    write_json(os.path.join(out_dir, "summary.json"), summary)
-
-    if as_json:
-        click.echo(json.dumps(summary, indent=2, sort_keys=True))
+    if args.json:
+        print(json.dumps(summary, indent=2, sort_keys=True))
     else:
         for c in result.checks:
             status = "PASS" if c.passed else "FAIL"
-            click.echo(
-                f"{status} {c.name}: {c.value:.6g} {c.comparator} {c.tolerance:g}"
-            )
+            print(f"{status} {c.name}: {c.value:.6g} {c.comparator} {c.tolerance:g}")
         for note in result.notes:
-            click.echo(f"note: {note}")
+            print(f"note: {note}")
         verdict = "PASS" if result.passed else "FAIL"
-        click.echo(f"{verdict} {result.name} -> {csv_path}")
+        print(f"{verdict} {result.name} -> {csv_path}")
     return 0 if result.passed else 2
 
 
 def main(argv=None) -> int:
-    """Entry point mapping click control flow onto the documented exit codes."""
+    """Run ``kernel-lab`` on ``argv`` (default ``sys.argv[1:]``); returns the exit code."""
     try:
-        rv = cli.main(args=argv, standalone_mode=False)
-    except click.ClickException as err:
-        err.show()
-        return 1
-    except click.Abort:
-        click.echo("Aborted.", err=True)
-        return 1
-    return rv if isinstance(rv, int) else 0
+        args = _parser().parse_args(argv)
+    except SystemExit as stop:
+        # help and --version stop with 0, argparse's usage errors with 2
+        return 0 if stop.code == 0 else 1
+    return _list(args.json) if args.command == "list" else _run(args)
 
 
 if __name__ == "__main__":

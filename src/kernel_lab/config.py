@@ -17,7 +17,6 @@ rules its types enforce reject a config with the offending key path.
 from __future__ import annotations
 
 import configparser
-import os
 import re
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
@@ -424,12 +423,14 @@ def _apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
 
 def load_config(path: str, overrides=()) -> ParsedConfig:
     """Parse, override and validate a config file into typed values."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as err:
+        raise ConfigError(f"config file cannot be read: {err}") from None
     except (configparser.Error, UnicodeDecodeError) as err:
         raise ConfigError(f"config file does not parse: {err}") from None
     _apply_overrides(parser, overrides)

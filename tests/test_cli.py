@@ -175,6 +175,15 @@ def test_seed_flag_wins_over_seed_override(model_config, tmp_path):
     assert summary["config"]["run"]["seed"] == 99
 
 
+def test_overrides_do_not_carry_over_between_calls(model_config, tmp_path):
+    # the parser is built once per process, and main may run many times in one
+    args = ["run", "--config", model_config, "--out", str(tmp_path / "o")]
+    assert main(args + ["--override", "model.spectra=3", "--seed", "5"]) == 0
+    assert main(args) == 0
+    config = json.loads((tmp_path / "o" / "summary.json").read_text())["config"]
+    assert (config["model"]["spectra"], config["run"]["seed"]) == (4, 11)
+
+
 def test_json_flag_prints_summary(model_config, tmp_path, capsys):
     out = tmp_path / "artifacts"
     assert main(
@@ -210,8 +219,52 @@ def test_negative_seed_is_usage_error(model_config, tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-def test_unknown_flag_is_usage_error(capsys):
-    assert main(["run", "--frobnicate"]) == 1
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        (["--version"], "kernel-lab, version 0.1.0\n"),
+        (["-h"], "usage: kernel-lab "),
+        (["run", "-h"], "usage: kernel-lab run "),
+    ],
+    ids=["version", "help", "run-help"],
+)
+def test_help_and_version_exit_zero(argv, printed, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.lower().startswith(printed)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--frobnicate"],
+        [],
+        ["run"],
+        ["run", "--config", str(CONFIGS / "model.ini"), "--seed", "x"],
+    ],
+    ids=["unknown-flag", "no-command", "run-without-config", "seed-not-int"],
+)
+def test_argument_errors_exit_one(argv, capsys):
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("case", ["config-is-directory", "out-is-file", "out-under-file"])
+def test_path_errors_exit_one_before_the_run(case, model_config, tmp_path, monkeypatch, capsys):
+    def never(cfg):
+        pytest.fail("the experiment ran")
+
+    monkeypatch.setattr(experiments, "run_experiment", never)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    config, out, named = {
+        "config-is-directory": (str(CONFIGS), str(tmp_path / "o"), str(CONFIGS)),
+        "out-is-file": (model_config, str(blocker), str(blocker)),
+        "out-under-file": (model_config, str(blocker / "sub"), str(blocker / "sub")),
+    }[case]
+    assert main(["run", "--config", config, "--out", out]) == 1
+    assert named in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "model.ini"]
+    assert blocker.read_text() == ""
 
 
 def test_failed_check_exits_two(model_config, tmp_path, capsys):

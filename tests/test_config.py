@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from kernel_lab import config
 from kernel_lab.config import ConfigError, load_config, sections_for
 from kernel_lab.weights import WeightPolynomial, real_term
 
@@ -61,6 +62,20 @@ def test_torus_defaults(tmp_path):
 def test_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         load_config("/nonexistent/exp.ini")
+
+
+def test_unreadable_path(tmp_path, monkeypatch):
+    with pytest.raises(ConfigError, match="cannot be read: .*Is a directory"):
+        load_config(str(tmp_path))
+    path = write(tmp_path, MINIMAL_CONVERGE)
+
+    def denied(file, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", file)
+
+    # permission bits do not stop a superuser, so the refusal is simulated
+    monkeypatch.setattr(config, "open", denied, raising=False)
+    with pytest.raises(ConfigError, match="cannot be read: .*Permission denied"):
+        load_config(path)
 
 
 def test_required_keys(tmp_path):
