@@ -21,8 +21,10 @@ from . import __version__
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built once per process; --override defaults to None, so no list carries over between calls
+def _parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    # the parser and its run subparser, built once per process; --override defaults to None, so
+    # no list carries over between calls.  main checks --config after parsing (the usage still
+    # shows it required), because argparse reports a missing required option before unknown ones
     parser = argparse.ArgumentParser(
         prog="kernel-lab",
         description="Numerical experiments on semiclassical Bergman, spectral and heat kernels.",
@@ -31,8 +33,9 @@ def _parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     listing = commands.add_parser("list", help="List the available experiments.")
     listing.add_argument("--json", action="store_true", help="Emit a machine readable listing.")
-    run = commands.add_parser("run", help="Run one experiment and write its artifacts.")
-    run.add_argument("--config", required=True, metavar="PATH", help="Experiment config (INI).")
+    usage = "%(prog)s [-h] --config PATH [--out DIR] [--override SECTION.KEY=VALUE] [--seed N] [--json]"
+    run = commands.add_parser("run", help="Run one experiment and write its artifacts.", usage=usage)
+    run.add_argument("--config", metavar="PATH", help="Experiment config (INI); required.")
     run.add_argument("--out", default=".", metavar="DIR", help="Directory for the artifacts.")
     run.add_argument(
         "--override", action="append", metavar="SECTION.KEY=VALUE",
@@ -40,7 +43,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, metavar="N", help="Shorthand for --override run.seed=N.")
     run.add_argument("--json", action="store_true", help="Print the summary JSON to stdout.")
-    return parser
+    return parser, run
 
 
 def _list(as_json: bool) -> int:
@@ -113,8 +116,11 @@ def _run(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     """Run ``kernel-lab`` on ``argv`` (default ``sys.argv[1:]``); returns the exit code."""
+    parser, run = _parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.command == "run" and args.config is None:
+            run.error("the following arguments are required: --config")
     except SystemExit as stop:
         # help and --version stop with 0, argparse's usage errors with 2
         return 0 if stop.code == 0 else 1

@@ -73,14 +73,14 @@ only through phi - phi_ref.  It is integrated by quadrature for every
 weight, from one table of nodes and powers per (order, D, lam_ref); when phi
 is symmetric under y -> -y on the nodes the Gram matrix is real, a real
 product over the y < 0 half of the rule with doubled weights (plus the y = 0
-row at odd orders).  Its Cholesky factor is the one guarded step: a Gram that
-is not positive definite, or whose pivot ratio falls below GRAM_GUARD, raises
-GramConditioningError.
+row at odd orders).  Its Cholesky factor is the one guarded step, shared with
+the torus's theta Gram: a Gram that is not positive definite, or whose pivot
+ratio falls below GRAM_GUARD, raises GramConditioningError.
 
-scipy is imported inside the functions that solve or factor, so loading the
-package, or running an experiment with no Galerkin solve, never loads it.
-They call through the ``scipy.linalg`` module attributes, which the
-benchmark's tracer rebinds.
+Everything runs on numpy except the Laplacian eigensolve, which imports
+``scipy.linalg`` inside ``_solve_classes`` and calls ``eigh`` through the
+module attribute, which the benchmark's tracer rebinds.  Loading the package,
+or running an experiment with no Laplacian solve, never loads scipy.
 """
 
 from __future__ import annotations
@@ -118,6 +118,24 @@ GRAM_GUARD = 1e-12
 
 class GramConditioningError(np.linalg.LinAlgError):
     """Gram matrix too ill-conditioned for the requested truncation."""
+
+
+def _guarded_cholesky(gram: np.ndarray, context: str) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor L of a Hermitian Gram, G = L L^H, and its squared pivot ratio.
+
+    G must be positive definite with a ratio of at least GRAM_GUARD, else GramConditioningError.
+    """
+    try:
+        factor = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise GramConditioningError(f"{context}: Gram not positive definite") from exc
+    piv = np.diag(factor).real
+    cond = float((piv.min() / piv.max()) ** 2)
+    if cond < GRAM_GUARD:
+        raise GramConditioningError(
+            f"{context}: Gram pivot ratio {cond:.3e} below guard {GRAM_GUARD:.0e}"
+        )
+    return factor, cond
 
 
 def _model_lambda(weight) -> float:
@@ -363,13 +381,10 @@ def build_system(weight, q: int, degree: int, quad_order: int | None = None) -> 
                 f"build_system(q={q}, D={degree}): quadrature order {order} cannot"
                 f" integrate the Gram matrix (needs more than D = {degree})"
             )
-        import scipy.linalg
-
         gram, lap = _assemble(basis, weight, order)
-        # evd beats the default evr on real matrices, not on complex ones
-        mu, vecs = scipy.linalg.eigh(lap, driver="evd" if np.isrealobj(lap) else None)
         defect = float(np.abs(gram - np.eye(len(basis))).max())
         classes, blocks = (np.arange(len(basis)),), (lap,)
+        mu, vecs = _solve_classes(classes, blocks)
     _check_psd(mu, q, degree)
     return GalerkinSystem(basis, weight, mu, vecs, defect, order, classes, blocks, gram)
 
@@ -529,8 +544,6 @@ def leading_block_spectra(
     eigenvectors) and must be positive semidefinite like a full build.  The
     N x N matrix is never formed.
     """
-    import scipy.linalg
-
     if not isinstance(weight, WeightPolynomial):
         raise ValueError("leading-block spectra need a polynomial weight (the exact path)")
     if not all(0 <= b <= degree for b in blocks):
@@ -539,7 +552,7 @@ def leading_block_spectra(
     spectra = []
     for b in blocks:
         cuts = [np.searchsorted(idx, (b + 1) * (b + 2) // 2) for idx in classes]
-        parts = [scipy.linalg.eigh(x[:m, :m], eigvals_only=True) for m, x in zip(cuts, laps) if m]
+        parts = [np.linalg.eigvalsh(x[:m, :m]) for m, x in zip(cuts, laps) if m]
         mu = np.sort(np.concatenate(parts), kind="stable")
         _check_psd(mu, q, b)
         spectra.append(mu)
@@ -552,9 +565,9 @@ class HolomorphicBasis:
 
     v_a = z^a sqrt(lam_ref (2 lam_ref)^a / (pi a!)) is orthonormal for the
     model weight lam_ref |z|^2, so the Gram matrix departs from the identity
-    only through the weight's perturbation.  ``factor`` is its Cholesky
-    factor in ``scipy.linalg.cho_factor`` form and ``cond`` the squared
-    ratio of its smallest to largest pivot.  Spans the kernel candidates of
+    only through the weight's perturbation.  ``factor`` is its lower
+    Cholesky factor L, G = L L^H, and ``cond`` the squared ratio of its
+    smallest to largest pivot.  Spans the kernel candidates of
     the degree-0 Laplacian directly, so the Bergman kernel is a plain Gram
     inversion, no eigensolve.  ``weight`` is read only through its
     array-in/array-out ``value``.
@@ -564,7 +577,7 @@ class HolomorphicBasis:
     degree: int
     lam_ref: float
     gram: np.ndarray
-    factor: tuple[np.ndarray, bool]
+    factor: np.ndarray
     cond: float
     quad_order: int
 
@@ -580,8 +593,6 @@ def holomorphic_subsystem(
     ``lam_ref`` fixes the reference Gaussian, by default the weight's model's.
     Real when the weight is symmetric under y -> -y on the rule's nodes.
     """
-    import scipy.linalg
-
     lam_ref = _model_lambda(weight) if lam_ref is None else lam_ref
     order = quad_order if quad_order is not None else _default_order(degree, weight)
     z, wt, folded, v = _holomorphic_table(order, degree, lam_ref)
@@ -592,44 +603,26 @@ def holomorphic_subsystem(
     n = mass.size
     mass = mass * np.exp(-2.0 * (phi[:n] - lam_ref * np.abs(z[:n]) ** 2))
     gram = _node_product((v[:, :n] * np.sqrt(mass)).T, symmetric)
-    context = f"holomorphic_subsystem(D={degree})"
-    try:
-        factor = scipy.linalg.cho_factor(gram, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise GramConditioningError(f"{context}: Gram not positive definite") from exc
-    piv = np.diag(factor[0]).real
-    cond = float((piv.min() / piv.max()) ** 2)
-    if cond < GRAM_GUARD:
-        raise GramConditioningError(
-            f"{context}: Gram pivot ratio {cond:.3e} below guard {GRAM_GUARD:.0e}"
-        )
-    return HolomorphicBasis(
-        weight=weight,
-        degree=degree,
-        lam_ref=lam_ref,
-        gram=gram,
-        factor=factor,
-        cond=cond,
-        quad_order=order,
-    )
+    factor, cond = _guarded_cholesky(gram, f"holomorphic_subsystem(D={degree})")
+    return HolomorphicBasis(weight, degree, lam_ref, gram, factor, cond, order)
 
 
 def bergman_kernel_numeric(hol: HolomorphicBasis, z, w) -> np.ndarray:
     """Localized Bergman kernel K(z, w) = sum_ab v_a(z) (G^-1)_ab conj(v_b(w)) e^{-phi(z)-phi(w)}.
 
     Returns the (m_z, m_w) matrix K[i, j] = K(z_i, w_j) on the point sets z
-    and w (see :mod:`kernel_lab.model` for point shapes).
+    and w (see :mod:`kernel_lab.model` for point shapes).  With G = L L^H it
+    is (L^-1 conj(v_z))^H (L^-1 conj(v_w)), one solve when z and w are equal.
     """
-    import scipy.linalg
-
     zs, ws = _points(z, 1)[:, 0], _points(w, 1)[:, 0]
 
-    def table(p: np.ndarray) -> np.ndarray:
-        return _holomorphic_powers(hol.degree, hol.lam_ref, p) * np.exp(-hol.weight.value(p))
+    def half(p: np.ndarray) -> np.ndarray:
+        v = _holomorphic_powers(hol.degree, hol.lam_ref, p) * np.exp(-hol.weight.value(p))
+        return np.linalg.solve(hol.factor, v.conj())
 
-    vz = table(zs)
-    vw = vz if np.array_equal(zs, ws) else table(ws)
-    return vz.T @ scipy.linalg.cho_solve(hol.factor, vw.conj())
+    hz = half(zs)
+    hw = hz if np.array_equal(zs, ws) else half(ws)
+    return hz.conj().T @ hw
 
 
 def _kernel_sum(fz: np.ndarray, fw: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galerkin import GramConditioningError
+from .galerkin import _guarded_cholesky
 
 DEAD_BAND = 1e-12
 DEFAULT_GRID = 64
@@ -275,7 +275,7 @@ def theta_trace_check(
     lattice grid and the projector trace is integrated on a different one, so
     the identity trace = rank is a genuine quadrature statement rather than a
     restatement of the matrix algebra.  Raises GramConditioningError when the
-    Gram matrix is not positive definite.
+    Gram matrix is not positive definite or its pivot ratio is below GRAM_GUARD.
 
     The trace is the sum over the P trace-grid points of v_p G^-1 v_p^H, with
     v_p the row of section values at point p.  It is contracted over the grid
@@ -296,10 +296,7 @@ def theta_trace_check(
     vg = _theta_matrix(bundle, k, gram_grid, radius)
     gram = vg.conj().T @ vg * (bundle.area / gram_grid**2)
     gram = 0.5 * (gram + gram.conj().T)
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as err:
-        raise GramConditioningError(f"theta Gram matrix is not positive definite: {err}")
+    chol, _ = _guarded_cholesky(gram, f"theta_trace_check(k={k})")
 
     vt = _theta_matrix(bundle, k, trace_grid, radius)
     half = np.linalg.solve(chol, vt.conj().T @ vt)

@@ -145,9 +145,13 @@ def _cold_run_scipy_modules(tmp_path, names, hodge=0) -> str:
     return done.stdout.splitlines()[-1]
 
 
-def test_model_and_torus_runs_never_load_scipy(tmp_path):
-    # scipy.linalg alone is about half of a cold start; only Galerkin solves need it
-    assert _cold_run_scipy_modules(tmp_path, ("model", "torus-flat", "torus-wavy")) == "[]"
+def test_numpy_only_runs_never_load_scipy(tmp_path):
+    # scipy.linalg alone is about half of a cold start; only the class eigensolves
+    # of full Galerkin builds need it, and converge and gap make none
+    names = (
+        "model", "torus-flat", "torus-wavy", "converge-cubic", "converge-quadratic", "gap-cubic"
+    )
+    assert _cold_run_scipy_modules(tmp_path, names) == "[]"
 
 
 def test_solve_runs_never_load_scipy_sparse(tmp_path):
@@ -234,18 +238,28 @@ def test_help_and_version_exit_zero(argv, printed, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ["run", "--frobnicate"],
-        [],
-        ["run"],
-        ["run", "--config", str(CONFIGS / "model.ini"), "--seed", "x"],
+        (["run", "--frobnicate"], "--frobnicate"),
+        (["run", "--config", str(CONFIGS / "model.ini"), "--frobnicate"], "--frobnicate"),
+        ([], "COMMAND"),
+        (["run"], "--config"),
+        (["run", "--config", str(CONFIGS / "model.ini"), "--seed", "x"], "--seed"),
     ],
-    ids=["unknown-flag", "no-command", "run-without-config", "seed-not-int"],
+    ids=["unknown-flag", "unknown-flag-with-config", "no-command", "run-without-config", "seed-not-int"],
 )
-def test_argument_errors_exit_one(argv, capsys):
+def test_argument_errors_exit_one(argv, named, capsys):
     assert main(argv) == 1
-    assert "error:" in capsys.readouterr().err.lower()
+    err = capsys.readouterr().err
+    assert "error:" in err.lower()
+    assert named in err
+
+
+def test_run_help_shows_config_required(capsys):
+    assert main(["run", "-h"]) == 0
+    out = capsys.readouterr().out
+    assert " --config PATH " in out.splitlines()[0]
+    assert "[--config" not in out
 
 
 @pytest.mark.parametrize("case", ["config-is-directory", "out-is-file", "out-under-file"])

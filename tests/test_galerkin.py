@@ -326,13 +326,34 @@ def test_complex_coefficient_keeps_complex_gram():
     assert np.iscomplexobj(hol.gram) and np.abs(gram.imag).max() > 0.1
     assert np.abs(hol.gram - gram).max() <= 1e-14
     grid = kernel_grid(5, 1.5)
-    factor = scipy.linalg.cho_factor(gram, lower=True)
-    full = galerkin.HolomorphicBasis(weight, 30, 1.0, gram, factor, hol.cond, 44)
+    full = galerkin.HolomorphicBasis(weight, 30, 1.0, gram, np.linalg.cholesky(gram), hol.cond, 44)
     kernel = bergman_kernel_numeric(hol, grid, grid)
     assert np.abs(kernel - bergman_kernel_numeric(full, grid, grid)).max() <= 1e-12
     # equal point sets share one table; distinct ones give the same entries
     wider = bergman_kernel_numeric(hol, grid, np.append(grid, 0.3 + 0.2j))
     assert np.abs(kernel - wider[:, :-1]).max() <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "gram, message",
+    [
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), "Gram not positive definite"),
+        (np.diag([1.0, 1e-14]), "Gram pivot ratio 1.000e-14 below guard 1e-12"),
+    ],
+    ids=["indefinite", "below-guard"],
+)
+def test_guarded_cholesky_refusals(gram, message):
+    with pytest.raises(GramConditioningError, match=f"^refusal: {message}$"):
+        galerkin._guarded_cholesky(gram, "refusal")
+
+
+def test_guarded_cholesky_factor_and_ratio():
+    # L = [[2, 0], [-i, 1]]: pivots 2 and 1
+    gram = np.array([[4.0, 2.0j], [-2.0j, 2.0]])
+    factor, cond = galerkin._guarded_cholesky(gram, "accepted")
+    assert np.array_equal(factor, np.tril(factor))
+    assert np.allclose(factor @ factor.conj().T, gram)
+    assert cond == pytest.approx(0.25)
 
 
 def _assert_same_spectrum(mu, system):

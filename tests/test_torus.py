@@ -259,6 +259,22 @@ def test_theta_trace_rank_deficient_gram(flat_torus, monkeypatch):
         theta_trace_check(flat_torus, 3)
 
 
+def test_theta_trace_guards_pivot_ratio(flat_torus, monkeypatch):
+    tabulate = torus._theta_matrix
+
+    def faint(bundle, k, n, radius):
+        # one section 1e-8 times fainter on the Gram grid: positive definite,
+        # pivot ratio about 1e-16
+        values = tabulate(bundle, k, n, radius)
+        if n == torus.DEFAULT_GRAM_GRID:
+            values[:, -1] *= 1e-8
+        return values
+
+    monkeypatch.setattr(torus, "_theta_matrix", faint)
+    with pytest.raises(GramConditioningError, match="pivot ratio"):
+        theta_trace_check(flat_torus, 3)
+
+
 def test_audit_morse_flat(flat_torus):
     report = audit_morse(flat_torus, ks=tuple(range(1, 8)))
     assert report.h0 == tuple(range(1, 8))
