@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 from .model import ModelSpectrum
-from .torus import TorusBundle, _check_resolution, _theta_levels
+from .torus import TorusBundle, _check_level, _check_resolution, _theta_levels
 from .weights import CkRule, Perturbation, WeightFamily, WeightPolynomial, _check_epsilon, real_term
 
 EXPERIMENTS = ("converge", "gap", "heat", "model", "torus-audit", "vanish")
@@ -355,11 +355,11 @@ def _check_truncation(section: str, values: Mapping[str, object]) -> None:
 def _check_torus(values: Mapping[str, object], bundle: TorusBundle) -> None:
     """Level and grid rules of the torus audit and its theta trace check.
 
-    Every level k needs k * degree != 0; the trace check integrates on a grid
+    Every level k must be positive; the trace check integrates on a grid
     other than its Gram grid, and each grid in use must resolve psi.
     """
-    if 0 in values["ks"]:
-        raise ConfigError("torus.ks: levels must be nonzero (k * degree = 0 at k = 0)")
+    for k in values["ks"]:
+        _keyed("torus.ks", _check_level, k)
     grids = ["grid_n"]
     if _theta_levels(bundle, values["ks"], values["theta_max_k"]):
         if values["gram_grid"] == values["trace_grid"]:

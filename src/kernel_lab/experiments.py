@@ -9,6 +9,7 @@ emitted summary pins down every threshold a pass/fail decision used.
 from __future__ import annotations
 
 import math
+import random
 import warnings
 from dataclasses import dataclass
 
@@ -87,14 +88,14 @@ def _slope_so_far(cs, errors, i) -> float | None:
 
 def _run_model(cfg: ParsedConfig) -> ExperimentResult:
     sec = cfg.values["model"]
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     rows: list[tuple] = []
 
     prefactor_dev = 0.0
     for _ in range(sec["spectra"]):
-        n = int(rng.integers(1, sec["max_n"] + 1))
-        q0 = int(rng.integers(0, n + 1))
-        mags = rng.uniform(0.3, 3.0, n)
+        n = rng.randint(1, sec["max_n"])
+        q0 = rng.randint(0, n)
+        mags = [rng.uniform(0.3, 3.0) for _ in range(n)]
         lams = tuple(-m for m in mags[:q0]) + tuple(mags[q0:])
         spec = ModelSpectrum(lams)
         origin = np.zeros((1, n), dtype=complex)

@@ -172,9 +172,14 @@ def morse_integrals(
     """
     if q not in (0, 1):
         raise ValueError("torus Morse integrals take q in {0, 1}")
-    if k == 0:
-        raise ValueError("level k must be nonzero")
+    _check_level(k)
     return _morse_integral(curvature_field(bundle, grid_n), k, q)
+
+
+def _check_level(k: int) -> None:
+    """Levels are the powers L^k, k >= 1: a signed k would scale the integrals of |R| negative."""
+    if k <= 0:
+        raise ValueError(f"levels must be positive (a negative bundle has degree < 0), got {k}")
 
 
 def _morse_integral(field: CurvatureField, k: int, q: int) -> float:
@@ -195,13 +200,12 @@ def _morse_integral(field: CurvatureField, k: int, q: int) -> float:
 def dolbeault_dims(bundle: TorusBundle, k: int) -> tuple[int, int]:
     """Dimensions (h^0, h^1) of the degree k*d bundle on the elliptic curve.
 
-    Degree kd > 0 gives (kd, 0) and kd < 0 gives (0, -kd); the flat kd = 0
-    case is excluded.  These are classical facts used as the independent
+    Degree kd > 0 gives (kd, 0) and kd < 0 gives (0, -kd); levels are positive
+    and bundles never flat.  These are classical facts used as the independent
     reference for the Morse audit, not derived from the kernels here.
     """
+    _check_level(k)
     kd = k * bundle.degree
-    if kd == 0:
-        raise ValueError("k * degree must be nonzero")
     return (kd, 0) if kd > 0 else (0, -kd)
 
 

@@ -128,11 +128,19 @@ if int(hodge):
     unit = WeightPolynomial.quadratic([1.0])
     s0, s1 = (build_system(unit, q=q, degree=8) for q in (0, 1))
     assert hodge_residual(None, s0, s1) <= 1e-6
-print([m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules])
+print([m for m in ("numpy.random", "scipy.linalg", "scipy.sparse") if m in sys.modules])
 """
 
+NUMPY_ONLY = (
+    "model", "torus-flat", "torus-wavy", "converge-cubic", "converge-quadratic", "gap-cubic"
+)
+SOLVES = (
+    "converge-cubic", "converge-quadratic", "gap-cubic", "heat-quadratic", "vanish-mismatched"
+)
 
-def _cold_run_scipy_modules(tmp_path, names, hodge=0) -> str:
+
+def _cold_run_modules(tmp_path, names, hodge=0) -> str:
+    """The watched modules that one fresh process loaded while running `names`."""
     env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
     done = subprocess.run(
         [sys.executable, "-c", COLD_RUN, str(CONFIGS), str(tmp_path), ",".join(names), str(hodge)],
@@ -147,19 +155,27 @@ def _cold_run_scipy_modules(tmp_path, names, hodge=0) -> str:
 
 def test_numpy_only_runs_never_load_scipy(tmp_path):
     # scipy.linalg alone is about half of a cold start; only the class eigensolves
-    # of full Galerkin builds need it, and converge and gap make none
-    names = (
-        "model", "torus-flat", "torus-wavy", "converge-cubic", "converge-quadratic", "gap-cubic"
-    )
-    assert _cold_run_scipy_modules(tmp_path, names) == "[]"
+    # of full Galerkin builds need it, and converge and gap make none. numpy.random
+    # adds about 6 MB resident, and the model experiment draws its spectra from the
+    # stdlib generator instead
+    assert _cold_run_modules(tmp_path, NUMPY_ONLY) == "[]"
 
 
 def test_solve_runs_never_load_scipy_sparse(tmp_path):
-    # the exact path assembles its Laplacians with numpy; scipy.linalg solves them
-    names = (
-        "converge-cubic", "converge-quadratic", "gap-cubic", "heat-quadratic", "vanish-mismatched"
+    # the exact path assembles its Laplacians with numpy; scipy.linalg solves them,
+    # and importing it loads numpy.random, which the Hodge residual draws from
+    assert _cold_run_modules(tmp_path, SOLVES, hodge=1) == "['numpy.random', 'scipy.linalg']"
+
+
+def test_shipped_runs_load_numpy_random_only_through_scipy():
+    # the six configs above load neither; heat and vanish load numpy.random only
+    # because their class eigensolves import scipy.linalg, which imports it itself
+    assert {path.stem for path in CONFIGS.glob("*.ini")} == set(NUMPY_ONLY + SOLVES)
+    probe = "import sys, scipy.linalg; print('numpy.random' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
     )
-    assert _cold_run_scipy_modules(tmp_path, names, hodge=1) == "['scipy.linalg']"
+    assert done.stdout.strip() == "True", done.stderr
 
 
 def test_seed_flag_overrides_config(model_config, tmp_path):
@@ -358,6 +374,7 @@ def test_readme_config_example_parses(tmp_path):
         ("torus-flat", "torus.gram_grid=64"),
         ("torus-flat", "torus.psi=9;0;0.3"),
         ("torus-flat", "torus.ks=0,1"),
+        ("torus-flat", "torus.ks=-1, -2"),
         ("torus-flat", "torus.psi=0;0;0.3"),
         ("torus-flat", "torus.degree=0"),
         ("torus-flat", "torus.tau_im=0"),

@@ -90,6 +90,19 @@ def test_morse_integrals_flat(flat_torus):
     assert morse_integrals(flat_torus, 5, 1) == 0.0
 
 
+def test_levels_must_be_positive(flat_torus):
+    # a negative bundle is written with its degree; a signed level would scale
+    # the integrals of |R| negative instead of swapping M(0) and M(1)
+    negative = TorusBundle(tau=1j, degree=-2)
+    assert morse_integrals(negative, 1, 0) == 0.0
+    assert morse_integrals(negative, 1, 1) == pytest.approx(2.0, abs=1e-10)
+    for k in (0, -2):
+        with pytest.raises(ValueError, match="levels must be positive"):
+            morse_integrals(flat_torus, k, 0)
+        with pytest.raises(ValueError, match="levels must be positive"):
+            audit_morse(flat_torus, (1, k))
+
+
 def test_morse_integrals_sign_changing_exceeds_mean(wavy_torus):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryCrossingWarning)
