@@ -1,10 +1,11 @@
 """Command line front door: list experiments, run one from a config file.
 
 Exit codes: 0 when every enabled check passes (and for ``-h``/``--help`` and
-``--version``), 2 when a check fails, 1 on usage, config, path or
-numerical-setup errors.  Usage errors that argparse reports (an unknown
-option, a missing ``--config``, a ``--seed`` that is not an integer) exit 1,
-not argparse's own 2, so 2 always means a failed check.  Artifacts
+``--version``), 2 when a check fails (a check the run's data cannot decide
+fails, and prints as ``n/a``), 1 on usage, config, path or numerical-setup
+errors.  Usage errors that argparse reports (an unknown option, a missing
+``--config``, a ``--seed`` that is not an integer) exit 1, not argparse's
+own 2, so 2 always means a failed check.  Artifacts
 (``<experiment>.csv`` and ``summary.json``) land in the ``--out`` directory
 and are deterministic for a fixed config.
 """
@@ -106,7 +107,8 @@ def _run(args: argparse.Namespace) -> int:
     else:
         for c in result.checks:
             status = "PASS" if c.passed else "FAIL"
-            print(f"{status} {c.name}: {c.value:.6g} {c.comparator} {c.tolerance:g}")
+            value = "n/a" if c.value is None else f"{c.value:.6g}"
+            print(f"{status} {c.name}: {value} {c.comparator} {c.tolerance:g}")
         for note in result.notes:
             print(f"note: {note}")
         verdict = "PASS" if result.passed else "FAIL"

@@ -17,11 +17,13 @@ rules its types enforce reject a config with the offending key path.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 from .model import ModelSpectrum
+from .scaling import _check_bergman
 from .torus import TorusBundle, _check_level, _check_resolution, _theta_levels
 from .weights import CkRule, Perturbation, WeightFamily, WeightPolynomial, _check_epsilon, real_term
 
@@ -51,7 +53,10 @@ def _nonneg_int(text: str) -> int:
 
 
 def _float(text: str) -> float:
-    return float(text.strip())
+    v = float(text.strip())
+    if not math.isfinite(v):
+        raise ValueError(f"must be a finite number, got {text.strip()}")
+    return v
 
 
 def _positive_float(text: str) -> float:
@@ -96,7 +101,7 @@ def _ck_rule(text: str) -> float:
     m = re.fullmatch(r"\s*([0-9]+(?:\.[0-9]+)?)\s*\^\s*k\s*", text)
     if not m:
         raise ValueError(f"expected the form BASE^k (e.g. 4^k), got {text!r}")
-    return float(m.group(1))
+    return _float(m.group(1))
 
 
 def _choice(options: tuple[str, ...]) -> Callable[[str], str]:
@@ -133,7 +138,7 @@ def _terms(text: str) -> tuple[tuple[tuple[int, ...], tuple[int, ...], complex],
         (
             tuple(map(int, f[0].split(","))),
             tuple(map(int, f[1].split(","))),
-            complex(float(f[2]), float(f[3]) if len(f) == 4 else 0.0),
+            complex(_float(f[2]), _float(f[3]) if len(f) == 4 else 0.0),
         )
         for f in _lines(text, "alpha;beta;re[;im]", (3, 4))
     )
@@ -145,7 +150,7 @@ def _terms(text: str) -> tuple[tuple[tuple[int, ...], tuple[int, ...], complex],
 def _psi_modes(text: str) -> tuple[tuple[int, int, float], ...]:
     """Torus psi mode lines m1;m2;amplitude."""
     return tuple(
-        (int(m1), int(m2), float(amp)) for m1, m2, amp in _lines(text, "m1;m2;amplitude", (3,))
+        (int(m1), int(m2), _float(amp)) for m1, m2, amp in _lines(text, "m1;m2;amplitude", (3,))
     )
 
 
@@ -175,7 +180,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "spectra": _Key(_positive_int, "20"),
         "max_n": _Key(_positive_int, "3"),
         "max_order": _Key(_positive_int, "6"),
-        "lambdas": _Key(_list(float), "0.5, 1, 3"),
+        "lambdas": _Key(_list(_float), "0.5, 1, 3"),
         "degrees": _Key(_increasing(_nonneg_int), "8, 16, 24, 32, 40"),
         "grid_points": _Key(_positive_int, "5"),
         "grid_radius": _Key(_positive_float, "1.0"),
@@ -455,4 +460,6 @@ def load_config(path: str, overrides=()) -> ParsedConfig:
             raise ConfigError("family: missing section (defines the weight family)")
         values[section], section_built = _parse_section(section, raw)
         built = built or section_built
+    if experiment == "converge":
+        _keyed("family.base", _check_bergman, built)
     return ParsedConfig(experiment, run["seed"], values, built)

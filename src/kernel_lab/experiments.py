@@ -3,7 +3,8 @@
 A runner returns an ExperimentResult whose rows become the CSV table and
 whose checks (value, tolerance, comparator) drive the process exit code.
 Tolerances come from the config with all defaults materialized, so the
-emitted summary pins down every threshold a pass/fail decision used.
+emitted summary pins down every threshold a pass/fail decision used.  A
+check whose data are missing or not finite has value None and fails (``_worst``).
 """
 
 from __future__ import annotations
@@ -38,15 +39,17 @@ from .weights import WeightFamily, scale_weight
 
 @dataclass(frozen=True)
 class Check:
-    """One pass/fail criterion: value compared against tolerance."""
+    """One pass/fail criterion: value compared against tolerance; a None value fails."""
 
     name: str
-    value: float
+    value: float | None
     tolerance: float
     comparator: str  # one of "<=", ">=", "<"
 
     @property
     def passed(self) -> bool:
+        if self.value is None:
+            return False
         if self.comparator == "<=":
             return self.value <= self.tolerance
         if self.comparator == ">=":
@@ -82,6 +85,14 @@ def _is_pure_quadratic(family: WeightFamily) -> bool:
     return not family.perturbations and family.base == family.model_weight()
 
 
+def _worst(values, pick=max) -> float | None:
+    """``pick`` of the values as a float; None when there are none or any is None or not finite."""
+    values = list(values)
+    if not values or any(v is None or not math.isfinite(v) for v in values):
+        return None
+    return float(pick(values))
+
+
 def _slope_so_far(cs, errors, i) -> float | None:
     return fit_loglog(cs[: i + 1], errors[: i + 1])[0]
 
@@ -91,7 +102,7 @@ def _run_model(cfg: ParsedConfig) -> ExperimentResult:
     rng = random.Random(cfg.seed)
     rows: list[tuple] = []
 
-    prefactor_dev = 0.0
+    prefactor_devs = []
     for _ in range(sec["spectra"]):
         n = rng.randint(1, sec["max_n"])
         q0 = rng.randint(0, n)
@@ -101,10 +112,11 @@ def _run_model(cfg: ParsedConfig) -> ExperimentResult:
         origin = np.zeros((1, n), dtype=complex)
         value = eval_model_bergman(spec, q0, origin, origin)[0, 0]
         expected = float(np.prod(np.abs(lams))) / math.pi**n
-        prefactor_dev = max(prefactor_dev, abs(value - expected) / expected)
+        prefactor_devs.append(abs(value - expected) / expected)
+    prefactor_dev = _worst(prefactor_devs)
     rows.append(("prefactor", f"spectra={sec['spectra']}", prefactor_dev))
 
-    ortho_dev = 0.0
+    ortho_devs = []
     alphas = tuple(multi_indices(1, sec["max_order"]))
     for lam in sec["lambdas"]:
         spec = ModelSpectrum((lam,))
@@ -115,23 +127,23 @@ def _run_model(cfg: ParsedConfig) -> ExperimentResult:
         undo = np.exp(abs(lam) * np.abs(z) ** 2)
         basis = eval_model_basis(spec, alphas, z) * undo[None, :]
         gram = (basis * wt[None, :]) @ basis.conj().T
-        dev = float(np.abs(gram - np.eye(len(alphas))).max())
-        ortho_dev = max(ortho_dev, dev)
-        rows.append(("orthonormality", f"lambda={lam:g}", dev))
+        ortho_devs.append(float(np.abs(gram - np.eye(len(alphas))).max()))
+        rows.append(("orthonormality", f"lambda={lam:g}", ortho_devs[-1]))
 
     spec1 = ModelSpectrum((1.0,))
     pts = kernel_grid(sec["grid_points"], sec["grid_radius"])
     closed = eval_model_bergman(spec1, 0, pts, pts)
-    expansion_dev = math.inf
+    expansion_devs = []
     for degree in sec["degrees"]:
         approx = model_kernel_from_basis(spec1, 0, degree, pts, pts)
-        expansion_dev = float(np.abs(approx - closed).max())
-        rows.append(("expansion", f"degree={degree}", expansion_dev))
+        expansion_devs.append(float(np.abs(approx - closed).max()))
+        rows.append(("expansion", f"degree={degree}", expansion_devs[-1]))
 
     checks = (
         Check("prefactor", prefactor_dev, sec["prefactor_tolerance"], "<="),
-        Check("orthonormality", ortho_dev, sec["orthonormality_tolerance"], "<="),
-        Check("expansion", expansion_dev, sec["expansion_tolerance"], "<="),
+        Check("orthonormality", _worst(ortho_devs), sec["orthonormality_tolerance"], "<="),
+        # the expansion converges in the degree: the check reads the highest one
+        Check("expansion", _worst(expansion_devs[-1:]), sec["expansion_tolerance"], "<="),
     )
     return ExperimentResult(
         name="model",
@@ -161,19 +173,15 @@ def _run_converge(cfg: ParsedConfig) -> ExperimentResult:
 
     checks: list[Check] = []
     if not _is_pure_quadratic(family):
-        worst = max(
-            (b - a for a, b in zip(rep.errors, rep.errors[1:])), default=-math.inf
-        )
-        checks.append(Check("errors_strictly_decreasing", worst, 0.0, "<"))
+        rises = [b - a for a, b in zip(rep.errors, rep.errors[1:])]
+        checks.append(Check("errors_strictly_decreasing", _worst(rises), 0.0, "<"))
     if sec["slope_target"] is not None:
-        off = (
-            abs(rep.slope - sec["slope_target"]) if rep.slope is not None else math.inf
-        )
-        checks.append(Check("slope_within_band", off, sec["slope_tolerance"], "<="))
+        off = None if rep.slope is None else abs(rep.slope - sec["slope_target"])
+        checks.append(Check("slope_within_band", _worst([off]), sec["slope_tolerance"], "<="))
     if sec["max_error"] is not None:
-        checks.append(
-            Check("max_error", max(rep.errors, default=math.inf), sec["max_error"], "<=")
-        )
+        checks.append(Check("max_error", _worst(rep.errors), sec["max_error"], "<="))
+    # the routes are compared at the last k solved; with none solved the check is undecided
+    route = None
     if rep.ks:
         route = route_equivalence_gap(
             family,
@@ -183,7 +191,7 @@ def _run_converge(cfg: ParsedConfig) -> ExperimentResult:
             epsilon=sec["epsilon"],
             quad_order=sec["quad_order"],
         )
-        checks.append(Check("route_equivalence", route, sec["route_tolerance"], "<="))
+    checks.append(Check("route_equivalence", _worst([route]), sec["route_tolerance"], "<="))
     return ExperimentResult(
         name="converge",
         columns=("k", "C_k", "error", "rank", "slope_so_far"),
@@ -221,17 +229,13 @@ def _run_vanish(cfg: ParsedConfig) -> ExperimentResult:
     notes = list(rep.failures)
     if matched:
         notes.append(f"matched signature control: q = q0 = {q}")
-        least = min(rep.ranks, default=0)
-        checks.append(Check("rank_persists", float(least), 1.0, ">="))
+        checks.append(Check("rank_persists", _worst(rep.ranks, min), 1.0, ">="))
     else:
         sel = [i for i, c in enumerate(rep.c_values) if c >= sec["min_ck"]]
-        if sel:
-            worst_rank = max(rep.ranks[i] for i in sel)
-            worst_err = max(rep.errors[i] for i in sel)
-        else:
-            worst_rank, worst_err = math.inf, math.inf
+        if not sel:
             notes.append(f"no k with C_k >= {sec['min_ck']:g} was run")
-        checks.append(Check("rank_zero", float(worst_rank), 0.0, "<="))
+        checks.append(Check("rank_zero", _worst(rep.ranks[i] for i in sel), 0.0, "<="))
+        worst_err = _worst(rep.errors[i] for i in sel)
         checks.append(Check("kernel_sup", worst_err, sec["kernel_tolerance"], "<="))
     return ExperimentResult(
         name="vanish",
@@ -259,10 +263,11 @@ def _run_gap(cfg: ParsedConfig) -> ExperimentResult:
         rows.append((k, ck, coarse, fine, rel, ck * fine))
         rels.append(rel)
         fine_gaps.append(fine)
-    linearity = max(fine_gaps) / min(fine_gaps) - 1.0 if fine_gaps else math.inf
+    # linearity in C_k is max/min - 1 of the scaled gaps, which one k cannot test
+    spread = [g / min(fine_gaps) - 1.0 for g in fine_gaps] if len(fine_gaps) > 1 else []
     checks = (
-        Check("gap_stability", max(rels, default=math.inf), sec["stability_tolerance"], "<="),
-        Check("gap_linearity", linearity, sec["linearity_tolerance"], "<="),
+        Check("gap_stability", _worst(rels), sec["stability_tolerance"], "<="),
+        Check("gap_linearity", _worst(spread), sec["linearity_tolerance"], "<="),
     )
     return ExperimentResult(
         name="gap",
@@ -290,23 +295,12 @@ def _run_heat(cfg: ParsedConfig) -> ExperimentResult:
         for i, (k, c) in enumerate(zip(rep.ks, rep.c_values))
         for j, t in enumerate(rep.ts)
     )
-    slope_off = max(
-        (
-            abs(s + g) / g if s is not None else math.inf
-            for s, g in zip(rep.slopes, rep.gaps)
-        ),
-        default=math.inf,
-    )
-    checks = [Check("slope_matches_gap", slope_off, sec["slope_tolerance"], "<=")]
+    offs = [None if s is None else abs(s + g) / g for s, g in zip(rep.slopes, rep.gaps)]
+    checks = [Check("slope_matches_gap", _worst(offs), sec["slope_tolerance"], "<=")]
     if _is_pure_quadratic(family):
-        checks.append(
-            Check(
-                "k_stability",
-                max(rep.spread_per_t, default=math.inf),
-                sec["spread_tolerance"],
-                "<=",
-            )
-        )
+        # the spread over k of each |H(t) - P|, which one k cannot test
+        spread = rep.spread_per_t if len(rep.ks) > 1 else ()
+        checks.append(Check("k_stability", _worst(spread), sec["spread_tolerance"], "<="))
     return ExperimentResult(
         name="heat",
         columns=("k", "C_k", "t", "diff", "gap", "slope"),
@@ -343,25 +337,18 @@ def _run_torus_audit(cfg: ParsedConfig) -> ExperimentResult:
     )
 
     checks = [
-        Check("morse3_zero", max(abs(v) for v in rep.morse3), sec["morse3_tolerance"], "<="),
-        Check("morse1_nonnegative", min(rep.morse1), -sec["equality_tolerance"], ">="),
+        Check("morse3_zero", _worst(abs(v) for v in rep.morse3), sec["morse3_tolerance"], "<="),
+        Check("morse1_nonnegative", _worst(rep.morse1, min), -sec["equality_tolerance"], ">="),
     ]
     if rep.sign_changing:
-        margin = min(v / k for k, v in zip(rep.ks, rep.morse1))
+        margin = _worst((v / k for k, v in zip(rep.ks, rep.morse1)), min)
         checks.append(Check("morse1_margin_per_k", margin, sec["margin_floor"], ">="))
     else:
-        checks.append(
-            Check(
-                "morse1_equality",
-                max(abs(v) for v in rep.morse1),
-                sec["equality_tolerance"],
-                "<=",
-            )
-        )
+        equality = _worst(abs(v) for v in rep.morse1)
+        checks.append(Check("morse1_equality", equality, sec["equality_tolerance"], "<="))
     if trace_devs:
-        checks.append(
-            Check("theta_trace", max(trace_devs.values()), sec["trace_tolerance"], "<=")
-        )
+        trace = _worst(trace_devs.values())
+        checks.append(Check("theta_trace", trace, sec["trace_tolerance"], "<="))
     return ExperimentResult(
         name="torus-audit",
         columns=("k", "h0", "h1", "I0", "I1", "morse1", "morse2", "morse3", "trace_dev"),

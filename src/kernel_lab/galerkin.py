@@ -684,7 +684,8 @@ def dbar_pairings(sys0: GalerkinSystem, sys1: GalerkinSystem) -> tuple[np.ndarra
     Returns (E01, E10) with E01[j, i] = (b1_j | dbar_s b0_i) and
     E10[j, i] = (b0_j | dbar_s^* b1_i), both in L^2(dV): the rows of the
     exact operators that fall on the partner basis.  Both systems must share
-    the polynomial weight and the reference Gaussian.
+    the polynomial weight and the reference Gaussian.  dbar_s^* is the adjoint
+    of dbar_s, so E10 is the conjugate transpose of E01.
     """
     if sys0.q != 0 or sys1.q != 1:
         raise ValueError("pairings need a degree-0 and a degree-1 system, in that order")
@@ -696,15 +697,12 @@ def dbar_pairings(sys0: GalerkinSystem, sys1: GalerkinSystem) -> tuple[np.ndarra
     if not isinstance(weight, WeightPolynomial):
         raise ValueError("pairings need a polynomial weight (the exact path)")
 
-    def rows(system: GalerkinSystem, partner: GalerkinSystem) -> np.ndarray:
-        i, j = system.basis.n_a, system.basis.n_b
-        out = np.zeros((len(partner.basis), len(system.basis)), dtype=complex)
-        for (da, db), f in _shift_terms(system.basis, weight).items():
-            row = _positions(i + da, j + db, partner.degree)
-            out[row[row >= 0], row >= 0] += f[row >= 0]
-        return out
-
-    return rows(sys0, sys1), rows(sys1, sys0)
+    i, j = sys0.basis.n_a, sys0.basis.n_b
+    e01 = np.zeros((len(sys1.basis), len(sys0.basis)), dtype=complex)
+    for (da, db), f in _shift_terms(sys0.basis, weight).items():
+        row = _positions(i + da, j + db, sys1.degree)
+        e01[row[row >= 0], row >= 0] += f[row >= 0]
+    return e01, e01.conj().T
 
 
 def _pseudo_inverse_apply(system: GalerkinSystem, rhs_coords: np.ndarray) -> np.ndarray:

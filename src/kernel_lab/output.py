@@ -2,7 +2,8 @@
 
 Floats are printed with 17 significant digits (round-trip exact for doubles)
 so identical runs produce byte-identical files; writes go through a temporary
-file in the target directory followed by an atomic rename.
+file in the target directory followed by an atomic rename.  JSON is strict
+(RFC 8259): a NaN or infinity in the payload is a ValueError, not a token.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def write_csv(path: str, header: list[str], rows) -> None:
 
 def write_json(path: str, payload: dict) -> None:
     def body(fh) -> None:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     _atomic_write(path, body)

@@ -197,6 +197,14 @@ def _holomorphic(weight, degree: int, quad_order: int):
     return holomorphic_subsystem(weight, degree, quad_order=quad_order)
 
 
+def _check_bergman(family: WeightFamily) -> ModelSpectrum:
+    """The family's model spectrum, whose Bergman (q = 0) limit needs lambda > 0."""
+    spec = family.model_spectrum()
+    if spec.q0 != 0:
+        raise ValueError(f"the Bergman (q = 0) kernel needs lambda > 0, got {spec.lambdas[0]:g}")
+    return spec
+
+
 def scaled_bergman_convergence(
     family: WeightFamily,
     ks: tuple[int, ...] = DEFAULT_KS,
@@ -212,9 +220,7 @@ def scaled_bergman_convergence(
     rank-one Gaussian kernel with value |lambda| / pi on the diagonal.  Ranks
     are not part of this report (the Bergman projector is used whole).
     """
-    spec = family.model_spectrum()
-    if spec.q0 != 0:
-        raise ValueError("scaled Bergman convergence needs lambda > 0")
+    spec = _check_bergman(family)
     pts = _grid(grid)
     model = eval_model_bergman(spec, 0, pts, pts)
 
@@ -373,9 +379,7 @@ def route_equivalence_gap(
     w / sqrt(C_k)).  The two agree up to roundoff because the substitution
     maps basis, nodes and integrand onto each other exactly.
     """
-    spec = family.model_spectrum()
-    if spec.q0 != 0:
-        raise ValueError("route equivalence uses the Bergman (q = 0) kernel")
+    spec = _check_bergman(family)
     ck = family.c_value(k)
     root = math.sqrt(ck)
     lam = abs(spec.lambdas[0])

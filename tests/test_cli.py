@@ -1,6 +1,7 @@
 """Command line behavior: listing, runs, artifacts, exit codes."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from kernel_lab import experiments, torus
+from kernel_lab import GramConditioningError, experiments, scaling, torus
 from kernel_lab.config import EXPERIMENTS, load_config
 from kernel_lab.cli import main
 
@@ -28,6 +29,23 @@ lambdas = 1
 degrees = 8, 16
 grid_points = 3
 """
+
+
+def _strict(token):
+    raise ValueError(f"{token} is not JSON (RFC 8259)")
+
+
+def read_summary(directory):
+    """The run's summary.json, parsed by a reader that refuses NaN and Infinity."""
+    return json.loads((Path(directory) / "summary.json").read_text(), parse_constant=_strict)
+
+
+@pytest.fixture(autouse=True)
+def summaries_are_strict_json(tmp_path):
+    # every summary a test here writes must load in a strict parser, not just Python's
+    yield
+    for path in tmp_path.rglob("summary.json"):
+        read_summary(path.parent)
 
 
 @pytest.fixture
@@ -58,7 +76,7 @@ def test_run_model(model_config, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "PASS model" in text
     assert (out / "model.csv").exists()
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_summary(out)
     assert summary["passed"] is True
     assert summary["experiment"] == "model"
     assert summary["csv"] == "model.csv"
@@ -183,7 +201,7 @@ def test_seed_flag_overrides_config(model_config, tmp_path):
     assert main(
         ["run", "--config", model_config, "--out", str(out), "--seed", "99"]
     ) == 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_summary(out)
     assert summary["config"]["run"]["seed"] == 99
 
 
@@ -191,7 +209,7 @@ def test_seed_flag_wins_over_seed_override(model_config, tmp_path):
     out = tmp_path / "r3"
     args = ["run", "--config", model_config, "--out", str(out)]
     assert main(args + ["--override", "run.seed=7", "--seed", "99"]) == 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_summary(out)
     assert summary["config"]["run"]["seed"] == 99
 
 
@@ -200,7 +218,7 @@ def test_overrides_do_not_carry_over_between_calls(model_config, tmp_path):
     args = ["run", "--config", model_config, "--out", str(tmp_path / "o")]
     assert main(args + ["--override", "model.spectra=3", "--seed", "5"]) == 0
     assert main(args) == 0
-    config = json.loads((tmp_path / "o" / "summary.json").read_text())["config"]
+    config = read_summary(tmp_path / "o")["config"]
     assert (config["model"]["spectra"], config["run"]["seed"]) == (4, 11)
 
 
@@ -209,8 +227,8 @@ def test_json_flag_prints_summary(model_config, tmp_path, capsys):
     assert main(
         ["run", "--config", model_config, "--out", str(out), "--json"]
     ) == 0
-    printed = json.loads(capsys.readouterr().out)
-    on_disk = json.loads((out / "summary.json").read_text())
+    printed = json.loads(capsys.readouterr().out, parse_constant=_strict)
+    on_disk = read_summary(out)
     assert printed == on_disk
 
 
@@ -309,40 +327,92 @@ def test_failed_check_exits_two(model_config, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "FAIL" in text
     # artifacts are still written so the failure can be inspected
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_summary(out)
     assert summary["passed"] is False
     failed = [c for c in summary["checks"] if not c["passed"]]
     assert any(c["name"] == "orthonormality" for c in failed)
 
 
+@pytest.mark.parametrize(
+    "config, overrides, undecided",
+    [
+        (
+            "converge-cubic",
+            ("converge.slope_target=", "converge.ks=3"),
+            "errors_strictly_decreasing",
+        ),
+        ("gap-cubic", ("gap.ks=3",), "gap_linearity"),
+        ("heat-quadratic", ("heat.ks=3",), "k_stability"),
+        ("heat-quadratic", ("heat.ts=1",), "slope_matches_gap"),
+    ],
+    ids=["converge-one-k", "gap-one-k", "heat-one-k", "heat-one-t"],
+)
+def test_undecidable_check_fails_as_null(config, overrides, undecided, tmp_path, capsys):
+    # one k cannot show a decrease, a linearity or a spread over k, and one t
+    # cannot fit a decay rate: the check fails instead of passing vacuously
+    out = tmp_path / "o"
+    argv = ["run", "--config", str(CONFIGS / f"{config}.ini"), "--out", str(out)]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == 2
+    assert f"FAIL {undecided}: n/a " in capsys.readouterr().out
+    summary = read_summary(out)
+    (check,) = [c for c in summary["checks"] if c["name"] == undecided]
+    assert check["value"] is None and check["passed"] is False
+    assert summary["passed"] is False
+
+
+def test_converge_with_no_solved_k_fails(tmp_path, monkeypatch, capsys):
+    # every k refused by the Gram guard leaves no errors and no k for the route check
+    def refuse(*args):
+        raise GramConditioningError("forced")
+
+    monkeypatch.setattr(scaling, "_holomorphic", refuse)
+    out = tmp_path / "o"
+    argv = ["run", "--config", str(CONFIGS / "converge-quadratic.ini"), "--out", str(out)]
+    assert main([*argv, "--override", "converge.max_error=", "--override", "converge.ks=1, 2"]) == 2
+    (check,) = read_summary(out)["checks"]
+    assert check["name"] == "route_equivalence" and check["value"] is None
+    assert "note: k=1: forced" in capsys.readouterr().out
+
+
+def test_worst_keeps_a_nan():
+    # the built-in max and min drop a NaN that is not their first argument
+    for values in ([0.0, math.nan], [math.nan, 0.0], [1.0, math.inf], [0.0, None], []):
+        assert experiments._worst(values) is None
+        assert experiments._worst(values, min) is None
+    assert experiments._worst([1, 3, 2]) == 3.0 and experiments._worst([1, 3, 2], min) == 1.0
+    assert experiments.Check("c", None, 1.0, "<=").passed is False
+
+
 def test_readme_gap_override_runs(tmp_path):
-    # the degree override shown in README, cut to one k to stay fast
+    # the degree override shown in README, cut to two k (the fewest linearity can test)
     config = CONFIGS / "gap-cubic.ini"
     out = tmp_path / "gap"
     code = main(
         [
             "run", "--config", str(config), "--out", str(out),
             "--override", "gap.degree_fine=36", "--override", "run.seed=7",
-            "--override", "gap.ks=1",
+            "--override", "gap.ks=1, 2",
         ]
     )
     assert code == 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_summary(out)
     assert summary["passed"] is True
     assert summary["config"]["gap"]["degree_fine"] == 36
 
 
 def test_gap_reaches_degree_64(tmp_path):
-    # the exact assembly and eigenvalue-only solves make D = 64 a few seconds per k
+    # the exact assembly and eigenvalue-only solves make D = 64 a fraction of a second per k
     out = tmp_path / "gap64"
     code = main(
         [
             "run", "--config", str(CONFIGS / "gap-cubic.ini"), "--out", str(out),
-            "--override", "gap.degree_fine=64", "--override", "gap.ks=1",
+            "--override", "gap.degree_fine=64", "--override", "gap.ks=1, 2",
         ]
     )
     assert code == 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_summary(out)
     assert summary["passed"] is True
     assert summary["config"]["gap"]["degree_fine"] == 64
 
@@ -383,6 +453,18 @@ def test_readme_config_example_parses(tmp_path):
         ("model", "model.degrees=40, 8"),
         ("heat-quadratic", "heat.ts=4, 2"),
         ("heat-quadratic", "heat.ts=0, 1"),
+        # every float the config reads must be finite
+        ("converge-cubic", "converge.max_error=inf"),
+        ("converge-cubic", "converge.slope_target=nan"),
+        ("model", "model.lambdas=nan"),
+        ("torus-flat", "torus.tau_re=nan"),
+        ("torus-flat", "torus.psi=1;0;inf"),
+        ("gap-cubic", "family.base=1;1;1\\n3;0;inf"),
+        pytest.param(
+            "gap-cubic", "family.ck_rule=" + "9" * 400 + "^k", id="gap-cubic-family.ck_rule=huge^k"
+        ),
+        # the Bergman kernel's model limit needs a positive |z|^2 coefficient
+        ("converge-quadratic", "family.base=1;1;-1.0"),
         # the last override names the key; the ones before it pair pert1 up
         pytest.param(
             "gap-cubic", ("family.pert1=1;1;1", "family.pert1_gamma=1.5"),

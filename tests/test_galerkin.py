@@ -267,6 +267,8 @@ def test_exact_pairings_match_quadrature(name, degree0):
     s0 = build_system(weight, q=0, degree=degree0)
     s1 = build_system(weight, q=1, degree=16)
     e01, e10 = dbar_pairings(s0, s1)
+    # dbar_s^* is the adjoint of dbar_s, entry for entry
+    assert np.array_equal(e10, e01.conj().T)
     z, wt = gauss_hermite_nodes(degree0 + weight.degree + 2, s0.basis.lam_ref)
     b0, b1 = s0.basis.tabulate(z), s1.basis.tabulate(z)
     a_of_b0 = galerkin._dbar_image(s0.basis, s0.weight, z, b0.copy())

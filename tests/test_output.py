@@ -82,3 +82,11 @@ def test_write_json(tmp_path):
     assert json.loads(text) == payload
     # keys are emitted sorted for reproducible bytes
     assert text.index('"a"') < text.index('"b"') < text.index('"x"')
+
+
+def test_write_json_refuses_nan(tmp_path):
+    # strict RFC 8259: an undecided value is written as null, never as NaN
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            write_json(str(tmp_path / "summary.json"), {"value": bad})
+    assert list(tmp_path.iterdir()) == []
