@@ -313,9 +313,9 @@ def heat_route_comparison(
     spectral gap.  ``source`` may be a weight family (one system per distinct
     blended weight, built as the sweep reaches it) or a bare n = 1 model
     spectrum (a single exactly quadratic system, reported as k = 1).  Each
-    system's modes are evaluated on the grid once, however many k it serves;
-    the projector, every heat kernel and the trace bound are read from that
-    one table.
+    system's row (projector, heat kernels, gap, slope, trace bound) is read
+    from its modes on the grid once; a k whose system repeats the previous
+    one copies that row.
     """
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t schedule must be strictly increasing")
@@ -337,8 +337,12 @@ def heat_route_comparison(
     bounds: list[float] = []
     last = None
     for i, system in enumerate(systems):
-        if system is not last:
-            modes, last = system.eval_modes(pts), system
+        if system is last:
+            diffs[i] = diffs[i - 1]
+            for column in (gaps, slopes, bounds):
+                column.append(column[-1])
+            continue
+        modes, last = system.eval_modes(pts), system
         proj = _kernel_sum(modes, modes, _projector_selection(system, 0.0).astype(float))
         for j, t in enumerate(ts):
             heat = _kernel_sum(modes, modes, _heat_weights(system, t))

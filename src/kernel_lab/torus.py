@@ -215,8 +215,9 @@ def _theta_levels(bundle: TorusBundle, ks, max_k: int) -> tuple[int, ...]:
 
 
 def _theta_radius(tau2: float, m: int) -> int:
-    spread = math.sqrt(1.0 + 18.0 * math.log(10.0) / (math.pi * tau2 * m))
-    return max(6, math.ceil(1.0 + spread) + 2)
+    # Each grid row has a term with |s + y| <= 1/2, and dropped terms are <= e^{-pi m tau2 (R-1)^2}:
+    # the least R with 2 e^{-pi m tau2 ((R-1)^2 - 1/4)} <= 2^-53 drops below half an ulp of it.
+    return 1 + math.ceil(math.sqrt(0.25 + 54.0 * math.log(2.0) / (math.pi * tau2 * m)))
 
 
 @functools.lru_cache(maxsize=2)

@@ -224,6 +224,24 @@ def test_heat_route_builds_once_per_distinct_weight(quadratic_family, monkeypatc
     )
 
 
+def test_heat_route_reuses_a_repeated_system(quadratic_family, monkeypatch):
+    # all five k share the model system: one projector and four heat kernels in all
+    calls = []
+    kernel_sum = scaling._kernel_sum
+
+    def counted(*args):
+        calls.append(args)
+        return kernel_sum(*args)
+
+    monkeypatch.setattr(scaling, "_kernel_sum", counted)
+    ts = (1.0, 2.0, 4.0, 8.0)
+    report = heat_route_comparison(quadratic_family, ks=(1, 2, 3, 4, 5), ts=ts, degree=16)
+    assert len(calls) == 1 + len(ts)
+    assert all(row.tobytes() == report.diffs[0].tobytes() for row in report.diffs)
+    for column in (report.gaps, report.slopes, report.trace_bounds):
+        assert column == (column[0],) * 5
+
+
 @pytest.mark.parametrize("blended", [False, True])
 def test_heat_route_matches_public_kernels(blended, cubic_family, monkeypatch):
     # the route reads every kernel from one mode table per system; the public

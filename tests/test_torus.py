@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from kernel_lab import (
     theta_trace_check,
     torus,
 )
+from kernel_lab.config import load_config
 from kernel_lab.torus import _lattice_grid, _psi_table, _theta_levels, _theta_matrix, _theta_radius
 
 BUNDLES = [
@@ -26,6 +28,8 @@ BUNDLES = [
     TorusBundle(tau=0.3 + 1.1j, degree=2, psi_modes=((1, 1, 0.2), (-2, 1, 0.05))),
 ]
 BUNDLE_IDS = ["flat", "wavy", "skew"]
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED = ("torus-flat", "torus-wavy")
 
 
 def test_bundle_validation():
@@ -201,6 +205,39 @@ def test_theta_matrix_matches_direct_sum(bundle, k, n):
     reference = _direct_theta_matrix(bundle, k, n, radius)
     assert values.shape == (n * n, k * bundle.degree)
     assert np.abs(values - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+def _dropped_share(tau2, m, radius):
+    # bound on the dropped lattice terms over the largest term of a grid row
+    return 2.0 * math.exp(-math.pi * m * tau2 * ((radius - 1) ** 2 - 0.25))
+
+
+def test_theta_radius_is_minimal():
+    assert [_theta_radius(1.0, m) for m in range(1, 7)] == [5, 4, 4, 3, 3, 3]
+    for tau2 in (0.25, 0.5, 0.8, 1.0, 1.1, 1.3, 2.0):
+        for m in range(1, 31):
+            radius = _theta_radius(tau2, m)
+            assert _dropped_share(tau2, m, radius) <= 2.0**-53
+            assert _dropped_share(tau2, m, radius - 1) > 2.0**-53
+
+
+@pytest.mark.parametrize("name", BUNDLE_IDS + list(SHIPPED))
+def test_theta_radius_drops_only_rounding(name):
+    # three more lattice terms on each side change no table beyond its last bit,
+    # and no bit at all on the shipped bundles
+    if name in SHIPPED:
+        bundle = load_config(str(CONFIGS / f"{name}.ini")).bundle()
+    else:
+        bundle = BUNDLES[BUNDLE_IDS.index(name)]
+    for k in range(1, 11):
+        radius = _theta_radius(bundle.tau.imag, k * bundle.degree)
+        for n in (48, 64):
+            values = _theta_matrix(bundle, k, n, radius)
+            wider = _theta_matrix(bundle, k, n, radius + 3)
+            if name in SHIPPED:
+                assert values.tobytes() == wider.tobytes(), (k, n)
+            else:
+                assert np.abs(values - wider).max() <= 2.0**-52 * np.abs(wider).max(), (k, n)
 
 
 def test_theta_trace_flat_small(flat_torus):
