@@ -41,7 +41,6 @@ from .weights import (
     Perturbation,
     WeightFamily,
     WeightPolynomial,
-    assemble_weight,
     extend_weight,
     normalize_gauge,
     real_term,

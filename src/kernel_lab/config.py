@@ -283,6 +283,8 @@ def _parse_section(
     unknown = sorted(k for k in extra if section != "family" or not _PERT.fullmatch(k))
     if unknown:
         raise ConfigError(f"{section}.{unknown[0]}: unknown key")
+    for k in out.get("ks", ()):
+        _keyed(f"{section}.ks", _check_level, k)
 
     if section == "family":
         return out, _family(out, extra)
@@ -358,13 +360,11 @@ def _check_truncation(section: str, values: Mapping[str, object]) -> None:
 
 
 def _check_torus(values: Mapping[str, object], bundle: TorusBundle) -> None:
-    """Level and grid rules of the torus audit and its theta trace check.
+    """Grid rules of the torus audit and its theta trace check.
 
-    Every level k must be positive; the trace check integrates on a grid
-    other than its Gram grid, and each grid in use must resolve psi.
+    The trace check integrates on a grid other than its Gram grid, and each
+    grid in use must resolve psi.
     """
-    for k in values["ks"]:
-        _keyed("torus.ks", _check_level, k)
     grids = ["grid_n"]
     if _theta_levels(bundle, values["ks"], values["theta_max_k"]):
         if values["gram_grid"] == values["trace_grid"]:

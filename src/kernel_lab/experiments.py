@@ -34,7 +34,7 @@ from .scaling import (
     vanishing_convergence,
 )
 from .torus import BoundaryCrossingWarning, _theta_levels, audit_morse, theta_trace_check
-from .weights import WeightFamily, scale_weight
+from .weights import scale_weight
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,6 @@ class ExperimentResult:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-def _is_pure_quadratic(family: WeightFamily) -> bool:
-    return not family.perturbations and family.base == family.model_weight()
 
 
 def _worst(values, pick=max) -> float | None:
@@ -172,7 +168,7 @@ def _run_converge(cfg: ParsedConfig) -> ExperimentResult:
     )
 
     checks: list[Check] = []
-    if not _is_pure_quadratic(family):
+    if not family.is_model:
         rises = [b - a for a, b in zip(rep.errors, rep.errors[1:])]
         checks.append(Check("errors_strictly_decreasing", _worst(rises), 0.0, "<"))
     if sec["slope_target"] is not None:
@@ -297,7 +293,7 @@ def _run_heat(cfg: ParsedConfig) -> ExperimentResult:
     )
     offs = [None if s is None else abs(s + g) / g for s, g in zip(rep.slopes, rep.gaps)]
     checks = [Check("slope_matches_gap", _worst(offs), sec["slope_tolerance"], "<=")]
-    if _is_pure_quadratic(family):
+    if family.is_model:
         # the spread over k of each |H(t) - P|, which one k cannot test
         spread = rep.spread_per_t if len(rep.ks) > 1 else ()
         checks.append(Check("k_stability", _worst(spread), sec["spread_tolerance"], "<="))

@@ -12,10 +12,10 @@ term of total order m in the weight scales as C_k^{gamma - m/2}, so any
 perturbation with gamma < 1 and order >= 2 decays and the errors should
 shrink; the fitted slope measures how fast.
 
-Sweeps build once per distinct blended weight: when the scaled weight is its
-own quadratic model, as for a pure quadratic base, every k blends to that
-model and one Galerkin system, or one holomorphic Gram and its grid error,
-serves the whole run of k.
+Sweeps build once per distinct level weight.  A model family (no
+perturbation, base equal to its |z|^2 term) scales to its model at every k,
+whatever its C_k rule, so one exact Galerkin system, or one holomorphic Gram
+and its grid error, serves the whole run of k.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .weights import (
     ExtendedWeight,
     WeightFamily,
     WeightPolynomial,
+    _check_epsilon,
     extend_weight,
     scale_weight,
 )
@@ -116,7 +117,14 @@ def fit_exp_decay(ts, values) -> float | None:
     return float(slope)
 
 
-def _extended(family: WeightFamily, k: int, epsilon: float) -> ExtendedWeight:
+def _level(family: WeightFamily, k: int, epsilon: float) -> ExtendedWeight | WeightPolynomial:
+    """What a sweep builds at level k: the model of a model family, else the scaled blend.
+
+    A model family scales to its model at every k and epsilon: one exact build serves all k.
+    """
+    _check_epsilon(epsilon)
+    if family.is_model:
+        return family.model_weight()
     return extend_weight(
         scale_weight(family, k), family.model_weight(), epsilon, family.c_value(k)
     )
@@ -126,25 +134,15 @@ def _extended(family: WeightFamily, k: int, epsilon: float) -> ExtendedWeight:
 class _Dilated:
     """The weight y -> weight(root * y), read only through its values."""
 
-    weight: ExtendedWeight
+    weight: ExtendedWeight | WeightPolynomial
     root: float
 
     def value(self, y: np.ndarray) -> np.ndarray:
         return self.weight.value(self.root * y)
 
 
-def _swept(blend: ExtendedWeight):
-    """What a sweep builds for a blend: the blend itself, or its model polynomial.
-
-    The model is built when ``delta`` has no terms: such a blend is its model
-    everywhere, whatever C_k and epsilon, so it takes the exact path, and
-    every k of a pure quadratic family shares it.
-    """
-    return blend if blend.delta.coeffs else blend.model
-
-
 def _sweep(family: WeightFamily, ks, epsilon: float, build: Callable, failures: list | None = None):
-    """Yield (k, build(weight)) over the ks, building once per run of equal swept weights.
+    """Yield (k, build(weight)) over the ks, building once per run of equal level weights.
 
     Only the last result is held.  A GramConditioningError is recorded in
     ``failures`` as ``k=<k>: <message>`` and its k skipped, or re-raised
@@ -154,17 +152,17 @@ def _sweep(family: WeightFamily, ks, epsilon: float, build: Callable, failures: 
     """
     weight = None
     for k in ks:
-        swept = _swept(_extended(family, k, epsilon))
-        if swept != weight:
+        level = _level(family, k, epsilon)
+        if level != weight:
             weight = result = None
             try:
-                result = build(swept)
+                result = build(level)
             except GramConditioningError as err:
                 if failures is None:
                     raise
                 failures.append(f"k={k}: {err}")
                 continue
-            weight = swept
+            weight = level
         yield k, result
 
 
@@ -300,7 +298,7 @@ def heat_route_comparison(
     source: WeightFamily | ModelSpectrum,
     ks: tuple[int, ...] | None = None,
     ts: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0),
-    degree: int = DEFAULT_DEGREE,
+    degree: int = 24,
     grid: np.ndarray | None = None,
     *,
     epsilon: float = DEFAULT_EPSILON,
@@ -315,7 +313,8 @@ def heat_route_comparison(
     spectrum (a single exactly quadratic system, reported as k = 1).  Each
     system's row (projector, heat kernels, gap, slope, trace bound) is read
     from its modes on the grid once; a k whose system repeats the previous
-    one copies that row.
+    one copies that row.  A family runs k = 1..5 at degree 24 by default,
+    as the ``[heat]`` config section does.
     """
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t schedule must be strictly increasing")
@@ -326,7 +325,7 @@ def heat_route_comparison(
         systems = [build(WeightPolynomial.quadratic(source.lambdas))] * len(kss)
         cs = (1.0,) * len(kss)
     else:
-        kss = DEFAULT_KS if ks is None else tuple(ks)
+        kss = tuple(range(1, 6)) if ks is None else tuple(ks)
         systems = (system for _, system in _sweep(source, kss, epsilon, build))
         cs = tuple(source.c_value(k) for k in kss)
 
@@ -387,11 +386,11 @@ def route_equivalence_gap(
     ck = family.c_value(k)
     root = math.sqrt(ck)
     lam = abs(spec.lambdas[0])
-    ext = _extended(family, k, epsilon)
+    level = _level(family, k, epsilon)
     pts = _grid(grid)
-    hol_scaled = _holomorphic(_swept(ext), degree, quad_order)
+    hol_scaled = _holomorphic(level, degree, quad_order)
     hol_unscaled = holomorphic_subsystem(
-        _Dilated(ext, root), degree, quad_order=quad_order, lam_ref=lam * ck
+        _Dilated(level, root), degree, quad_order=quad_order, lam_ref=lam * ck
     )
     direct = bergman_kernel_numeric(hol_scaled, pts, pts)
     routed = bergman_kernel_numeric(hol_unscaled, pts / root, pts / root) / ck

@@ -177,9 +177,9 @@ def morse_integrals(
 
 
 def _check_level(k: int) -> None:
-    """Levels are the powers L^k, k >= 1: a signed k would scale the integrals of |R| negative."""
+    """Levels are k >= 1 (powers L^k, family members phi_k); a negative bundle has degree < 0."""
     if k <= 0:
-        raise ValueError(f"levels must be positive (a negative bundle has degree < 0), got {k}")
+        raise ValueError(f"levels must be positive, got {k}")
 
 
 def _morse_integral(field: CurvatureField, k: int, q: int) -> float:

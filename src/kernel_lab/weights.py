@@ -27,7 +27,6 @@ __all__ = [
     "ExtendedWeight",
     "real_term",
     "normalize_gauge",
-    "assemble_weight",
     "scale_weight",
     "extend_weight",
 ]
@@ -218,6 +217,11 @@ class WeightFamily:
     def c_value(self, k: int) -> float:
         return self.ck(k)
 
+    @property
+    def is_model(self) -> bool:
+        """No perturbation, and the base is its |z|^2 term: every level scales to the model."""
+        return not self.perturbations and self.base == self.model_weight()
+
     def model_weight(self) -> WeightPolynomial:
         """The |z|^2 term of the base, i.e. the quadratic model."""
         return WeightPolynomial({(1, 1): self.base.coeffs[(1, 1)]})
@@ -229,22 +233,18 @@ class WeightFamily:
         return ModelSpectrum((self.base.coeffs[(1, 1)].real,))
 
 
-def assemble_weight(family: WeightFamily, k: int) -> WeightPolynomial:
-    """phi_k = C_k * base + sum C_k^gamma * perturbation."""
-    ck = family.c_value(k)
-    out = family.base * ck
-    for pert in family.perturbations:
-        out = out + pert.shape * (ck ** pert.gamma)
-    return out
-
-
 def scale_weight(family: WeightFamily, k: int) -> WeightPolynomial:
-    """Scaled weight phi_(k)(z) = phi_k(z / sqrt(C_k)) by exact coefficient transform."""
+    """Scaled weight phi_(k)(z) = phi_k(z / sqrt(C_k)) by exact coefficient transform.
+
+    Each term c z^a zbar^b of C_k^gamma * shape (gamma = 1 for the base) is rounded
+    once, to c * C_k^(gamma - (a+b)/2): the base's |z|^2 term stays exactly lambda.
+    """
     ck = family.c_value(k)
-    phi = assemble_weight(family, k)
-    return WeightPolynomial(
-        {(a, b): c * ck ** (-(a + b) / 2.0) for (a, b), c in phi.coeffs.items()}
-    )
+    out = WeightPolynomial()
+    for shape, gamma in [(family.base, 1.0)] + [(p.shape, p.gamma) for p in family.perturbations]:
+        scaled = {(a, b): c * ck ** (gamma - (a + b) / 2.0) for (a, b), c in shape.coeffs.items()}
+        out = out + WeightPolynomial(scaled)
+    return out
 
 
 def _soft(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -445,6 +445,11 @@ def test_readme_config_example_parses(tmp_path):
         ("torus-flat", "torus.psi=9;0;0.3"),
         ("torus-flat", "torus.ks=0,1"),
         ("torus-flat", "torus.ks=-1, -2"),
+        # every family sweep's levels k are positive too
+        ("converge-cubic", "converge.ks=-2, -1, 0"),
+        ("vanish-mismatched", "vanish.ks=-3, 1"),
+        ("gap-cubic", "gap.ks=0, -1"),
+        ("heat-quadratic", "heat.ks=0, 1"),
         ("torus-flat", "torus.psi=0;0;0.3"),
         ("torus-flat", "torus.degree=0"),
         ("torus-flat", "torus.tau_im=0"),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kernel_lab import scaling
+from kernel_lab.config import load_config
 from kernel_lab import (
     CkRule,
     ConvergenceReport,
@@ -14,12 +15,14 @@ from kernel_lab import (
     WeightPolynomial,
     bergman_kernel_numeric,
     eval_model_bergman,
+    extend_weight,
     fit_loglog,
     heat_kernel_numeric,
     heat_route_comparison,
     kernel_grid,
     real_term,
     route_equivalence_gap,
+    scale_weight,
     scaled_bergman_convergence,
     spectral_projector_kernel,
     vanishing_convergence,
@@ -302,10 +305,60 @@ def test_bergman_sweep_builds_once_per_distinct_weight(
     model = eval_model_bergman(quadratic_family.model_spectrum(), 0, pts, pts)
     for k, error in zip(ks, report.errors):
         # bit for bit the error of a fresh build of the blend itself
-        hol = build(scaling._extended(quadratic_family, k, 1.0 / 7.0), 16, quad_order=44)
+        blend = extend_weight(
+            scale_weight(quadratic_family, k),
+            quadratic_family.model_weight(),
+            1.0 / 7.0,
+            quadratic_family.c_value(k),
+        )
+        hol = build(blend, 16, quad_order=44)
         assert error == float(np.abs(bergman_kernel_numeric(hol, pts, pts) - model).max())
     scaled_bergman_convergence(cubic_family, ks=(1, 2, 3), degree=12)
     assert degrees == [16, 12, 12, 12]
+
+
+def test_model_family_builds_once_at_any_ck_rule(monkeypatch):
+    # 0.7 * 3^k / 3^k is not always 0.7 in floating point; the family, not
+    # the scaled coefficients, says that every level is the model
+    family = WeightFamily(base=WeightPolynomial.quadratic([0.7]), ck=CkRule(3.0))
+    ks = tuple(range(1, 8))
+    builds = _count_builds(monkeypatch)
+    vanishing_convergence(family, ks=ks, degree=12)
+    assert builds == [12]
+    report = heat_route_comparison(family, ks=ks, ts=(1.0, 2.0), degree=12)
+    assert builds == [12, 12]
+    assert report.spread_per_t == (0.0, 0.0)
+    assert len(set(report.gaps)) == 1 and len(set(report.slopes)) == 1
+
+    grams: list[int] = []
+    build = scaling.holomorphic_subsystem
+    scaling._holomorphic.cache_clear()
+
+    def counted(weight, degree, **kwargs):
+        grams.append(degree)
+        return build(weight, degree, **kwargs)
+
+    monkeypatch.setattr(scaling, "holomorphic_subsystem", counted)
+    scaled_bergman_convergence(family, ks=ks, degree=12)
+    assert grams == [12]
+
+
+def test_model_family_sweeps_still_check_epsilon(quadratic_family):
+    # a model family's levels build no blend, but the blend exponent is still an input
+    for sweep in (scaled_bergman_convergence, vanishing_convergence, heat_route_comparison):
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1/6\)"):
+            sweep(quadratic_family, ks=(1,), degree=4, epsilon=0.5)
+
+
+def test_heat_family_defaults_are_the_heat_sections(quadratic_family, tmp_path, monkeypatch):
+    path = tmp_path / "heat.ini"
+    path.write_text("[run]\nexperiment = heat\n\n[family]\nbase = 1;1;1\n")
+    sec = load_config(str(path)).values["heat"]
+    builds = _count_builds(monkeypatch)
+    report = heat_route_comparison(quadratic_family)
+    assert report.ks == sec["ks"]
+    assert report.ts == sec["ts"]
+    assert builds == [sec["degree"]]
 
 
 @pytest.mark.parametrize("name", ["quadratic_family", "cubic_family"])

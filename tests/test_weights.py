@@ -11,7 +11,6 @@ from kernel_lab import (
     Perturbation,
     WeightFamily,
     WeightPolynomial,
-    assemble_weight,
     extend_weight,
     fit_loglog,
     normalize_gauge,
@@ -127,12 +126,29 @@ def test_scale_weight_perturbation_rate():
     assert extra.real == pytest.approx(0.0464, abs=5e-5)
 
 
+def test_scale_weight_keeps_lambda_exactly():
+    # the |z|^2 term is scaled by C_k^(1 - 1) = 1 alone, not by C_k and back,
+    # so (lambda C_k) / C_k rounding off lambda cannot happen at any C_k rule
+    for lam in (0.7, 1.0, 2.5):
+        for rule in (3.0, 1.1, 5.0, 4.0):
+            family = WeightFamily(base=WeightPolynomial.quadratic([lam]), ck=CkRule(rule))
+            for k in range(1, 11):
+                assert scale_weight(family, k).coeffs[(1, 1)] == lam, (lam, rule, k)
+
+
+def test_is_model(quadratic_family, cubic_family, perturbed_family):
+    assert quadratic_family.is_model
+    assert WeightFamily(base=WeightPolynomial.quadratic([-0.7]), ck=CkRule(3.0)).is_model
+    assert not cubic_family.is_model
+    assert not perturbed_family.is_model
+
+
 def test_scale_weight_identity_at_unit_scale():
     base = WeightPolynomial.quadratic([2.0]) + real_term(1, (3,), (0,), 0.1)
     family = WeightFamily(base=base, ck=CkRule(4.0))
-    # C_0 = 4^0 = 1: scaling is the identity on the assembled weight
+    # C_0 = 4^0 = 1: scaling is the identity on the base
     assert family.c_value(0) == 1.0
-    assert scale_weight(family, 0) == assemble_weight(family, 0)
+    assert scale_weight(family, 0) == family.base
 
 
 def c2_distance_to_model(
