@@ -13,6 +13,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .model import (
     multi_indices,
 )
 from .scaling import (
+    _sweep,
     fit_loglog,
     heat_route_comparison,
     kernel_grid,
@@ -247,14 +249,17 @@ def _run_gap(cfg: ParsedConfig) -> ExperimentResult:
     sec = cfg.values["gap"]
     spec = family.model_spectrum()
     q = 1 - spec.q0 if sec["q"] is None else sec["q"]
+    degrees = (sec["degree_coarse"], sec["degree_fine"])
+
+    def gaps(weight) -> tuple[float, ...]:
+        spectra = leading_block_spectra(weight, q, degrees[1], degrees)
+        return tuple(spectral_gap(mu) for mu in spectra)
+
     rows: list[tuple] = []
     rels: list[float] = []
     fine_gaps: list[float] = []
-    degrees = (sec["degree_coarse"], sec["degree_fine"])
-    for k in sec["ks"]:
+    for k, (coarse, fine) in _sweep(partial(scale_weight, family), sec["ks"], gaps):
         ck = family.c_value(k)
-        spectra = leading_block_spectra(scale_weight(family, k), q, degrees[1], degrees)
-        coarse, fine = (spectral_gap(mu) for mu in spectra)
         rel = abs(coarse - fine) / fine
         rows.append((k, ck, coarse, fine, rel, ck * fine))
         rels.append(rel)

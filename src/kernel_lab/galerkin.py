@@ -17,12 +17,12 @@ As functions, |n_a, n_b> = P e^{-phi_ref} with
 
   P_(c+j, j) = (-1)^j v_c(z) l_j^(c)(2 lam |z|^2),  P_(j, c+j) = conj(P_(c+j, j)),
 
-where v_c = z^c sqrt(lam s^(2c) / (pi c!)) are the model-normalized
-holomorphic powers and l_j^(c) the orthonormal Laguerre functions.  They span
-the same space as z^a zbar^b e^{-phi_ref}, a + b <= D, and are orthonormal in
-L^2(dV) with dV = 2 dm, so the Gram matrix is the identity and the Galerkin
-problem is a standard Hermitian eigenproblem.  The operator for a weight phi
-acts through
+where v_c = z^c sqrt(lam s^(2c) / (pi c!)) are the model-normalized powers,
+tabulated by :mod:`kernel_lab.model`, and l_j^(c) the orthonormal Laguerre
+functions.  They span the same space as z^a zbar^b e^{-phi_ref}, a + b <= D,
+and are orthonormal in L^2(dV) with dV = 2 dm, so the Gram matrix is the
+identity and the Galerkin problem is a standard Hermitian eigenproblem.  The
+operator for a weight phi acts through
 
   dbar_s u = (d/dzbar + phi_zbar) u  (on functions),
   dbar_s^* f = (-d/dz + phi_z) f     (on dzbar-coefficients),
@@ -92,7 +92,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import _points
+from .model import _holomorphic_powers, _points
 from .weights import ExtendedWeight, WeightPolynomial
 
 __all__ = [
@@ -169,15 +169,6 @@ def gauss_hermite_nodes(order: int, lam_ref: float) -> tuple[np.ndarray, np.ndar
     return z, wt
 
 
-def _holomorphic_powers(degree: int, lam_ref: float, z: np.ndarray) -> np.ndarray:
-    """Model-normalized powers v_a(z), a <= degree, shape (degree + 1, len(z))."""
-    v = np.empty((degree + 1, z.size), dtype=complex)
-    v[0] = math.sqrt(lam_ref / math.pi)
-    for a in range(1, degree + 1):
-        v[a] = v[a - 1] * z * math.sqrt(2.0 * lam_ref / a)
-    return v
-
-
 @functools.lru_cache(maxsize=2)
 def _holomorphic_table(order: int, degree: int, lam_ref: float) -> tuple[np.ndarray, ...]:
     """The tensor rule y-major (nodes, weights), its folded weights and v_a at the nodes; read-only.
@@ -230,8 +221,9 @@ class GalerkinBasis:
         """Polynomial factors P of the states P e^{-lam_ref |z|^2}, shape (len(z), len(self)).
 
         Along each charge line c = n_a - n_b >= 0, P_(c+j, j) = (-1)^j v_c
-        l_j^(c)(x) with x = 2 lam_ref |z|^2; the orthonormal Laguerre
-        functions come from their three-term recurrence in j, all c at once:
+        l_j^(c)(x) with x = 2 lam_ref |z|^2.  The v_c come from the model's power
+        table, and the orthonormal Laguerre functions from their three-term
+        recurrence in j, all c at once:
         sqrt((j+1)(j+1+c)) l_{j+1} = (2j+1+c-x) l_j - sqrt(j(j+c)) l_{j-1}.
         """
         z = np.asarray(z, dtype=complex).ravel()

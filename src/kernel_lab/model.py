@@ -123,21 +123,16 @@ def eval_model_bergman(spec: ModelSpectrum, q: int, z, w) -> np.ndarray:
     return prefactor * np.exp(2.0 * cross - quad)
 
 
-def _one_variable_norms(lam: np.ndarray, top: int) -> np.ndarray:
-    """N[i, a] = sqrt(2^a |lambda_i|^(a + 1) / (pi a!)) for a <= top.
+def _holomorphic_powers(degree: int, lam: float, z: np.ndarray) -> np.ndarray:
+    """Model-normalized powers v_a(z) = z^a sqrt(lam (2 lam)^a / (pi a!)), a <= degree.
 
-    Factorials are floats, so no product wraps; where the squared norm leaves
-    the normal float range the norm is taken in log space instead.
+    Shape (degree + 1, len(z)), by the ladder v_a = v_(a-1) z sqrt(2 lam / a).
     """
-    a = np.arange(top + 1)
-    # 171! is the first factorial past the float range
-    fact = np.array([float(math.factorial(j)) if j <= 170 else math.inf for j in a])
-    lam = lam[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm2 = 2.0**a * lam ** (a + 1) / (math.pi * fact)
-    logs = a * np.log(2.0 * lam) + np.log(lam / math.pi) - np.cumsum(np.log(np.maximum(a, 1)))
-    normal = np.isfinite(norm2) & (norm2 >= np.finfo(float).tiny)
-    return np.where(normal, np.sqrt(norm2), np.exp(0.5 * logs))
+    v = np.empty((degree + 1, z.size), dtype=complex)
+    v[0] = math.sqrt(lam / math.pi)
+    for a in range(1, degree + 1):
+        v[a] = v[a - 1] * z * math.sqrt(2.0 * lam / a)
+    return v
 
 
 def _basis_matrix(spec: ModelSpectrum, alphas, zp: np.ndarray) -> np.ndarray:
@@ -150,12 +145,11 @@ def _basis_matrix(spec: ModelSpectrum, alphas, zp: np.ndarray) -> np.ndarray:
     if (exps < 0).any():
         raise ValueError("multi-index entries must be nonnegative")
     lam = np.abs(np.asarray(spec.lambdas))
-    table = _one_variable_norms(lam, int(exps.max()))
-    norms = np.prod(table[np.arange(spec.n), exps], axis=1)
     coords = np.where(np.arange(spec.n) < spec.q0, np.conj(zp), zp)
-    mono = np.prod(coords[None, :, :] ** exps[:, None, :], axis=-1)
-    gauss = np.exp(-(lam * np.abs(zp) ** 2).sum(axis=-1))
-    return norms[:, None] * mono * gauss[None, :]
+    basis = np.exp(-(lam * np.abs(zp) ** 2).sum(axis=-1))
+    for i, top in enumerate(exps.max(axis=0)):
+        basis = basis * _holomorphic_powers(int(top), lam[i], coords[:, i])[exps[:, i]]
+    return basis
 
 
 def eval_model_basis(spec: ModelSpectrum, alphas, z) -> np.ndarray:
@@ -166,8 +160,8 @@ def eval_model_basis(spec: ModelSpectrum, alphas, z) -> np.ndarray:
 
     where the mixed monomial z_q^alpha conjugates the first q0 coordinates.
     ``alphas`` is a sequence of multi-indices and ``z`` a point set.  Returns
-    the (len(alphas), m) matrix B[a, p] = Psi_alphas[a](z_p).  Each norm is a
-    product of one-variable norms in floats, valid for any n and order.
+    the (len(alphas), m) matrix B[a, p] = Psi_alphas[a](z_p): the Gaussian times
+    one-variable powers from the recurrence v_a = v_(a-1) z sqrt(2 |lambda_i| / a).
     """
     return _basis_matrix(spec, alphas, _points(z, spec.n))
 

@@ -141,8 +141,8 @@ class _Dilated:
         return self.weight.value(self.root * y)
 
 
-def _sweep(family: WeightFamily, ks, epsilon: float, build: Callable, failures: list | None = None):
-    """Yield (k, build(weight)) over the ks, building once per run of equal level weights.
+def _sweep(level: Callable, ks, build: Callable, failures: list | None = None):
+    """Yield (k, build(level(k))) over the ks, building once per run of equal level weights.
 
     Only the last result is held.  A GramConditioningError is recorded in
     ``failures`` as ``k=<k>: <message>`` and its k skipped, or re-raised
@@ -152,17 +152,17 @@ def _sweep(family: WeightFamily, ks, epsilon: float, build: Callable, failures: 
     """
     weight = None
     for k in ks:
-        level = _level(family, k, epsilon)
-        if level != weight:
+        current = level(k)
+        if current != weight:
             weight = result = None
             try:
-                result = build(level)
+                result = build(current)
             except GramConditioningError as err:
                 if failures is None:
                     raise
                 failures.append(f"k={k}: {err}")
                 continue
-            weight = level
+            weight = current
         yield k, result
 
 
@@ -227,7 +227,8 @@ def scaled_bergman_convergence(
         return float(np.abs(bergman_kernel_numeric(hol, pts, pts) - model).max())
 
     failures: list[str] = []
-    return _report(family, list(_sweep(family, ks, epsilon, grid_error, failures)), pts, failures)
+    rows = _sweep(partial(_level, family, epsilon=epsilon), ks, grid_error, failures)
+    return _report(family, list(rows), pts, failures)
 
 
 def vanishing_convergence(
@@ -262,7 +263,7 @@ def vanishing_convergence(
     rows: list[tuple] = []
     failures: list[str] = []
     build = partial(build_system, q=q, degree=degree, quad_order=quad_order)
-    for k, system in _sweep(family, ks, epsilon, build, failures):
+    for k, system in _sweep(partial(_level, family, epsilon=epsilon), ks, build, failures):
         ck = family.c_value(k)
         c_scaled = ck ** (-d) / ck
         kern = spectral_projector_kernel(system, c_scaled, pts, pts)
@@ -326,7 +327,8 @@ def heat_route_comparison(
         cs = (1.0,) * len(kss)
     else:
         kss = tuple(range(1, 6)) if ks is None else tuple(ks)
-        systems = (system for _, system in _sweep(source, kss, epsilon, build))
+        levels = partial(_level, source, epsilon=epsilon)
+        systems = (system for _, system in _sweep(levels, kss, build))
         cs = tuple(source.c_value(k) for k in kss)
 
     pts = _grid(grid)

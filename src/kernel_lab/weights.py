@@ -121,13 +121,6 @@ class WeightPolynomial(Polynomial):
     def value(self, pts) -> np.ndarray:
         return super().value(pts).real
 
-    def __mul__(self, s: float) -> "WeightPolynomial":
-        if isinstance(s, complex) and s.imag != 0:
-            raise TypeError("weights only scale by real numbers")
-        return WeightPolynomial({k: float(s) * c for k, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
 
 def real_term(n: int, alpha: Sequence[int], beta: Sequence[int], amplitude: complex) -> WeightPolynomial:
     """Real weight term c z^alpha zbar^beta + conj(c) z^beta zbar^alpha on C.

@@ -333,6 +333,34 @@ def test_failed_check_exits_two(model_config, tmp_path, capsys):
     assert any(c["name"] == "orthonormality" for c in failed)
 
 
+def test_model_oracles_at_extreme_curvature(tmp_path):
+    # far from lambda = 1, z^a and its norm leave the float range in opposite directions
+    out = tmp_path / "extreme"
+    argv = ["run", "--config", str(CONFIGS / "model.ini"), "--out", str(out)]
+    assert main([*argv, "--override", "model.lambdas=1e-100, 1, 1e100"]) == 0
+    (check,) = [c for c in read_summary(out)["checks"] if c["name"] == "orthonormality"]
+    assert check["value"] <= 1e-14
+
+
+def test_gap_builds_once_per_distinct_level_weight(tmp_path, monkeypatch):
+    # a model family scales to one weight at every k, whatever its C_k rule
+    weights = []
+    spectra = experiments.leading_block_spectra
+
+    def counted(weight, *args):
+        weights.append(weight)
+        return spectra(weight, *args)
+
+    monkeypatch.setattr(experiments, "leading_block_spectra", counted)
+    out = tmp_path / "gap"
+    argv = ["run", "--config", str(CONFIGS / "gap-cubic.ini"), "--out", str(out)]
+    argv += ["--override", "family.base=1;1;0.7", "--override", "family.ck_rule=3^k"]
+    assert main(argv) == 0
+    summary = read_summary(out)
+    assert len(weights) == 1
+    assert summary["rows"] == len(summary["config"]["gap"]["ks"]) == 7
+
+
 @pytest.mark.parametrize(
     "config, overrides, undecided",
     [

@@ -16,7 +16,7 @@ from kernel_lab import (
     model_kernel_from_basis,
     spectral_projector_kernel,
 )
-from kernel_lab.galerkin import build_system, gauss_hermite_nodes
+from kernel_lab.galerkin import GalerkinBasis, build_system, gauss_hermite_nodes
 from kernel_lab.model import multi_indices
 from kernel_lab.weights import WeightPolynomial
 
@@ -97,13 +97,24 @@ def test_multi_index_enumeration():
 
 
 def test_basis_orthonormality_by_quadrature():
-    spec = ModelSpectrum((1.0,))
+    # far from lambda = 1 the power table stays finite where z^a or its norm would not
     alphas = [(a,) for a in range(7)]
-    z, wt = gauss_hermite_nodes(16, 1.0)
-    undo = np.exp(np.abs(z) ** 2)
-    basis = eval_model_basis(spec, alphas, z) * undo[None, :]
-    gram = (basis * wt[None, :]) @ basis.conj().T
-    assert np.abs(gram - np.eye(7)).max() <= 1e-8
+    for lam in (1.0, 1e-100, 1e100, 1e200):
+        z, wt = gauss_hermite_nodes(16, lam)
+        undo = np.exp(lam * np.abs(z) ** 2)
+        basis = eval_model_basis(ModelSpectrum((lam,)), alphas, z) * undo[None, :]
+        gram = (basis * wt[None, :]) @ basis.conj().T
+        assert np.abs(gram - np.eye(7)).max() <= 1e-8, lam
+
+
+def test_basis_is_the_galerkin_holomorphic_states():
+    # one table of v_a serves both layers: Psi_a is the charge state |a, 0> bit for bit
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    galerkin = GalerkinBasis(0, 12, 0.7)
+    states = galerkin.functions(z)[:, galerkin.n_b == 0].T
+    basis = eval_model_basis(ModelSpectrum((0.7,)), [(a,) for a in range(13)], z)
+    assert np.array_equal(basis, states)
 
 
 def test_expansion_matches_closed_form():
@@ -141,11 +152,14 @@ def test_basis_ladder_past_float_factorials(lam):
         assert abs(basis[i + 1] / basis[i] - ratio) <= 1e-10 * abs(ratio)
 
 
-@pytest.mark.parametrize("lambdas", [(1.0, 1.0), (-1.0, 2.0)])
+@pytest.mark.parametrize(
+    "lambdas", [(1.0, 1.0), (-1.0, 2.0), (-1e100, 1e-100), (1e60, 1e-60)]
+)
 def test_two_variable_expansion_at_degree_30(lambdas):
     spec = ModelSpectrum(lambdas)
     rng = np.random.default_rng(3)
     pts = 0.3 * (rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)))
+    pts /= np.sqrt(np.abs(lambdas))
     closed = eval_model_bergman(spec, spec.q0, pts, pts)
     expansion = model_kernel_from_basis(spec, spec.q0, 30, pts, pts)
     assert np.abs(expansion - closed).max() <= 1e-12 * np.abs(closed).max()

@@ -175,7 +175,7 @@ def test_c2_distance_basics():
     assert c2_distance_to_model(model, model, 1.0) == 0.0
     cubic = real_term(1, (2,), (1,), 0.1)
     one = c2_distance_to_model(model + cubic, model, 1.0)
-    tenth = c2_distance_to_model(model + 0.1 * cubic, model, 1.0)
+    tenth = c2_distance_to_model(model + real_term(1, (2,), (1,), 0.01), model, 1.0)
     assert one > 0.0
     assert tenth == pytest.approx(one / 10.0, rel=1e-12)
 
