@@ -160,8 +160,6 @@ class _Key:
     default: str | None  # None marks a required key
 
 
-_EPS_DEFAULT = repr(1.0 / 7.0)
-
 _GRID_KEYS = {
     "grid_points": _Key(_positive_int, "3"),
     "grid_radius": _Key(_positive_float, "1.5"),
@@ -192,7 +190,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "ks": _Key(_increasing(int), "1, 2, 3, 4, 5, 6, 7"),
         "degree": _Key(_positive_int, "30"),
         "quad_order": _Key(_positive_int, "44"),
-        "epsilon": _Key(_epsilon, _EPS_DEFAULT),
+        "epsilon": _Key(_epsilon, repr(1.0 / 7.0)),
         "slope_target": _Key(_optional(_float), ""),
         "slope_tolerance": _Key(_positive_float, "0.2"),
         "max_error": _Key(_optional(_positive_float), ""),
@@ -202,8 +200,6 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
     "vanish": {
         "ks": _Key(_increasing(int), "1, 2, 3, 4, 5, 6, 7"),
         "degree": _Key(_positive_int, "30"),
-        "quad_order": _Key(_positive_int, "44"),
-        "epsilon": _Key(_epsilon, _EPS_DEFAULT),
         "d": _Key(_positive_float, "1"),
         "q": _Key(_optional(_form_degree), ""),
         "min_ck": _Key(_positive_float, "16"),
@@ -222,8 +218,6 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "ks": _Key(_list(int), "1, 2, 3, 4, 5"),
         "ts": _Key(_increasing(_positive_float), "1, 2, 4, 8"),
         "degree": _Key(_positive_int, "24"),
-        "quad_order": _Key(_positive_int, "44"),
-        "epsilon": _Key(_epsilon, _EPS_DEFAULT),
         "slope_tolerance": _Key(_positive_float, "0.1"),
         "spread_tolerance": _Key(_positive_float, "1e-8"),
         **_GRID_KEYS,
@@ -343,16 +337,16 @@ def _bundle(values: Mapping[str, object]) -> TorusBundle:
 def _check_truncation(section: str, values: Mapping[str, object]) -> None:
     """Degree and quadrature-order rules of the Galerkin sections.
 
-    An order-m rule integrates the Gram matrix of degree D only when m > D,
-    and the gap experiment solves its coarse degree as a leading block of the
-    fine one (exactly, with no quadrature).
+    converge's order-m rule integrates its holomorphic Gram of degree D only
+    when m > D, and the gap experiment solves its coarse degree as a leading
+    block of the fine one.
     """
     if section == "gap" and values["degree_coarse"] > values["degree_fine"]:
         raise ConfigError(
             f"gap.degree_coarse: must not exceed degree_fine"
             f" ({values['degree_fine']}), got {values['degree_coarse']}"
         )
-    if section in ("converge", "vanish", "heat") and values["quad_order"] <= values["degree"]:
+    if section == "converge" and values["quad_order"] <= values["degree"]:
         raise ConfigError(
             f"{section}.quad_order: must exceed degree ({values['degree']}),"
             f" got {values['quad_order']}"

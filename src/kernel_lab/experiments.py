@@ -213,8 +213,6 @@ def _run_vanish(cfg: ParsedConfig) -> ExperimentResult:
         d=sec["d"],
         grid=grid,
         q=q,
-        epsilon=sec["epsilon"],
-        quad_order=sec["quad_order"],
     )
     rows = tuple(
         (k, c, e, r, _slope_so_far(rep.c_values, rep.errors, i))
@@ -288,8 +286,6 @@ def _run_heat(cfg: ParsedConfig) -> ExperimentResult:
         ts=sec["ts"],
         degree=sec["degree"],
         grid=grid,
-        epsilon=sec["epsilon"],
-        quad_order=sec["quad_order"],
     )
     rows = tuple(
         (k, c, t, float(rep.diffs[i, j]), rep.gaps[i], rep.slopes[i])

@@ -30,20 +30,13 @@ operator for a weight phi acts through
 both in L^2(dV), and the Laplacian is the form |A u|^2 of A = dbar_s (q = 0)
 or A = dbar_s^* (q = 1).  On the polynomial factors the derivatives are the
 ladders, dP/dzbar = s sqrt(n_b) P_(n_a, n_b-1) and dP/dz = s sqrt(n_a)
-P_(n_a-1, n_b).  The Laplacian is assembled on one of two paths:
-
-* Polynomial weights (``WeightPolynomial``) take the exact path, with no
-  quadrature: ``gram`` is the identity, ``gram_defect`` and ``quad_order`` 0.
-  A expands into ladder terms (a^+)^k a^l b^m (b^+)^r, each a shift by
-  (k - l, r - m) with a coefficient depending on n_a and n_b; terms with the
-  same shift are merged, and A^H A is summed from pairs of shifts straight
-  into its charge-class blocks by an index plan made once per D, g (below)
-  and shifts; the dense ``laplacian`` and ``gram`` are built only when read.
-* Blended weights (``ExtendedWeight``) take the quadrature path: tensor
-  Gauss-Hermite quadrature against e^{-2 phi_ref}, by default a dense rule.
-  An order-m rule integrates the Gram matrix exactly once m > D; orders
-  m <= D are refused with GramConditioningError, and above that the Gram
-  defect max|G - I| is reported, not guarded.
+P_(n_a-1, n_b).  The Laplacian is assembled exactly, with no quadrature,
+for a polynomial weight (``WeightPolynomial``): A expands into ladder terms
+(a^+)^k a^l b^m (b^+)^r, each a shift by (k - l, r - m) with a coefficient
+depending on n_a and n_b; terms with the same shift are merged, and A^H A is
+summed from pairs of shifts straight into its charge-class blocks by an index
+plan made once per D, g (below) and shifts.  The dense ``laplacian`` and the
+identity ``gram`` are built only when read.
 
 A monomial z^a zbar^b shifts the charge by a - b, so the exact Laplacian
 couples charges only modulo g = gcd |a - b| over the weight's monomials:
@@ -59,21 +52,19 @@ roundoff (2(b + q) with multiplicity D + 1 - b) up to at least D = 64.
 
 The ladder coefficients are real, and conj(P_(n_a, n_b)) = P_(n_b, n_a), so
 for a weight with real coefficients (phi symmetric under y -> -y) the
-Laplacian is real: exactly on the exact path, and up to quadrature roundoff,
-which is dropped, on the blended one (the tensor rule is symmetric under
-y -> -y but not rotation exact, so blended weights are solved as one block).
-Either way the solve then runs in real arithmetic.  Because the basis carries
-the reference Gaussian rather than e^{-phi}, negative-curvature weights pose
-no integrability problem: the true weight enters only through its
+Laplacian is real and the solve runs in real arithmetic.  Because the basis
+carries the reference Gaussian rather than e^{-phi}, a polynomial weight needs
+no cut-off, whatever the sign of its curvature: it enters only through its
 derivatives.
 
 The Bergman kernel uses the holomorphic sub-basis v_a e^{-phi} (the states
 |a, 0> for the model weight), whose Gram matrix differs from the identity
-only through phi - phi_ref.  It is integrated by quadrature for every
-weight, from one table of nodes and powers per (order, D, lam_ref); when phi
-is symmetric under y -> -y on the nodes the Gram matrix is real, a real
-product over the y < 0 half of the rule with doubled weights (plus the y = 0
-row at odd orders).  Its Cholesky factor is the one guarded step, shared with
+only through phi - phi_ref.  It is integrated by quadrature, for a
+polynomial weight or for the blend (``ExtendedWeight``) that keeps
+e^{-2 phi} integrable, from one table of nodes and powers per (order, D,
+lam_ref); when phi is symmetric under y -> -y on the nodes the Gram matrix
+is real, a real product over the y < 0 half of the rule with doubled weights
+(plus the y = 0 row at odd orders).  Its Cholesky factor is the one guarded step, shared with
 the torus's theta Gram: a Gram that is not positive definite, or whose pivot
 ratio falls below GRAM_GUARD, raises GramConditioningError.
 
@@ -249,55 +240,24 @@ class GalerkinBasis:
         return self.tabulate(z) * np.exp(-self.lam_ref * np.abs(z) ** 2)[:, None]
 
 
-def _dbar_image(basis: GalerkinBasis, weight, z: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The image of the tabulated ``values`` at z under dbar_s (q = 0) or dbar_s^* (q = 1).
-
-    ``values`` is overwritten and returned.  Both come without the reference
-    Gaussian, which the quadrature carries, and act row by row (node by node).
-    The weight is an ``ExtendedWeight`` or, as the tests' quadrature
-    reference for the exact path, a ``WeightPolynomial``.
-    The derivative of a level-n state is a multiple of a level-(n - 1) one,
-    so the levels are replaced from the top down.
-    """
-    s = math.sqrt(2.0 * basis.lam_ref)
-    poly = isinstance(weight, WeightPolynomial)
-    if basis.q == 0:
-        mult = (weight.d_zbar().value(z) if poly else weight.d_zbar(z)) - basis.lam_ref * z
-    else:
-        mult = (weight.d_z().value(z) if poly else weight.d_z(z)) + basis.lam_ref * np.conj(z)
-    for n in range(basis.degree, -1, -1):
-        first = n * (n + 1) // 2
-        level = values[:, first : first + n + 1]
-        level *= mult[:, None]
-        below = values[:, first - n : first]
-        if basis.q == 0:  # + dP/dzbar = s sqrt(n_b) P_(n_a, n_b - 1), n_a < n
-            level[:, :n] += s * np.sqrt(n - np.arange(n)) * below
-        else:  # - dP/dz = -s sqrt(n_a) P_(n_a - 1, n_b), n_a > 0
-            level[:, 1:] -= s * np.sqrt(np.arange(1.0, n + 1)) * below
-    return values
-
-
 @dataclass(frozen=True)
 class GalerkinSystem:
-    """Assembled Gram and Laplacian matrices with their eigenpairs, all in the charge states.
+    """The exact Laplacian of a polynomial weight with its eigenpairs, all in the charge states.
 
     ``eigenvectors`` holds orthonormal coefficient columns, V^H V = I, real
     when the weight's coefficients are real.  Eigenvalues are sorted
-    ascending.  ``gram`` is the identity on the exact path (``quad_order`` 0)
-    and the quadrature Gram matrix otherwise (real, the identity up to
-    ``gram_defect`` = max|G - I|); the eigensolve takes it to be the identity.
-    The Laplacian is kept in class blocks; ``laplacian`` and an exact ``gram`` are built when read.
+    ascending.  The Laplacian is kept in class blocks; the dense
+    ``laplacian`` and ``gram``, the identity, are built when read.
     """
 
     basis: GalerkinBasis
-    weight: WeightPolynomial | ExtendedWeight
+    weight: WeightPolynomial
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    gram_defect: float
-    quad_order: int
     _classes: tuple[np.ndarray, ...] = field(repr=False)
     _blocks: tuple[np.ndarray, ...] = field(repr=False)
-    _gram: np.ndarray | None = field(default=None, repr=False)
+    # the benchmark's build counter reads the quadrature order: 0, as no assembly integrates
+    quad_order = 0
 
     @functools.cached_property
     def laplacian(self) -> np.ndarray:
@@ -308,7 +268,7 @@ class GalerkinSystem:
 
     @functools.cached_property
     def gram(self) -> np.ndarray:
-        return np.eye(len(self.basis)) if self._gram is None else self._gram
+        return np.eye(len(self.basis))
 
     @property
     def q(self) -> int:
@@ -345,40 +305,23 @@ def _basis(weight, q: int, degree: int) -> GalerkinBasis:
     return GalerkinBasis(q, degree, _model_lambda(weight))
 
 
-def build_system(weight, q: int, degree: int, quad_order: int | None = None) -> GalerkinSystem:
-    """Assemble Gram G and Laplacian form Q for the weight in degree q, and solve Qv = mu v.
+def build_system(weight: WeightPolynomial, q: int, degree: int) -> GalerkinSystem:
+    """Assemble the Laplacian form Q = A^H A of the weight in degree q, and solve Qv = mu v.
 
     Parameters
     ----------
-    weight : WeightPolynomial or ExtendedWeight.
-        A ``WeightPolynomial`` takes the exact path (Q = A^H A, G = I,
-        ``quad_order`` 0); an ``ExtendedWeight`` is assembled by quadrature.
+    weight : WeightPolynomial.  Any other weight raises ValueError: Laplacians
+        are assembled exactly, class block by class block.
     q : form degree, 0 or 1.
     degree : truncation degree D; the basis has (D+1)(D+2)/2 elements.
-    quad_order : Gauss-Hermite points per axis, read only on the quadrature
-        path.  The default is a dense rule; orders <= D raise
-        GramConditioningError.
 
     The reference Gaussian is the weight's own quadratic part at 0.
     """
     basis = _basis(weight, q, degree)
-    if isinstance(weight, WeightPolynomial):
-        classes, blocks = _class_laplacians(basis, weight)
-        mu, vecs = _solve_classes(classes, blocks)
-        gram, defect, order = None, 0.0, 0
-    else:
-        order = quad_order if quad_order is not None else _default_order(degree, weight)
-        if order <= degree:
-            raise GramConditioningError(
-                f"build_system(q={q}, D={degree}): quadrature order {order} cannot"
-                f" integrate the Gram matrix (needs more than D = {degree})"
-            )
-        gram, lap = _assemble(basis, weight, order)
-        defect = float(np.abs(gram - np.eye(len(basis))).max())
-        classes, blocks = (np.arange(len(basis)),), (lap,)
-        mu, vecs = _solve_classes(classes, blocks)
+    classes, blocks = _class_laplacians(basis, weight)
+    mu, vecs = _solve_classes(classes, blocks)
     _check_psd(mu, q, degree)
-    return GalerkinSystem(basis, weight, mu, vecs, defect, order, classes, blocks, gram)
+    return GalerkinSystem(basis, weight, mu, vecs, classes, blocks)
 
 
 def _positions(i: np.ndarray, j: np.ndarray, degree: int) -> np.ndarray:
@@ -393,8 +336,11 @@ def _shift_terms(basis: GalerkinBasis, weight: WeightPolynomial) -> dict:
     By z = (a^+ + b) / s and zbar = (a + b^+) / s, a monomial c z^al zbar^be
     of phi's derivative is the sum over k, l of C(al, k) C(be, l) c s^-(al+be)
     (a^+)^k a^l b^(al-k) (b^+)^(be-l), whose coefficients on |i, j> are roots
-    of falling factorials.  Real for real weight coefficients.
+    of falling factorials.  Real for real weight coefficients.  Any weight but
+    a ``WeightPolynomial`` raises ValueError.
     """
+    if not isinstance(weight, WeightPolynomial):
+        raise ValueError("Laplacians are assembled exactly, from a polynomial weight")
     s = math.sqrt(2.0 * basis.lam_ref)
     i, j = basis.n_a, basis.n_b
     one = np.ones(i.shape)
@@ -411,7 +357,9 @@ def _shift_terms(basis: GalerkinBasis, weight: WeightPolynomial) -> dict:
             gb = math.prod([j + r - t for t in [*range(r), *range(m)]], start=one)
             f = np.sqrt(ga * gb) * (1.0 / s) ** (al + be) * (binom * c)
             terms[k - l, r - m] = terms.get((k - l, r - m), 0.0) + f
-    return {shift: f.real if _real_coefficients(weight) else f for shift, f in terms.items()}
+    if all(c.imag == 0 for c in weight.coeffs.values()):  # phi symmetric under y -> -y
+        return {shift: f.real for shift, f in terms.items()}
+    return terms
 
 
 @functools.lru_cache(maxsize=4)
@@ -476,23 +424,6 @@ def _node_product(x: np.ndarray, real: bool) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
-def _assemble(basis: GalerkinBasis, weight, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gram and Laplacian matrices by the order-``order`` tensor rule.
-
-    The rule is symmetric under y -> -y, so the Gram matrix, and the
-    Laplacian of a weight with real coefficients, are real up to roundoff,
-    which is dropped.  One node table, its rows scaled by the root quadrature
-    weights, holds the values and then, in place, their image, and is
-    released on return, before any eigensolve.
-    """
-    z, wt = gauss_hermite_nodes(order, basis.lam_ref)
-    values = basis.tabulate(z)
-    values *= np.sqrt(wt)[:, None]
-    gram = _node_product(values, True)
-    lap = _node_product(_dbar_image(basis, weight, z, values), _real_coefficients(weight))
-    return gram, lap
-
-
 def _check_psd(mu: np.ndarray, q: int, degree: int) -> None:
     top = max(abs(mu[-1]), 1.0)
     if mu[0] < -1e-9 * top:
@@ -500,12 +431,6 @@ def _check_psd(mu: np.ndarray, q: int, degree: int) -> None:
             f"Galerkin system (q={q}, D={degree}): spectrum not PSD,"
             f" min eigenvalue {mu[0]:.3e}"
         )
-
-
-def _real_coefficients(weight) -> bool:
-    """Whether every polynomial coefficient of the weight is real (phi symmetric under y -> -y)."""
-    parts = (weight.inner, weight.model) if isinstance(weight, ExtendedWeight) else (weight,)
-    return all(c.imag == 0 for p in parts for c in p.coeffs.values())
 
 
 def _solve_classes(classes: tuple, blocks: list) -> tuple[np.ndarray, np.ndarray]:
@@ -536,8 +461,6 @@ def leading_block_spectra(
     eigenvectors) and must be positive semidefinite like a full build.  The
     N x N matrix is never formed.
     """
-    if not isinstance(weight, WeightPolynomial):
-        raise ValueError("leading-block spectra need a polynomial weight (the exact path)")
     if not all(0 <= b <= degree for b in blocks):
         raise ValueError(f"leading block degrees must lie in [0, {degree}], got {blocks}")
     classes, laps = _class_laplacians(_basis(weight, q, degree), weight)
@@ -686,9 +609,6 @@ def dbar_pairings(sys0: GalerkinSystem, sys1: GalerkinSystem) -> tuple[np.ndarra
     if sys0.weight != sys1.weight:
         raise ValueError("systems use different weights")
     weight = sys0.weight
-    if not isinstance(weight, WeightPolynomial):
-        raise ValueError("pairings need a polynomial weight (the exact path)")
-
     i, j = sys0.basis.n_a, sys0.basis.n_b
     e01 = np.zeros((len(sys1.basis), len(sys0.basis)), dtype=complex)
     for (da, db), f in _shift_terms(sys0.basis, weight).items():

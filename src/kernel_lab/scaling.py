@@ -2,9 +2,12 @@
 
 Each experiment walks a weight family phi_k = C_k * base + sum_j C_k^{gamma_j}
 * pert_j through increasing k, rescales to unit curvature (z -> z / sqrt(C_k)),
-blends the scaled weight into its quadratic model outside |z| = C_k^epsilon,
-and compares Galerkin kernels of the blended weight against the closed-form
-model kernel on a fixed grid.  Everything here is n = 1.
+and compares Galerkin kernels of the scaled weight against the closed-form
+model kernel on a fixed grid.  Everything here is n = 1.  The spectral and
+heat kernels belong to the exact Laplacian of the scaled polynomial itself,
+which needs no cut-off.  Only the Bergman run blends the scaled weight into
+its quadratic model outside |z| = C_k^epsilon: its holomorphic Gram
+integrates e^{-2 phi}, which the blend keeps finite.
 
 Reported errors are sup-norms over the same grid for every k; rates are least
 squares slopes of log(error) against log(C_k) over the largest k values.  A
@@ -14,8 +17,8 @@ shrink; the fitted slope measures how fast.
 
 Sweeps build once per distinct level weight.  A model family (no
 perturbation, base equal to its |z|^2 term) scales to its model at every k,
-whatever its C_k rule, so one exact Galerkin system, or one holomorphic Gram
-and its grid error, serves the whole run of k.
+whatever its C_k rule, so one Galerkin system, or one holomorphic Gram and
+its grid error, serves the whole run of k.
 """
 
 from __future__ import annotations
@@ -118,7 +121,7 @@ def fit_exp_decay(ts, values) -> float | None:
 
 
 def _level(family: WeightFamily, k: int, epsilon: float) -> ExtendedWeight | WeightPolynomial:
-    """What a sweep builds at level k: the model of a model family, else the scaled blend.
+    """What the Bergman sweep builds at level k: a model family's model, else the scaled blend.
 
     A model family scales to its model at every k and epsilon: one exact build serves all k.
     """
@@ -239,18 +242,17 @@ def vanishing_convergence(
     grid: np.ndarray | None = None,
     *,
     q: int | None = None,
-    epsilon: float = DEFAULT_EPSILON,
-    quad_order: int = DEFAULT_QUAD_ORDER,
 ) -> ConvergenceReport:
     """Rank and sup-grid size of the scaled spectral projector at c = C_k^{-d}.
 
-    The threshold applies to the unscaled Laplacian; its eigenvalues are C_k
-    times the scaled ones, so the scaled system is cut at C_k^{-d} / C_k.  The
-    numerical zero band always belongs to the projector.  With a mismatched
-    signature (q != q0) the gap of the scaled operator stays ~2|lambda|, the
-    rank drops to 0 once C_k^{-d-1} falls below it, and the kernel vanishes
-    identically; the matched q = q0 run keeps the full holomorphic zero band
-    and serves as the control.
+    Each level is the exact Laplacian of the scaled weight, built once per
+    distinct scaled weight.  The threshold applies to the unscaled Laplacian;
+    its eigenvalues are C_k times the scaled ones, so the scaled system is cut
+    at C_k^{-d} / C_k.  The numerical zero band always belongs to the
+    projector.  With a mismatched signature (q != q0) the gap of the scaled
+    operator stays ~2|lambda|, the rank drops to 0 once C_k^{-d-1} falls below
+    it, and the kernel vanishes identically; the matched q = q0 run keeps the
+    full holomorphic zero band and serves as the control.
     """
     spec = family.model_spectrum()
     if d <= 0:
@@ -262,8 +264,8 @@ def vanishing_convergence(
 
     rows: list[tuple] = []
     failures: list[str] = []
-    build = partial(build_system, q=q, degree=degree, quad_order=quad_order)
-    for k, system in _sweep(partial(_level, family, epsilon=epsilon), ks, build, failures):
+    build = partial(build_system, q=q, degree=degree)
+    for k, system in _sweep(partial(scale_weight, family), ks, build, failures):
         ck = family.c_value(k)
         c_scaled = ck ** (-d) / ck
         kern = spectral_projector_kernel(system, c_scaled, pts, pts)
@@ -301,16 +303,13 @@ def heat_route_comparison(
     ts: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0),
     degree: int = 24,
     grid: np.ndarray | None = None,
-    *,
-    epsilon: float = DEFAULT_EPSILON,
-    quad_order: int | None = DEFAULT_QUAD_ORDER,
 ) -> HeatRouteReport:
     """Compare heat kernels H(t) of the scaled operator with the projector P.
 
     Runs in the matched degree q = q0 of the source's model spectrum, so that
     P is a genuine limit; the decay of |H(t) - P| in t then measures the
-    spectral gap.  ``source`` may be a weight family (one system per distinct
-    blended weight, built as the sweep reaches it) or a bare n = 1 model
+    spectral gap.  ``source`` may be a weight family (one exact system per
+    distinct scaled weight, built as the sweep reaches it) or a bare n = 1 model
     spectrum (a single exactly quadratic system, reported as k = 1).  Each
     system's row (projector, heat kernels, gap, slope, trace bound) is read
     from its modes on the grid once; a k whose system repeats the previous
@@ -320,15 +319,14 @@ def heat_route_comparison(
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t schedule must be strictly increasing")
     spec = source if isinstance(source, ModelSpectrum) else source.model_spectrum()
-    build = partial(build_system, q=spec.q0, degree=degree, quad_order=quad_order)
+    build = partial(build_system, q=spec.q0, degree=degree)
     if isinstance(source, ModelSpectrum):
         kss = (1,) if ks is None else tuple(ks)
         systems = [build(WeightPolynomial.quadratic(source.lambdas))] * len(kss)
         cs = (1.0,) * len(kss)
     else:
         kss = tuple(range(1, 6)) if ks is None else tuple(ks)
-        levels = partial(_level, source, epsilon=epsilon)
-        systems = (system for _, system in _sweep(levels, kss, build))
+        systems = (system for _, system in _sweep(partial(scale_weight, source), kss, build))
         cs = tuple(source.c_value(k) for k in kss)
 
     pts = _grid(grid)

@@ -5,8 +5,8 @@ A local weight is a real-valued polynomial phi(z) = sum c_ab z^a zbar^b on C
 eps_k * perturbation model sequences of Hermitian metrics whose curvature
 grows like C_k; scaling by 1/sqrt(C_k) drives them to their quadratic model.
 Extended weights blend a scaled weight into its quadratic model outside a ball
-of radius C_k^epsilon, which keeps e^{-2 phi} integrable and pins the operator
-to the model near infinity.
+of radius C_k^epsilon, which keeps e^{-2 phi} integrable for the holomorphic
+Gram of the Bergman sweep.
 """
 
 from __future__ import annotations
@@ -290,7 +290,7 @@ class ExtendedWeight:
       phi_tilde(z) = model(z) + P(|z|^2 / R^2) * (inner(z) - model(z)).
 
     All derivatives are analytic (polynomial calculus plus the profile chain
-    rule), so Galerkin assembly sees exact first derivatives.
+    rule).
     """
 
     inner: WeightPolynomial

@@ -30,8 +30,48 @@ from kernel_lab.galerkin import dbar_pairings, gauss_hermite_nodes, leading_bloc
 from kernel_lab.weights import extend_weight, scale_weight
 
 UNIT = WeightPolynomial.quadratic([1.0])
-# a blended weight takes the quadrature path even though it equals UNIT
+# a blend equal to UNIT, which only the holomorphic Gram accepts
 BLENDED_UNIT = extend_weight(UNIT, UNIT, 1.0 / 7.0, 4.0)
+
+
+def _dbar_image(basis, weight, z, values):
+    """The image of the tabulated ``values`` at z under dbar_s (q = 0) or dbar_s^* (q = 1).
+
+    The quadrature reference for the exact path, independent of its ladder
+    shifts.  ``values`` (without the reference Gaussian, which the quadrature
+    carries) is overwritten and returned, row by row (node by node).  The
+    derivative of a level-n state is a multiple of a level-(n - 1) one, so the
+    levels are replaced from the top down.
+    """
+    s = math.sqrt(2.0 * basis.lam_ref)
+    if basis.q == 0:
+        mult = weight.d_zbar().value(z) - basis.lam_ref * z
+    else:
+        mult = weight.d_z().value(z) + basis.lam_ref * np.conj(z)
+    for n in range(basis.degree, -1, -1):
+        first = n * (n + 1) // 2
+        level = values[:, first : first + n + 1]
+        level *= mult[:, None]
+        below = values[:, first - n : first]
+        if basis.q == 0:  # + dP/dzbar = s sqrt(n_b) P_(n_a, n_b - 1), n_a < n
+            level[:, :n] += s * np.sqrt(n - np.arange(n)) * below
+        else:  # - dP/dz = -s sqrt(n_a) P_(n_a - 1, n_b), n_a > 0
+            level[:, 1:] -= s * np.sqrt(np.arange(1.0, n + 1)) * below
+    return values
+
+
+def _assemble(basis, weight, order):
+    """Gram and Laplacian matrices of a polynomial weight by the order-``order`` tensor rule.
+
+    The rule is symmetric under y -> -y, so the Gram matrix, and the
+    Laplacian of a weight with real coefficients, are real up to roundoff,
+    which is dropped.
+    """
+    z, wt = gauss_hermite_nodes(order, basis.lam_ref)
+    values = basis.tabulate(z) * np.sqrt(wt)[:, None]
+    gram = galerkin._node_product(values, True)
+    real = all(c.imag == 0 for c in weight.coeffs.values())
+    return gram, galerkin._node_product(_dbar_image(basis, weight, z, values), real)
 
 
 def kernel_dimension(system) -> int:
@@ -46,7 +86,6 @@ def test_gram_constant_section_norm():
     assert np.abs(hol.gram - np.eye(13)).max() <= 1e-12
     system = build_system(UNIT, q=0, degree=12)
     assert np.abs(system.gram - np.eye(len(system.basis))).max() <= 1e-12
-    assert system.gram_defect <= 1e-12
 
 
 def test_quadrature_moment_exactness():
@@ -202,16 +241,11 @@ def test_hodge_rejects_degree_mismatch():
         hodge_residual(None, s0, build_system(UNIT, q=1, degree=9))
 
 
-def test_high_degree_builds_and_low_order_refused():
+def test_high_degree_builds_exactly():
+    # every Laplacian is assembled with no quadrature
     system = build_system(UNIT, q=0, degree=40)
     assert kernel_dimension(system) == 41
-    assert system.gram_defect <= 1e-12
-    # polynomial weights are assembled exactly; only blended ones read quad_order
-    assert build_system(UNIT, q=0, degree=12, quad_order=12).quad_order == 0
-    with pytest.raises(GramConditioningError):
-        build_system(BLENDED_UNIT, q=0, degree=12, quad_order=12)
-    # one node more than D already integrates the Gram matrix exactly
-    assert build_system(BLENDED_UNIT, q=0, degree=12, quad_order=13).gram_defect <= 1e-12
+    assert system.quad_order == 0
 
 
 @pytest.mark.parametrize(
@@ -254,7 +288,7 @@ def test_exact_laplacian_matches_quadrature(name, q, degree):
     weight = CROSS_CHECK_WEIGHTS[name]
     basis = galerkin._basis(weight, q, degree)
     exact = build_system(weight, q=q, degree=degree).laplacian
-    _, quad = galerkin._assemble(basis, weight, degree + weight.degree + 2)
+    _, quad = _assemble(basis, weight, degree + weight.degree + 2)
     assert np.abs(exact - quad).max() <= 1e-12 * np.abs(quad).max()
 
 
@@ -271,8 +305,8 @@ def test_exact_pairings_match_quadrature(name, degree0):
     assert np.array_equal(e10, e01.conj().T)
     z, wt = gauss_hermite_nodes(degree0 + weight.degree + 2, s0.basis.lam_ref)
     b0, b1 = s0.basis.tabulate(z), s1.basis.tabulate(z)
-    a_of_b0 = galerkin._dbar_image(s0.basis, s0.weight, z, b0.copy())
-    astar_of_b1 = galerkin._dbar_image(s1.basis, s1.weight, z, b1.copy())
+    a_of_b0 = _dbar_image(s0.basis, s0.weight, z, b0.copy())
+    astar_of_b1 = _dbar_image(s1.basis, s1.weight, z, b1.copy())
     # the L^2 inner product of the complex charge states
     quads = ((b1.conj().T * wt) @ a_of_b0, (b0.conj().T * wt) @ astar_of_b1)
     for exact, quad in zip((e01, e10), quads):
@@ -280,11 +314,11 @@ def test_exact_pairings_match_quadrature(name, degree0):
         assert np.abs(exact - quad).max() <= 1e-12 * np.abs(quad).max()
 
 
-def test_pairings_need_exact_operator():
-    s0 = build_system(BLENDED_UNIT, q=0, degree=8)
-    s1 = build_system(BLENDED_UNIT, q=1, degree=8)
-    with pytest.raises(ValueError, match="polynomial"):
-        dbar_pairings(s0, s1)
+def test_build_system_needs_a_polynomial_weight():
+    # a blend has no exact Laplacian, so no system (and no pairing) is made from one
+    for q in (0, 1):
+        with pytest.raises(ValueError, match="assembled exactly, from a polynomial weight"):
+            build_system(BLENDED_UNIT, q=q, degree=8)
 
 
 @pytest.mark.parametrize("amplitude", [0.25, 0.25 + 0.1j])
@@ -454,7 +488,7 @@ def test_charge_states_split_the_laplacian(name):
     weight, _ = CHARGE_WEIGHTS[name]
     degree = 12
     basis, classes = _charge_basis(weight, 1, degree)
-    gram, quad = galerkin._assemble(basis, weight, degree + weight.degree + 2)
+    gram, quad = _assemble(basis, weight, degree + weight.degree + 2)
     assert np.abs(gram - np.eye(len(basis))).max() <= 1e-13
     scale = np.abs(quad).max()
     key = np.empty(len(basis), dtype=int)
@@ -600,7 +634,7 @@ def test_exact_path_properties(monomial, re, im, real, q, degree):
     basis = galerkin._basis(weight, q, degree)
     system = build_system(weight, q=q, degree=degree)
     exact, mu = system.laplacian, system.eigenvalues
-    _, quad = galerkin._assemble(basis, weight, degree + weight.degree + 2)
+    _, quad = _assemble(basis, weight, degree + weight.degree + 2)
     scale = np.abs(quad).max()
     assert np.abs(exact - quad).max() <= 1e-12 * scale
     assert np.abs(mu - scipy.linalg.eigh(exact, eigvals_only=True)).max() <= 1e-12 * scale

@@ -126,6 +126,33 @@ def test_vanishing_matched_control_keeps_kernel(quadratic_family):
     assert max(report.errors) <= 1e-6
 
 
+# sup over the 3x3 grid of |K_k - oracle| for the cubic control at D = 30 is
+# 9.1e-9, 4.5e-10, 1.9e-11 and 1.5e-12 at k = 4..7 (and 2.0e-4 at k = 2)
+GAUGE_ORACLE_TOLERANCE = 1e-7
+
+
+def test_vanishing_control_matches_gauge_phase_oracle(cubic_family, monkeypatch):
+    # |z|^2 + 0.25 (z^3 + zbar^3) scales to |z|^2 + Re h with h = z^3 / (2 sqrt(C_k)),
+    # pluriharmonic: the q = 0 projector below C_k^-2 is the model kernel
+    # times the gauge phase e^{i (Im h(z) - Im h(w))}, exactly in the limit D -> oo
+    systems = _record_systems(monkeypatch)
+    ks = (4, 5, 6, 7)
+    report = vanishing_convergence(cubic_family, ks=ks, degree=30, d=1.0, q=0)
+    assert report.ks == ks and report.failures == ()
+    # the exact path: no quadrature, three charge classes mod 3
+    assert len(systems) == len(ks)
+    assert all(s.quad_order == 0 and len(s._classes) == 3 for s in systems)
+    pts = report.grid
+    model = eval_model_bergman(cubic_family.model_spectrum(), 0, pts, pts)
+    for k, system, error in zip(ks, systems, report.errors):
+        ck = cubic_family.c_value(k)
+        h = 0.5 * ck**-0.5 * pts**3
+        oracle = np.exp(1j * (h.imag[:, None] - h.imag[None, :])) * model
+        kernel = spectral_projector_kernel(system, ck**-2.0, pts, pts)
+        assert np.abs(kernel - oracle).max() <= GAUGE_ORACLE_TOLERANCE
+        assert abs(error - np.abs(oracle - model).max()) <= GAUGE_ORACLE_TOLERANCE
+
+
 def test_heat_route_model_spectrum():
     report = heat_route_comparison(ModelSpectrum((1.0,)), ts=(1.0, 2.0, 4.0, 8.0), degree=20)
     assert report.gaps[0] == pytest.approx(2.0, abs=1e-9)
@@ -179,6 +206,19 @@ def test_route_equivalence_inexact_dilation(cubic_family, k):
     assert route_equivalence_gap(family, k, degree=16) <= 1e-10
 
 
+def _record_systems(monkeypatch) -> list:
+    """The systems the sweeps build from now on, in order."""
+    systems = []
+    build = scaling.build_system
+
+    def recorded(*args, **kwargs):
+        systems.append(build(*args, **kwargs))
+        return systems[-1]
+
+    monkeypatch.setattr(scaling, "build_system", recorded)
+    return systems
+
+
 def _count_builds(monkeypatch) -> list[int]:
     degrees: list[int] = []
     build = scaling.build_system
@@ -195,7 +235,7 @@ def test_vanishing_builds_once_per_distinct_weight(quadratic_family, monkeypatch
     ks = (1, 2, 3, 4, 5)
     builds = _count_builds(monkeypatch)
     report = vanishing_convergence(quadratic_family, ks=ks, degree=16)
-    # every k of the pure quadratic family blends to the model weight itself
+    # every k of the pure quadratic family scales to the model weight itself
     assert builds == [16]
     # the same report as one system per k, bit for bit
     single = [vanishing_convergence(quadratic_family, ks=(k,), degree=16) for k in ks]
@@ -245,25 +285,19 @@ def test_heat_route_reuses_a_repeated_system(quadratic_family, monkeypatch):
         assert column == (column[0],) * 5
 
 
-@pytest.mark.parametrize("blended", [False, True])
-def test_heat_route_matches_public_kernels(blended, cubic_family, monkeypatch):
+@pytest.mark.parametrize("family", [False, True])
+def test_heat_route_matches_public_kernels(family, cubic_family, monkeypatch):
     # the route reads every kernel from one mode table per system; the public
     # per-t kernels evaluate the modes anew on each call
-    systems = []
-    build = scaling.build_system
-
-    def recorded(*args, **kwargs):
-        systems.append(build(*args, **kwargs))
-        return systems[-1]
-
-    monkeypatch.setattr(scaling, "build_system", recorded)
-    source = cubic_family if blended else ModelSpectrum((1.0,))
+    systems = _record_systems(monkeypatch)
+    source = cubic_family if family else ModelSpectrum((1.0,))
     ts = (1.0, 2.0, 4.0, 8.0)
     report = heat_route_comparison(source, ks=(1, 2), ts=ts, degree=16)
     pts = report.grid
-    if blended:
-        # a nonzero delta takes the quadrature path, one system per k
-        assert len(systems) == 2 and all(s.quad_order > 0 for s in systems)
+    if family:
+        # the exact path, one system per distinct level: the scaled weight itself
+        assert [s.weight for s in systems] == [scale_weight(cubic_family, k) for k in (1, 2)]
+        assert all(s.quad_order == 0 for s in systems)
     else:
         systems *= 2
     for i, system in enumerate(systems):
@@ -344,10 +378,10 @@ def test_model_family_builds_once_at_any_ck_rule(monkeypatch):
 
 
 def test_model_family_sweeps_still_check_epsilon(quadratic_family):
-    # a model family's levels build no blend, but the blend exponent is still an input
-    for sweep in (scaled_bergman_convergence, vanishing_convergence, heat_route_comparison):
-        with pytest.raises(ValueError, match=r"must lie in \(0, 1/6\)"):
-            sweep(quadratic_family, ks=(1,), degree=4, epsilon=0.5)
+    # a model family's levels build no blend, but the Bergman sweep's blend
+    # exponent is still an input (the other sweeps take none)
+    with pytest.raises(ValueError, match=r"must lie in \(0, 1/6\)"):
+        scaled_bergman_convergence(quadratic_family, ks=(1,), degree=4, epsilon=0.5)
 
 
 def test_heat_family_defaults_are_the_heat_sections(quadratic_family, tmp_path, monkeypatch):
