@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 from .model import ModelSpectrum
 from .scaling import _check_bergman
 from .torus import TorusBundle, _check_level, _check_resolution, _theta_levels
-from .weights import CkRule, Perturbation, WeightFamily, WeightPolynomial, _check_epsilon, real_term
+from .weights import CkRule, Perturbation, WeightFamily, WeightPolynomial, real_term
 
 EXPERIMENTS = ("converge", "gap", "heat", "model", "torus-audit", "vanish")
 
@@ -64,10 +64,6 @@ def _positive_float(text: str) -> float:
     if not v > 0:
         raise ValueError("must be positive")
     return v
-
-
-def _epsilon(text: str) -> float:
-    return _check_epsilon(_float(text))
 
 
 def _list(item: Callable[[str], object]) -> Callable[[str], tuple]:
@@ -189,8 +185,6 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
     "converge": {
         "ks": _Key(_increasing(int), "1, 2, 3, 4, 5, 6, 7"),
         "degree": _Key(_positive_int, "30"),
-        "quad_order": _Key(_positive_int, "44"),
-        "epsilon": _Key(_epsilon, repr(1.0 / 7.0)),
         "slope_target": _Key(_optional(_float), ""),
         "slope_tolerance": _Key(_positive_float, "0.2"),
         "max_error": _Key(_optional(_positive_float), ""),
@@ -335,21 +329,11 @@ def _bundle(values: Mapping[str, object]) -> TorusBundle:
 
 
 def _check_truncation(section: str, values: Mapping[str, object]) -> None:
-    """Degree and quadrature-order rules of the Galerkin sections.
-
-    converge's order-m rule integrates its holomorphic Gram of degree D only
-    when m > D, and the gap experiment solves its coarse degree as a leading
-    block of the fine one.
-    """
+    """The degree rule of the gap section: its coarse degree is a leading block of the fine one."""
     if section == "gap" and values["degree_coarse"] > values["degree_fine"]:
         raise ConfigError(
             f"gap.degree_coarse: must not exceed degree_fine"
             f" ({values['degree_fine']}), got {values['degree_coarse']}"
-        )
-    if section == "converge" and values["quad_order"] <= values["degree"]:
-        raise ConfigError(
-            f"{section}.quad_order: must exceed degree ({values['degree']}),"
-            f" got {values['quad_order']}"
         )
 
 

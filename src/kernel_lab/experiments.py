@@ -119,12 +119,13 @@ def _run_model(cfg: ParsedConfig) -> ExperimentResult:
     for lam in sec["lambdas"]:
         spec = ModelSpectrum((lam,))
         order = 2 * sec["max_order"] + 4
-        z, wt = gauss_hermite_nodes(order, abs(lam))
-        # the quadrature weights carry e^{-2|lam||z|^2} dV, so strip the
-        # Gaussian from the basis values to avoid counting it twice
-        undo = np.exp(abs(lam) * np.abs(z) ** 2)
-        basis = eval_model_basis(spec, alphas, z) * undo[None, :]
-        gram = (basis * wt[None, :]) @ basis.conj().T
+        # integrate in unit-curvature variables u = sqrt(|lam|) z, dV(z) = dV(u) / |lam|,
+        # whose weights stay normal at any lam; they carry e^{-2|u|^2} dV, so strip
+        # the Gaussian from the basis values to avoid counting it twice
+        u, wt = gauss_hermite_nodes(order, 1.0)
+        undo = np.exp(np.abs(u) ** 2)
+        basis = eval_model_basis(spec, alphas, u / math.sqrt(abs(lam))) * undo[None, :]
+        gram = (basis * wt[None, :]) @ basis.conj().T / abs(lam)
         ortho_devs.append(float(np.abs(gram - np.eye(len(alphas))).max()))
         rows.append(("orthonormality", f"lambda={lam:g}", ortho_devs[-1]))
 
@@ -155,14 +156,7 @@ def _run_converge(cfg: ParsedConfig) -> ExperimentResult:
     family = cfg.family()
     sec = cfg.values["converge"]
     grid = kernel_grid(sec["grid_points"], sec["grid_radius"])
-    rep = scaled_bergman_convergence(
-        family,
-        ks=sec["ks"],
-        degree=sec["degree"],
-        grid=grid,
-        epsilon=sec["epsilon"],
-        quad_order=sec["quad_order"],
-    )
+    rep = scaled_bergman_convergence(family, ks=sec["ks"], degree=sec["degree"], grid=grid)
     rank = sec["degree"] + 1
     rows = tuple(
         (k, c, e, rank, _slope_so_far(rep.c_values, rep.errors, i))
@@ -181,14 +175,7 @@ def _run_converge(cfg: ParsedConfig) -> ExperimentResult:
     # the routes are compared at the last k solved; with none solved the check is undecided
     route = None
     if rep.ks:
-        route = route_equivalence_gap(
-            family,
-            rep.ks[-1],
-            sec["degree"],
-            grid,
-            epsilon=sec["epsilon"],
-            quad_order=sec["quad_order"],
-        )
+        route = route_equivalence_gap(family, rep.ks[-1], sec["degree"], grid)
     checks.append(Check("route_equivalence", _worst([route]), sec["route_tolerance"], "<="))
     return ExperimentResult(
         name="converge",

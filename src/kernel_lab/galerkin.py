@@ -59,10 +59,10 @@ derivatives.
 
 The Bergman kernel uses the holomorphic sub-basis v_a e^{-phi} (the states
 |a, 0> for the model weight), whose Gram matrix differs from the identity
-only through phi - phi_ref.  It is integrated by quadrature, for a
-polynomial weight or for the blend (``ExtendedWeight``) that keeps
-e^{-2 phi} integrable, from one table of nodes and powers per (order, D,
-lam_ref); when phi is symmetric under y -> -y on the nodes the Gram matrix
+only through phi - phi_ref.  It is integrated by a Gauss-Hermite rule of
+order D + 14, for a polynomial weight or for the blend (``ExtendedWeight``)
+that keeps e^{-2 phi} integrable, from one table of nodes and powers per
+(D, lam_ref); when phi is symmetric under y -> -y on the nodes the Gram matrix
 is real, a real product over the y < 0 half of the rule with doubled weights
 (plus the y = 0 row at odd orders).  Its Cholesky factor is the one guarded step, shared with
 the torus's theta Gram: a Gram that is not positive definite, or whose pivot
@@ -294,10 +294,14 @@ def _zero_tolerance(eigenvalues: np.ndarray) -> float:
     return KERNEL_TOLERANCE * max(top, 1.0)
 
 
-def _default_order(degree: int, weight) -> int:
-    if isinstance(weight, WeightPolynomial):
-        return degree + weight.degree + 2
-    return max(2 * degree, degree + 12)
+def _gram_order(degree: int) -> int:
+    """Gauss-Hermite order of the degree-D holomorphic Gram: D + 14 nodes per axis.
+
+    m nodes are exact to degree 2m - 1, so the model's Gram, of degree 2D,
+    is exact; the margin serves a blend's non-polynomial factor, and gives
+    order 44 at D = 30.
+    """
+    return degree + 14
 
 
 def _basis(weight, q: int, degree: int) -> GalerkinBasis:
@@ -498,18 +502,17 @@ class HolomorphicBasis:
 
 
 def holomorphic_subsystem(
-    weight,
-    degree: int,
-    quad_order: int | None = None,
-    lam_ref: float | None = None,
+    weight, degree: int, *, lam_ref: float | None = None
 ) -> HolomorphicBasis:
     """Gram matrix of the holomorphic sub-basis under the weight's L^2(dV) inner product.
 
     ``lam_ref`` fixes the reference Gaussian, by default the weight's model's.
-    Real when the weight is symmetric under y -> -y on the rule's nodes.
+    The tensor Gauss-Hermite rule has the order ``_gram_order(degree)`` for
+    every weight.  Real when the weight is symmetric under y -> -y on the
+    rule's nodes.
     """
     lam_ref = _model_lambda(weight) if lam_ref is None else lam_ref
-    order = quad_order if quad_order is not None else _default_order(degree, weight)
+    order = _gram_order(degree)
     z, wt, folded, v = _holomorphic_table(order, degree, lam_ref)
     phi = weight.value(z)
     grid = phi.reshape(order, order)

@@ -6,8 +6,9 @@ and compares Galerkin kernels of the scaled weight against the closed-form
 model kernel on a fixed grid.  Everything here is n = 1.  The spectral and
 heat kernels belong to the exact Laplacian of the scaled polynomial itself,
 which needs no cut-off.  Only the Bergman run blends the scaled weight into
-its quadratic model outside |z| = C_k^epsilon: its holomorphic Gram
-integrates e^{-2 phi}, which the blend keeps finite.
+its quadratic model outside |z| = C_k^{1/7}: its holomorphic Gram
+integrates e^{-2 phi}, which the blend keeps finite.  The exponent 1/7 is a
+constant (``EPSILON``), and the Gram's quadrature order follows the degree.
 
 Reported errors are sup-norms over the same grid for every k; rates are least
 squares slopes of log(error) against log(C_k) over the largest k values.  A
@@ -46,14 +47,14 @@ from .weights import (
     ExtendedWeight,
     WeightFamily,
     WeightPolynomial,
-    _check_epsilon,
     extend_weight,
     scale_weight,
 )
 
 DEFAULT_DEGREE = 30
-DEFAULT_QUAD_ORDER = 44
-DEFAULT_EPSILON = 1.0 / 7.0
+# the Bergman blend's radius is C_k^EPSILON, inside (0, 1/6): a scaled cubic term,
+# C_k^(-1/2) |z|^3, still vanishes on the ball as C_k^(-1/14)
+EPSILON = 1.0 / 7.0
 DEFAULT_KS = tuple(range(1, 8))
 
 
@@ -120,16 +121,15 @@ def fit_exp_decay(ts, values) -> float | None:
     return float(slope)
 
 
-def _level(family: WeightFamily, k: int, epsilon: float) -> ExtendedWeight | WeightPolynomial:
+def _level(family: WeightFamily, k: int) -> ExtendedWeight | WeightPolynomial:
     """What the Bergman sweep builds at level k: a model family's model, else the scaled blend.
 
-    A model family scales to its model at every k and epsilon: one exact build serves all k.
+    A model family scales to its model at every k: one exact build serves all k.
     """
-    _check_epsilon(epsilon)
     if family.is_model:
         return family.model_weight()
     return extend_weight(
-        scale_weight(family, k), family.model_weight(), epsilon, family.c_value(k)
+        scale_weight(family, k), family.model_weight(), EPSILON, family.c_value(k)
     )
 
 
@@ -193,9 +193,9 @@ def _report(family: WeightFamily, rows: list, pts, failures: list, d=None) -> Co
 
 
 @lru_cache(maxsize=1)
-def _holomorphic(weight, degree: int, quad_order: int):
+def _holomorphic(weight, degree: int):
     """``holomorphic_subsystem``, reused by the next equal call (a route check at a sweep's last k)."""
-    return holomorphic_subsystem(weight, degree, quad_order=quad_order)
+    return holomorphic_subsystem(weight, degree)
 
 
 def _check_bergman(family: WeightFamily) -> ModelSpectrum:
@@ -211,26 +211,25 @@ def scaled_bergman_convergence(
     ks: tuple[int, ...] = DEFAULT_KS,
     degree: int = DEFAULT_DEGREE,
     grid: np.ndarray | None = None,
-    *,
-    epsilon: float = DEFAULT_EPSILON,
-    quad_order: int = DEFAULT_QUAD_ORDER,
 ) -> ConvergenceReport:
     """Sup-grid error of the scaled Bergman kernel against the model kernel.
 
     Matched signature only (n = 1, lambda > 0, q = 0): the model limit is the
     rank-one Gaussian kernel with value |lambda| / pi on the diagonal.  Ranks
-    are not part of this report (the Bergman projector is used whole).
+    are not part of this report (the Bergman projector is used whole).  Each
+    level's Gram integrates the blend at radius C_k^{1/7} by the Gauss-Hermite
+    rule of order degree + 14, so no quadrature setting enters.
     """
     spec = _check_bergman(family)
     pts = _grid(grid)
     model = eval_model_bergman(spec, 0, pts, pts)
 
     def grid_error(weight) -> float:
-        hol = _holomorphic(weight, degree, quad_order)
+        hol = _holomorphic(weight, degree)
         return float(np.abs(bergman_kernel_numeric(hol, pts, pts) - model).max())
 
     failures: list[str] = []
-    rows = _sweep(partial(_level, family, epsilon=epsilon), ks, grid_error, failures)
+    rows = _sweep(partial(_level, family), ks, grid_error, failures)
     return _report(family, list(rows), pts, failures)
 
 
@@ -370,9 +369,6 @@ def route_equivalence_gap(
     k: int,
     degree: int = DEFAULT_DEGREE,
     grid: np.ndarray | None = None,
-    *,
-    epsilon: float = DEFAULT_EPSILON,
-    quad_order: int = DEFAULT_QUAD_ORDER,
 ) -> float:
     """Sup-grid gap between the two routes to the scaled Bergman kernel.
 
@@ -386,12 +382,10 @@ def route_equivalence_gap(
     ck = family.c_value(k)
     root = math.sqrt(ck)
     lam = abs(spec.lambdas[0])
-    level = _level(family, k, epsilon)
+    level = _level(family, k)
     pts = _grid(grid)
-    hol_scaled = _holomorphic(level, degree, quad_order)
-    hol_unscaled = holomorphic_subsystem(
-        _Dilated(level, root), degree, quad_order=quad_order, lam_ref=lam * ck
-    )
+    hol_scaled = _holomorphic(level, degree)
+    hol_unscaled = holomorphic_subsystem(_Dilated(level, root), degree, lam_ref=lam * ck)
     direct = bergman_kernel_numeric(hol_scaled, pts, pts)
     routed = bergman_kernel_numeric(hol_unscaled, pts / root, pts / root) / ck
     return float(np.abs(routed - direct).max())

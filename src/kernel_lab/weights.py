@@ -273,13 +273,6 @@ def _cutoff_profile(u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return p, p1, p2
 
 
-def _check_epsilon(epsilon: float) -> float:
-    """The blend exponent epsilon of the radius C_k^epsilon, which must lie in (0, 1/6)."""
-    if not 0.0 < epsilon < 1.0 / 6.0:
-        raise ValueError("must lie in (0, 1/6)")
-    return epsilon
-
-
 @dataclass(frozen=True)
 class ExtendedWeight:
     """Blend of a scaled weight into its quadratic model outside a growing ball.
@@ -299,7 +292,8 @@ class ExtendedWeight:
     ck: float
 
     def __post_init__(self) -> None:
-        _check_epsilon(self.epsilon)
+        if not 0.0 < self.epsilon < 1.0 / 6.0:
+            raise ValueError("epsilon must lie in (0, 1/6)")
         if not self.ck > 0:
             raise ValueError("C_k must be positive")
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from kernel_lab import GramConditioningError, experiments, scaling, torus
+from kernel_lab import GramConditioningError, experiments, galerkin, scaling, torus
 from kernel_lab.config import EXPERIMENTS, load_config
 from kernel_lab.cli import main
 
@@ -334,12 +334,18 @@ def test_failed_check_exits_two(model_config, tmp_path, capsys):
 
 
 def test_model_oracles_at_extreme_curvature(tmp_path):
-    # far from lambda = 1, z^a and its norm leave the float range in opposite directions
-    out = tmp_path / "extreme"
-    argv = ["run", "--config", str(CONFIGS / "model.ini"), "--out", str(out)]
-    assert main([*argv, "--override", "model.lambdas=1e-100, 1, 1e100"]) == 0
-    (check,) = [c for c in read_summary(out)["checks"] if c["name"] == "orthonormality"]
-    assert check["value"] <= 1e-14
+    # far from lambda = 1, z^a and its norm leave the float range in opposite directions;
+    # at 1e300 the rule's weights at lambda itself would be subnormal, so the check
+    # integrates at unit curvature
+    cases = [("model.lambdas=1e-100, 1, 1e100",), ("model.lambdas=1e300", "model.max_order=12")]
+    for i, overrides in enumerate(cases):
+        out = tmp_path / f"extreme{i}"
+        argv = ["run", "--config", str(CONFIGS / "model.ini"), "--out", str(out)]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == 0
+        (check,) = [c for c in read_summary(out)["checks"] if c["name"] == "orthonormality"]
+        assert check["value"] <= 1e-14
 
 
 def test_gap_builds_once_per_distinct_level_weight(tmp_path, monkeypatch):
@@ -445,6 +451,40 @@ def test_gap_reaches_degree_64(tmp_path):
     assert summary["config"]["gap"]["degree_fine"] == 64
 
 
+def test_converge_reaches_degree_48(tmp_path):
+    # the Gram's quadrature order follows the degree, so no second override is needed
+    out = tmp_path / "converge48"
+    argv = ["run", "--config", str(CONFIGS / "converge-cubic.ini"), "--out", str(out)]
+    assert main([*argv, "--override", "converge.degree=48"]) == 0
+    summary = read_summary(out)
+    assert summary["passed"] is True and len(summary["checks"]) == 3
+    assert summary["config"]["converge"]["degree"] == 48
+
+
+def test_gram_order_rule_decides_no_converge_check(tmp_path, monkeypatch):
+    # D + 30 (order 60 at D = 30) in place of D + 14 moves the k = 1..3 errors
+    # by up to 3e-3 relative, but neither a pass flag nor the slope beyond 1e-5
+    argv = ["run", "--config", str(CONFIGS / "converge-cubic.ini"), "--out"]
+    assert main([*argv, str(tmp_path / "44")]) == 0
+    scaling._holomorphic.cache_clear()
+    monkeypatch.setattr(galerkin, "_gram_order", lambda degree: degree + 30)
+    code = main([*argv, str(tmp_path / "60")])
+    scaling._holomorphic.cache_clear()  # no order-60 Gram outlives the patch
+    assert code == 0
+    base, fine = (read_summary(tmp_path / order) for order in ("44", "60"))
+    assert [(c["name"], c["passed"]) for c in fine["checks"]] == [
+        (c["name"], c["passed"]) for c in base["checks"]
+    ]
+    slope_44, slope_60 = (
+        next(c["value"] for c in s["checks"] if c["name"] == "slope_within_band")
+        for s in (base, fine)
+    )
+    assert abs(slope_60 - slope_44) < 1e-5
+    # the patch took hold: the k = 1 error moved
+    rows = [(tmp_path / order / "converge.csv").read_text().splitlines()[1] for order in ("44", "60")]
+    assert rows[0] != rows[1]
+
+
 def test_readme_config_example_parses(tmp_path):
     readme = (CONFIGS.parent / "README.md").read_text()
     (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
@@ -461,6 +501,9 @@ def test_readme_config_example_parses(tmp_path):
         ("gap-cubic", "gap.quad_order=30"),
         ("gap-cubic", "gap.degree_coarse=40"),
         ("vanish-mismatched", "vanish.quad_order=20"),
+        # converge's Gram order and blend exponent are constants, not keys
+        ("converge-cubic", "converge.epsilon=0.1"),
+        ("converge-quadratic", "converge.quad_order=44"),
         ("vanish-mismatched", "vanish.ks=3,3"),
         ("converge-cubic", "converge.ks=2,1"),
         ("vanish-mismatched", "vanish.q=2"),

@@ -344,20 +344,21 @@ def _full_rule_gram(weight, degree, order):
     return 0.5 * (gram + gram.conj().T)
 
 
-@pytest.mark.parametrize("order", [44, 45])
-def test_half_rule_gram_matches_full_rule(cubic_family, order):
+@pytest.mark.parametrize("degree", [30, 31], ids=lambda d: str(galerkin._gram_order(d)))
+def test_half_rule_gram_matches_full_rule(cubic_family, degree):
     # a real-coefficient blend is symmetric under y -> -y: the Gram is the real
     # product over y < 0 with doubled weights, plus the y = 0 row at odd orders
+    # (the ids are the orders the rule gives, 44 and 45)
     weight = extend_weight(scale_weight(cubic_family, 2), UNIT, 1.0 / 7.0, 16.0)
-    hol = holomorphic_subsystem(weight, 30, quad_order=order)
+    hol = holomorphic_subsystem(weight, degree)
     assert hol.gram.dtype == float
-    assert np.abs(hol.gram - _full_rule_gram(weight, 30, order)).max() <= 1e-14
+    assert np.abs(hol.gram - _full_rule_gram(weight, degree, hol.quad_order)).max() <= 1e-14
 
 
 def test_complex_coefficient_keeps_complex_gram():
     family = WeightFamily(base=UNIT + real_term(1, (3,), (0,), 0.25j), ck=CkRule(4.0))
     weight = extend_weight(scale_weight(family, 2), UNIT, 1.0 / 7.0, 16.0)
-    hol = holomorphic_subsystem(weight, 30, quad_order=44)
+    hol = holomorphic_subsystem(weight, 30)
     gram = _full_rule_gram(weight, 30, 44)
     assert np.iscomplexobj(hol.gram) and np.abs(gram.imag).max() > 0.1
     assert np.abs(hol.gram - gram).max() <= 1e-14

@@ -345,7 +345,7 @@ def test_bergman_sweep_builds_once_per_distinct_weight(
             1.0 / 7.0,
             quadratic_family.c_value(k),
         )
-        hol = build(blend, 16, quad_order=44)
+        hol = build(blend, 16)
         assert error == float(np.abs(bergman_kernel_numeric(hol, pts, pts) - model).max())
     scaled_bergman_convergence(cubic_family, ks=(1, 2, 3), degree=12)
     assert degrees == [16, 12, 12, 12]
@@ -375,13 +375,6 @@ def test_model_family_builds_once_at_any_ck_rule(monkeypatch):
     monkeypatch.setattr(scaling, "holomorphic_subsystem", counted)
     scaled_bergman_convergence(family, ks=ks, degree=12)
     assert grams == [12]
-
-
-def test_model_family_sweeps_still_check_epsilon(quadratic_family):
-    # a model family's levels build no blend, but the Bergman sweep's blend
-    # exponent is still an input (the other sweeps take none)
-    with pytest.raises(ValueError, match=r"must lie in \(0, 1/6\)"):
-        scaled_bergman_convergence(quadratic_family, ks=(1,), degree=4, epsilon=0.5)
 
 
 def test_heat_family_defaults_are_the_heat_sections(quadratic_family, tmp_path, monkeypatch):
