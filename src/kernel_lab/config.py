@@ -3,7 +3,8 @@
 A config names one experiment in ``[run]`` and parameterizes it in a typed
 section of the same shape for every run: unknown sections or keys are
 rejected with their full key path, defaults are materialized at parse time so
-the echoed configuration in ``summary.json`` reproduces the run exactly.
+the echoed configuration in ``summary.json`` reproduces the run exactly.  No
+key sets a check's bound: each is a constant of its check, reported under ``checks``.
 
 Weight families live in ``[family]``: ``ck_rule`` (``BASE^k``), a ``base``
 polynomial given as term lines ``alpha;beta;re[;im]`` (one per line, each
@@ -178,17 +179,12 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "degrees": _Key(_increasing(_nonneg_int), "8, 16, 24, 32, 40"),
         "grid_points": _Key(_positive_int, "5"),
         "grid_radius": _Key(_positive_float, "1.0"),
-        "prefactor_tolerance": _Key(_positive_float, "1e-12"),
-        "orthonormality_tolerance": _Key(_positive_float, "1e-8"),
-        "expansion_tolerance": _Key(_positive_float, "1e-6"),
     },
     "converge": {
         "ks": _Key(_increasing(int), "1, 2, 3, 4, 5, 6, 7"),
         "degree": _Key(_positive_int, "30"),
         "slope_target": _Key(_optional(_float), ""),
-        "slope_tolerance": _Key(_positive_float, "0.2"),
         "max_error": _Key(_optional(_positive_float), ""),
-        "route_tolerance": _Key(_positive_float, "1e-8"),
         **_GRID_KEYS,
     },
     "vanish": {
@@ -197,7 +193,6 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "d": _Key(_positive_float, "1"),
         "q": _Key(_optional(_form_degree), ""),
         "min_ck": _Key(_positive_float, "16"),
-        "kernel_tolerance": _Key(_positive_float, "1e-8"),
         **_GRID_KEYS,
     },
     "gap": {
@@ -205,15 +200,11 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "degree_coarse": _Key(_positive_int, "24"),
         "degree_fine": _Key(_positive_int, "32"),
         "q": _Key(_optional(_form_degree), ""),
-        "stability_tolerance": _Key(_positive_float, "0.02"),
-        "linearity_tolerance": _Key(_positive_float, "0.05"),
     },
     "heat": {
         "ks": _Key(_list(int), "1, 2, 3, 4, 5"),
         "ts": _Key(_increasing(_positive_float), "1, 2, 4, 8"),
         "degree": _Key(_positive_int, "24"),
-        "slope_tolerance": _Key(_positive_float, "0.1"),
-        "spread_tolerance": _Key(_positive_float, "1e-8"),
         **_GRID_KEYS,
     },
     "torus": {
@@ -226,10 +217,6 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "theta_max_k": _Key(_nonneg_int, "6"),
         "gram_grid": _Key(_positive_int, "48"),
         "trace_grid": _Key(_positive_int, "64"),
-        "morse3_tolerance": _Key(_positive_float, "1e-9"),
-        "equality_tolerance": _Key(_positive_float, "1e-9"),
-        "margin_floor": _Key(_positive_float, "0.1"),
-        "trace_tolerance": _Key(_positive_float, "1e-6"),
     },
 }
 

@@ -114,13 +114,13 @@ def eval_model_bergman(spec: ModelSpectrum, q: int, z, w) -> np.ndarray:
     if q != spec.q0:
         return np.zeros((len(zp), len(wp)), dtype=complex)
     lam = np.abs(np.asarray(spec.lambdas))
+    sign = np.where(np.arange(spec.n) < spec.q0, -1.0, 1.0)
     zb, wb = zp[:, None, :], wp[None, :, :]
-    cross = np.where(
-        np.arange(spec.n) < spec.q0, lam * np.conj(zb) * wb, lam * zb * np.conj(wb)
-    ).sum(axis=-1)
-    quad = (lam * (np.abs(zb) ** 2 + np.abs(wb) ** 2)).sum(axis=-1)
+    # 2i s Im(z w*) - |z - w|^2 cancels no O(|lam| |z|^2) terms; its phase is 0 at z = w
+    phase = zb.imag * wb.real - zb.real * wb.imag
+    exponent = (lam * (2j * sign * phase - np.abs(zb - wb) ** 2)).sum(axis=-1)
     prefactor = float(np.prod(lam)) / math.pi ** spec.n
-    return prefactor * np.exp(2.0 * cross - quad)
+    return prefactor * np.exp(exponent)
 
 
 def _holomorphic_powers(degree: int, lam: float, z: np.ndarray) -> np.ndarray:

@@ -316,21 +316,21 @@ def test_path_errors_exit_one_before_the_run(case, model_config, tmp_path, monke
 
 
 def test_failed_check_exits_two(model_config, tmp_path, capsys):
+    # stopped at degree 8 the expansion has not converged: it reads about
+    # 7.6e-5 against its fixed 1e-6 bound
     out = tmp_path / "artifacts"
     code = main(
-        [
-            "run", "--config", model_config, "--out", str(out),
-            "--override", "model.orthonormality_tolerance=1e-30",
-        ]
+        ["run", "--config", model_config, "--out", str(out), "--override", "model.degrees=8"]
     )
     assert code == 2
     text = capsys.readouterr().out
-    assert "FAIL" in text
+    assert "FAIL expansion" in text
     # artifacts are still written so the failure can be inspected
     summary = read_summary(out)
     assert summary["passed"] is False
     failed = [c for c in summary["checks"] if not c["passed"]]
-    assert any(c["name"] == "orthonormality" for c in failed)
+    assert [c["name"] for c in failed] == ["expansion"]
+    assert failed[0]["tolerance"] == 1e-6 and failed[0]["value"] > 1e-6
 
 
 def test_model_oracles_at_extreme_curvature(tmp_path):
@@ -504,6 +504,10 @@ def test_readme_config_example_parses(tmp_path):
         # converge's Gram order and blend exponent are constants, not keys
         ("converge-cubic", "converge.epsilon=0.1"),
         ("converge-quadratic", "converge.quad_order=44"),
+        # checks own their bounds: no key loosens one
+        ("model", "model.orthonormality_tolerance=1e-30"),
+        ("gap-cubic", "gap.linearity_tolerance=1"),
+        ("torus-flat", "torus.margin_floor=0"),
         ("vanish-mismatched", "vanish.ks=3,3"),
         ("converge-cubic", "converge.ks=2,1"),
         ("vanish-mismatched", "vanish.q=2"),

@@ -18,6 +18,7 @@ from kernel_lab import (
 )
 from kernel_lab.galerkin import GalerkinBasis, build_system, gauss_hermite_nodes
 from kernel_lab.model import multi_indices
+from kernel_lab.scaling import kernel_grid
 from kernel_lab.weights import WeightPolynomial
 
 
@@ -45,6 +46,18 @@ def test_prefactor_random_spectra():
         value = eval_model_bergman(spec, q0, origin, origin)[0, 0]
         expected = float(np.prod(np.abs(lams))) / math.pi**n
         assert value == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("lambdas", [(1e12,), (1e300,), (-2.0, 0.5)], ids=str)
+def test_diagonal_is_the_prefactor_at_any_curvature(lambdas):
+    # the exponent is formed without cancelling O(|lambda| |z|^2) terms, so the
+    # diagonal keeps full precision however large |lambda| |z|^2 grows
+    spec = ModelSpectrum(lambdas)
+    grid = kernel_grid()
+    pts = np.stack(np.meshgrid(*[grid] * spec.n, indexing="ij"), axis=-1).reshape(-1, spec.n)
+    diagonal = np.diag(eval_model_bergman(spec, spec.q0, pts, pts))
+    expected = float(np.prod(np.abs(lambdas))) / math.pi**spec.n
+    assert np.abs(diagonal - expected).max() <= 2e-16 * expected
 
 
 def test_mismatched_degree_is_exactly_zero():
