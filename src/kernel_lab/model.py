@@ -118,7 +118,10 @@ def eval_model_bergman(spec: ModelSpectrum, q: int, z, w) -> np.ndarray:
     zb, wb = zp[:, None, :], wp[None, :, :]
     # 2i s Im(z w*) - |z - w|^2 cancels no O(|lam| |z|^2) terms; its phase is 0 at z = w
     phase = zb.imag * wb.real - zb.real * wb.imag
-    exponent = (lam * (2j * sign * phase - np.abs(zb - wb) ** 2)).sum(axis=-1)
+    with np.errstate(over="ignore"):
+        exponent = (lam * (2j * sign * phase - np.abs(zb - wb) ** 2)).sum(axis=-1)
+    # where the Gaussian factor underflows the kernel is 0, even if the phase overflowed
+    exponent[np.exp(exponent.real) == 0.0] = -np.inf
     prefactor = float(np.prod(lam)) / math.pi ** spec.n
     return prefactor * np.exp(exponent)
 

@@ -18,6 +18,9 @@ On the periodic lattice grid the weighted theta series (Mumford, Tata
 Lectures on Theta I, I.3) separates into Gaussian y-factors and exact
 x-phases, so each section is tabulated as one matrix product over the
 lattice index, with exponentials taken per grid axis, not per grid point.
+The trace is contracted section by section: the Gram matrices on both grids
+are the inner products of pairs of sections, and no table of all sections
+over the grid is built.
 """
 
 from __future__ import annotations
@@ -228,15 +231,17 @@ def _psi_table(bundle: TorusBundle, n: int) -> np.ndarray:
     return table
 
 
-def _theta_matrix(bundle: TorusBundle, k: int, n: int, radius: int) -> np.ndarray:
-    """Values theta_j(z) e^{-phi_k(z)} on the n x n lattice grid, one column per j.
+def _theta_sections(bundle: TorusBundle, k: int, n: int, radius: int) -> list[np.ndarray]:
+    """Values theta_j(z) e^{-phi_k(z)} on the n x n lattice grid, one flat array per j.
 
-    Rows follow ``_lattice_grid``'s x-major order.  With z = x + tau y and
-    s = l + j/m, each lattice term times the flat weight is the product of
+    Each array follows ``_lattice_grid``'s x-major order.  With z = x + tau y
+    and s = l + j/m, each lattice term times the flat weight is the product of
     g(y, s) = exp(-pi m tau2 (s + y)^2 + i pi tau1 m (s^2 + 2 s y)), of
     modulus at most 1, and the phase exp(2 pi i (m s) x) with m s an integer,
-    taken exactly from the n-th roots of unity.  The table is one batched
-    (n x L) @ (L x n) product per section j, times e^{-k psi} when psi != 0.
+    taken exactly from the n-th roots of unity.  The phases and Gaussian
+    factors of all sections are (m, n, L) and (m, L, n) tables, and section j
+    is one (n x L) @ (L x n) product of its slices, times e^{-k psi} when
+    psi != 0.
     """
     tau = bundle.tau
     m = k * bundle.degree
@@ -249,10 +254,30 @@ def _theta_matrix(bundle: TorusBundle, k: int, n: int, radius: int) -> np.ndarra
         -math.pi * m * tau.imag * (s + y) ** 2
         + 1j * math.pi * tau.real * m * (s**2 + 2.0 * s * y)
     )
-    values = np.matmul(phase, decay).transpose(1, 2, 0).reshape(n * n, m)
-    if bundle.psi_modes:
-        values *= np.exp(-k * _psi_table(bundle, n))
-    return values
+    weight = np.exp(-k * _psi_table(bundle, n)).reshape(n, n) if bundle.psi_modes else None
+    sections = []
+    for phase_j, decay_j in zip(phase, decay):
+        values = phase_j @ decay_j
+        if weight is not None:
+            values *= weight
+        sections.append(values.ravel())
+    return sections
+
+
+def _theta_gram(sections: list[np.ndarray]) -> np.ndarray:
+    """Inner products G[i, j] = <v_i, v_j> = sum_p conj(v_i[p]) v_j[p] of the sections.
+
+    Hermitian by construction: the upper triangle is mirrored and the
+    diagonal is the real squared norm.
+    """
+    m = len(sections)
+    gram = np.empty((m, m), dtype=complex)
+    for i, vi in enumerate(sections):
+        gram[i, i] = np.vdot(vi, vi).real
+        for j in range(i + 1, m):
+            gram[i, j] = np.vdot(vi, sections[j])
+            gram[j, i] = gram[i, j].conjugate()
+    return gram
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,9 +309,12 @@ def theta_trace_check(
 
     The trace is the sum over the P trace-grid points of v_p G^-1 v_p^H, with
     v_p the row of section values at point p.  It is contracted over the grid
-    first: with G = L L^H and H = V^H V the m x m inner products of the trace
-    table V, the sum is tr(L^-1 H L^-H), taken from two solves with L on
-    m x m matrices rather than one solve with P right-hand sides.
+    first: with G = L L^H and H the m x m inner products of the sections on
+    the trace grid, the sum is tr(L^-1 H L^-H), taken from two solves with L
+    on m x m matrices rather than one solve with P right-hand sides.  Both
+    grids are contracted section by section: each section is tabulated as
+    its own n x n array and G and H are assembled from the inner products of
+    pairs, so no P x m table of all sections, nor a conjugate copy, is formed.
     """
     m = k * bundle.degree
     if m <= 0:
@@ -298,13 +326,11 @@ def theta_trace_check(
     radius = _theta_radius(tau2, m)
     truncation = 2.0 * math.exp(-math.pi * m * tau2 * (radius - 1) ** 2)
 
-    vg = _theta_matrix(bundle, k, gram_grid, radius)
-    gram = vg.conj().T @ vg * (bundle.area / gram_grid**2)
-    gram = 0.5 * (gram + gram.conj().T)
+    gram = _theta_gram(_theta_sections(bundle, k, gram_grid, radius)) * (bundle.area / gram_grid**2)
     chol, _ = _guarded_cholesky(gram, f"theta_trace_check(k={k})")
 
-    vt = _theta_matrix(bundle, k, trace_grid, radius)
-    half = np.linalg.solve(chol, vt.conj().T @ vt)
+    inner = _theta_gram(_theta_sections(bundle, k, trace_grid, radius))
+    half = np.linalg.solve(chol, inner)
     total = np.trace(np.linalg.solve(chol, half.conj().T)).real
     trace = float(total) * bundle.area / trace_grid**2
     return TraceCheckResult(

@@ -60,6 +60,16 @@ def test_diagonal_is_the_prefactor_at_any_curvature(lambdas):
     assert np.abs(diagonal - expected).max() <= 2e-16 * expected
 
 
+@pytest.mark.parametrize("lam", [1e308, -1e308])
+def test_kernel_vanishes_where_the_gaussian_underflows(lam):
+    # off the diagonal |lambda| |z - w|^2 and the phase overflow; the kernel is 0 there
+    spec = ModelSpectrum((lam,))
+    kernel = eval_model_bergman(spec, spec.q0, kernel_grid(), kernel_grid())
+    assert np.isfinite(kernel).all()
+    assert np.array_equal(np.diag(kernel), np.full(kernel_grid().size, abs(lam) / math.pi))
+    assert not (kernel - np.diag(np.diag(kernel))).any()
+
+
 def test_mismatched_degree_is_exactly_zero():
     spec = ModelSpectrum((1.0,))
     kernel = eval_model_bergman(spec, 1, 0.3 + 0.1j, -0.2j)

@@ -20,7 +20,14 @@ from kernel_lab import (
     torus,
 )
 from kernel_lab.config import load_config
-from kernel_lab.torus import _lattice_grid, _psi_table, _theta_levels, _theta_matrix, _theta_radius
+from kernel_lab.torus import (
+    _lattice_grid,
+    _psi_table,
+    _theta_gram,
+    _theta_levels,
+    _theta_radius,
+    _theta_sections,
+)
 
 BUNDLES = [
     TorusBundle(tau=1j, degree=1),
@@ -196,15 +203,34 @@ def _direct_theta_matrix(bundle, k, n, radius):
     return np.exp(expo - phi[:, None, None]).sum(axis=1)
 
 
+def _theta_matrix(bundle, k, n, radius):
+    # the per-section tables side by side, one column per section
+    return np.stack(_theta_sections(bundle, k, n, radius), axis=1)
+
+
 @pytest.mark.parametrize("n", [48, 64])
 @pytest.mark.parametrize("k", [1, 3, 6])
 @pytest.mark.parametrize("bundle", BUNDLES, ids=BUNDLE_IDS)
 def test_theta_matrix_matches_direct_sum(bundle, k, n):
     radius = _theta_radius(bundle.tau.imag, k * bundle.degree)
-    values = _theta_matrix(bundle, k, n, radius)
+    sections = _theta_sections(bundle, k, n, radius)
     reference = _direct_theta_matrix(bundle, k, n, radius)
-    assert values.shape == (n * n, k * bundle.degree)
+    assert len(sections) == k * bundle.degree
+    assert all(section.shape == (n * n,) for section in sections)
+    values = np.stack(sections, axis=1)
     assert np.abs(values - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("n", [48, 64])
+@pytest.mark.parametrize("k", [1, 3, 6])
+@pytest.mark.parametrize("bundle", BUNDLES, ids=BUNDLE_IDS)
+def test_theta_gram_matches_direct_sum(bundle, k, n):
+    radius = _theta_radius(bundle.tau.imag, k * bundle.degree)
+    gram = _theta_gram(_theta_sections(bundle, k, n, radius))
+    direct = _direct_theta_matrix(bundle, k, n, radius)
+    reference = direct.conj().T @ direct
+    assert np.abs(gram - reference).max() <= 1e-13 * np.abs(reference).max()
+    assert np.array_equal(gram, gram.conj().T)
 
 
 def _dropped_share(tau2, m, radius):
@@ -232,12 +258,14 @@ def test_theta_radius_drops_only_rounding(name):
     for k in range(1, 11):
         radius = _theta_radius(bundle.tau.imag, k * bundle.degree)
         for n in (48, 64):
-            values = _theta_matrix(bundle, k, n, radius)
-            wider = _theta_matrix(bundle, k, n, radius + 3)
-            if name in SHIPPED:
-                assert values.tobytes() == wider.tobytes(), (k, n)
-            else:
-                assert np.abs(values - wider).max() <= 2.0**-52 * np.abs(wider).max(), (k, n)
+            sections = _theta_sections(bundle, k, n, radius)
+            widened = _theta_sections(bundle, k, n, radius + 3)
+            for j, (values, wider) in enumerate(zip(sections, widened, strict=True)):
+                if name in SHIPPED:
+                    assert values.tobytes() == wider.tobytes(), (k, n, j)
+                else:
+                    bound = 2.0**-52 * np.abs(wider).max()
+                    assert np.abs(values - wider).max() <= bound, (k, n, j)
 
 
 def test_theta_trace_flat_small(flat_torus):
@@ -295,32 +323,32 @@ def test_theta_trace_matches_pointwise_sum(bundle, k):
 
 
 def test_theta_trace_rank_deficient_gram(flat_torus, monkeypatch):
-    tabulate = torus._theta_matrix
+    tabulate = torus._theta_sections
 
     def deficient(bundle, k, n, radius):
         # one section vanishing on the Gram grid makes the Gram matrix singular
-        values = tabulate(bundle, k, n, radius)
+        sections = tabulate(bundle, k, n, radius)
         if n == torus.DEFAULT_GRAM_GRID:
-            values[:, -1] = 0.0
-        return values
+            sections[-1][:] = 0.0
+        return sections
 
-    monkeypatch.setattr(torus, "_theta_matrix", deficient)
+    monkeypatch.setattr(torus, "_theta_sections", deficient)
     with pytest.raises(GramConditioningError):
         theta_trace_check(flat_torus, 3)
 
 
 def test_theta_trace_guards_pivot_ratio(flat_torus, monkeypatch):
-    tabulate = torus._theta_matrix
+    tabulate = torus._theta_sections
 
     def faint(bundle, k, n, radius):
         # one section 1e-8 times fainter on the Gram grid: positive definite,
         # pivot ratio about 1e-16
-        values = tabulate(bundle, k, n, radius)
+        sections = tabulate(bundle, k, n, radius)
         if n == torus.DEFAULT_GRAM_GRID:
-            values[:, -1] *= 1e-8
-        return values
+            sections[-1] *= 1e-8
+        return sections
 
-    monkeypatch.setattr(torus, "_theta_matrix", faint)
+    monkeypatch.setattr(torus, "_theta_sections", faint)
     with pytest.raises(GramConditioningError, match="pivot ratio"):
         theta_trace_check(flat_torus, 3)
 
