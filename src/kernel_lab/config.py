@@ -5,6 +5,8 @@ section of the same shape for every run: unknown sections or keys are
 rejected with their full key path, defaults are materialized at parse time so
 the echoed configuration in ``summary.json`` reproduces the run exactly.  No
 key sets a check's bound: each is a constant of its check, reported under ``checks``.
+Nor does a key set where a check looks: its grid and the levels it reads are
+constants of its runner, and every ``ks`` is strictly increasing.
 
 Weight families live in ``[family]``: ``ck_rule`` (``BASE^k``), a ``base``
 polynomial given as term lines ``alpha;beta;re[;im]`` (one per line, each
@@ -25,7 +27,14 @@ from typing import Callable, Mapping
 
 from .model import ModelSpectrum
 from .scaling import _check_bergman
-from .torus import TorusBundle, _check_level, _check_resolution, _theta_levels
+from .torus import (
+    DEFAULT_GRAM_GRID,
+    DEFAULT_GRID,
+    TorusBundle,
+    _check_level,
+    _check_resolution,
+    _theta_levels,
+)
 from .weights import CkRule, Perturbation, WeightFamily, WeightPolynomial, real_term
 
 EXPERIMENTS = ("converge", "gap", "heat", "model", "torus-audit", "vanish")
@@ -157,11 +166,6 @@ class _Key:
     default: str | None  # None marks a required key
 
 
-_GRID_KEYS = {
-    "grid_points": _Key(_positive_int, "3"),
-    "grid_radius": _Key(_positive_float, "1.5"),
-}
-
 _SCHEMAS: dict[str, dict[str, _Key]] = {
     "run": {
         "experiment": _Key(_choice(EXPERIMENTS), None),
@@ -177,46 +181,37 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "max_order": _Key(_positive_int, "6"),
         "lambdas": _Key(_list(_float), "0.5, 1, 3"),
         "degrees": _Key(_increasing(_nonneg_int), "8, 16, 24, 32, 40"),
-        "grid_points": _Key(_positive_int, "5"),
-        "grid_radius": _Key(_positive_float, "1.0"),
     },
     "converge": {
         "ks": _Key(_increasing(int), "1, 2, 3, 4, 5, 6, 7"),
         "degree": _Key(_positive_int, "30"),
         "slope_target": _Key(_optional(_float), ""),
         "max_error": _Key(_optional(_positive_float), ""),
-        **_GRID_KEYS,
     },
     "vanish": {
         "ks": _Key(_increasing(int), "1, 2, 3, 4, 5, 6, 7"),
         "degree": _Key(_positive_int, "30"),
         "d": _Key(_positive_float, "1"),
         "q": _Key(_optional(_form_degree), ""),
-        "min_ck": _Key(_positive_float, "16"),
-        **_GRID_KEYS,
     },
     "gap": {
-        "ks": _Key(_list(int), "1, 2, 3, 4, 5, 6, 7"),
+        "ks": _Key(_increasing(int), "1, 2, 3, 4, 5, 6, 7"),
         "degree_coarse": _Key(_positive_int, "24"),
         "degree_fine": _Key(_positive_int, "32"),
         "q": _Key(_optional(_form_degree), ""),
     },
     "heat": {
-        "ks": _Key(_list(int), "1, 2, 3, 4, 5"),
+        "ks": _Key(_increasing(int), "1, 2, 3, 4, 5"),
         "ts": _Key(_increasing(_positive_float), "1, 2, 4, 8"),
         "degree": _Key(_positive_int, "24"),
-        **_GRID_KEYS,
     },
     "torus": {
         "tau_re": _Key(_float, "0"),
         "tau_im": _Key(_float, "1"),
         "degree": _Key(_int, "1"),
         "psi": _Key(_psi_modes, ""),
-        "ks": _Key(_list(int), "1, 2, 3, 4, 5, 6, 7, 8, 9, 10"),
-        "grid_n": _Key(_positive_int, "64"),
+        "ks": _Key(_increasing(int), "1, 2, 3, 4, 5, 6, 7, 8, 9, 10"),
         "theta_max_k": _Key(_nonneg_int, "6"),
-        "gram_grid": _Key(_positive_int, "48"),
-        "trace_grid": _Key(_positive_int, "64"),
     },
 }
 
@@ -325,20 +320,13 @@ def _check_truncation(section: str, values: Mapping[str, object]) -> None:
 
 
 def _check_torus(values: Mapping[str, object], bundle: TorusBundle) -> None:
-    """Grid rules of the torus audit and its theta trace check.
+    """The grid rule of the torus audit: psi is resolved by the coarsest grid in use.
 
-    The trace check integrates on a grid other than its Gram grid, and each
-    grid in use must resolve psi.
+    The Morse and trace grids have 64 points per axis and the theta Gram grid
+    48, which is in use when a theta level runs.
     """
-    grids = ["grid_n"]
-    if _theta_levels(bundle, values["ks"], values["theta_max_k"]):
-        if values["gram_grid"] == values["trace_grid"]:
-            raise ConfigError(
-                f"torus.gram_grid: must differ from trace_grid ({values['trace_grid']})"
-            )
-        grids += ["gram_grid", "trace_grid"]
-    for key in grids:
-        _keyed("torus.psi", _check_resolution, bundle, values[key])
+    theta = _theta_levels(bundle, values["ks"], values["theta_max_k"])
+    _keyed("torus.psi", _check_resolution, bundle, DEFAULT_GRAM_GRID if theta else DEFAULT_GRID)
 
 
 def _jsonable(value):

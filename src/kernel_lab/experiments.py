@@ -4,6 +4,7 @@ A runner returns an ExperimentResult whose rows become the CSV table and
 whose checks (value, tolerance, comparator) drive the process exit code.
 Each bound is a constant of its check, not a config key, so no run can
 loosen its own gate; ``summary.json`` reports it once, under ``checks``.
+So are the grid a check reads and the levels it selects.
 A check whose data are missing or not finite has value None and fails (``_worst``).
 """
 
@@ -130,7 +131,7 @@ def _run_model(cfg: ParsedConfig) -> ExperimentResult:
         rows.append(("orthonormality", f"lambda={lam:g}", ortho_devs[-1]))
 
     spec1 = ModelSpectrum((1.0,))
-    pts = kernel_grid(sec["grid_points"], sec["grid_radius"])
+    pts = kernel_grid(5, 1.0)
     closed = eval_model_bergman(spec1, 0, pts, pts)
     expansion_devs = []
     for degree in sec["degrees"]:
@@ -155,8 +156,7 @@ def _run_model(cfg: ParsedConfig) -> ExperimentResult:
 def _run_converge(cfg: ParsedConfig) -> ExperimentResult:
     family = cfg.family()
     sec = cfg.values["converge"]
-    grid = kernel_grid(sec["grid_points"], sec["grid_radius"])
-    rep = scaled_bergman_convergence(family, ks=sec["ks"], degree=sec["degree"], grid=grid)
+    rep = scaled_bergman_convergence(family, ks=sec["ks"], degree=sec["degree"])
     rank = sec["degree"] + 1
     rows = tuple(
         (k, c, e, rank, _slope_so_far(rep.c_values, rep.errors, i))
@@ -175,7 +175,7 @@ def _run_converge(cfg: ParsedConfig) -> ExperimentResult:
     # the routes are compared at the last k solved; with none solved the check is undecided
     route = None
     if rep.ks:
-        route = route_equivalence_gap(family, rep.ks[-1], sec["degree"], grid)
+        route = route_equivalence_gap(family, rep.ks[-1], sec["degree"])
     checks.append(Check("route_equivalence", _worst([route]), 1e-8, "<="))
     return ExperimentResult(
         name="converge",
@@ -192,15 +192,7 @@ def _run_vanish(cfg: ParsedConfig) -> ExperimentResult:
     spec = family.model_spectrum()
     q = 1 - spec.q0 if sec["q"] is None else sec["q"]
     matched = q == spec.q0
-    grid = kernel_grid(sec["grid_points"], sec["grid_radius"])
-    rep = vanishing_convergence(
-        family,
-        ks=sec["ks"],
-        degree=sec["degree"],
-        d=sec["d"],
-        grid=grid,
-        q=q,
-    )
+    rep = vanishing_convergence(family, ks=sec["ks"], degree=sec["degree"], d=sec["d"], q=q)
     rows = tuple(
         (k, c, e, r, _slope_so_far(rep.c_values, rep.errors, i))
         for i, (k, c, e, r) in enumerate(
@@ -214,9 +206,9 @@ def _run_vanish(cfg: ParsedConfig) -> ExperimentResult:
         notes.append(f"matched signature control: q = q0 = {q}")
         checks.append(Check("rank_persists", _worst(rep.ranks, min), 1.0, ">="))
     else:
-        sel = [i for i, c in enumerate(rep.c_values) if c >= sec["min_ck"]]
+        sel = [i for i, c in enumerate(rep.c_values) if c >= 16.0]
         if not sel:
-            notes.append(f"no k with C_k >= {sec['min_ck']:g} was run")
+            notes.append("no k with C_k >= 16 was run")
         checks.append(Check("rank_zero", _worst(rep.ranks[i] for i in sel), 0.0, "<="))
         checks.append(Check("kernel_sup", _worst(rep.errors[i] for i in sel), 1e-8, "<="))
     return ExperimentResult(
@@ -265,14 +257,7 @@ def _run_gap(cfg: ParsedConfig) -> ExperimentResult:
 def _run_heat(cfg: ParsedConfig) -> ExperimentResult:
     family = cfg.family()
     sec = cfg.values["heat"]
-    grid = kernel_grid(sec["grid_points"], sec["grid_radius"])
-    rep = heat_route_comparison(
-        family,
-        ks=sec["ks"],
-        ts=sec["ts"],
-        degree=sec["degree"],
-        grid=grid,
-    )
+    rep = heat_route_comparison(family, ks=sec["ks"], ts=sec["ts"], degree=sec["degree"])
     rows = tuple(
         (k, c, t, float(rep.diffs[i, j]), rep.gaps[i], rep.slopes[i])
         for i, (k, c) in enumerate(zip(rep.ks, rep.c_values))
@@ -297,11 +282,11 @@ def _run_torus_audit(cfg: ParsedConfig) -> ExperimentResult:
     sec = cfg.values["torus"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", BoundaryCrossingWarning)
-        rep = audit_morse(bundle, sec["ks"], sec["grid_n"])
+        rep = audit_morse(bundle, sec["ks"])
     notes = sorted({str(w.message) for w in caught})
 
     trace_devs = {
-        k: theta_trace_check(bundle, k, sec["gram_grid"], sec["trace_grid"]).deviation
+        k: theta_trace_check(bundle, k).deviation
         for k in _theta_levels(bundle, sec["ks"], sec["theta_max_k"])
     }
     rows = tuple(

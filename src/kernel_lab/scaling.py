@@ -309,56 +309,47 @@ def heat_route_comparison(
     P is a genuine limit; the decay of |H(t) - P| in t then measures the
     spectral gap.  ``source`` may be a weight family (one exact system per
     distinct scaled weight, built as the sweep reaches it) or a bare n = 1 model
-    spectrum (a single exactly quadratic system, reported as k = 1).  Each
-    system's row (projector, heat kernels, gap, slope, trace bound) is read
-    from its modes on the grid once; a k whose system repeats the previous
-    one copies that row.  A family runs k = 1..5 at degree 24 by default,
+    spectrum (a level constant in k, with C_k = 1, reported as k = 1 by
+    default).  Each system's row (heat kernel diffs, gap, slope, trace bound)
+    is read from its modes on the grid once, and a k whose level repeats the
+    previous one reuses it.  A family runs k = 1..5 at degree 24 by default,
     as the ``[heat]`` config section does.
     """
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t schedule must be strictly increasing")
-    spec = source if isinstance(source, ModelSpectrum) else source.model_spectrum()
-    build = partial(build_system, q=spec.q0, degree=degree)
     if isinstance(source, ModelSpectrum):
-        kss = (1,) if ks is None else tuple(ks)
-        systems = [build(WeightPolynomial.quadratic(source.lambdas))] * len(kss)
-        cs = (1.0,) * len(kss)
+        spec, kss = source, (1,) if ks is None else tuple(ks)
+        quadratic = WeightPolynomial.quadratic(source.lambdas)
+        level, cs = (lambda k: quadratic), (1.0,) * len(kss)
     else:
-        kss = tuple(range(1, 6)) if ks is None else tuple(ks)
-        systems = (system for _, system in _sweep(partial(scale_weight, source), kss, build))
-        cs = tuple(source.c_value(k) for k in kss)
-
+        spec, kss = source.model_spectrum(), tuple(range(1, 6)) if ks is None else tuple(ks)
+        level, cs = partial(scale_weight, source), tuple(source.c_value(k) for k in kss)
+    build = partial(build_system, q=spec.q0, degree=degree)
     pts = _grid(grid)
-    diffs = np.empty((len(kss), len(ts)))
-    gaps: list[float] = []
-    slopes: list[float | None] = []
-    bounds: list[float] = []
-    last = None
-    for i, system in enumerate(systems):
-        if system is last:
-            diffs[i] = diffs[i - 1]
-            for column in (gaps, slopes, bounds):
-                column.append(column[-1])
-            continue
-        modes, last = system.eval_modes(pts), system
-        proj = _kernel_sum(modes, modes, _projector_selection(system, 0.0).astype(float))
-        for j, t in enumerate(ts):
-            heat = _kernel_sum(modes, modes, _heat_weights(system, t))
-            diffs[i, j] = float(np.abs(heat - proj).max())
-        gaps.append(spectral_gap(system))
-        slopes.append(fit_exp_decay(ts, diffs[i]))
-        hot = system.eigenvalues > system.zero_tolerance()
-        bounds.append(float((np.abs(modes[:, hot]) ** 2).max(axis=0).sum()))
 
+    def row(weight) -> tuple[np.ndarray, float, float | None, float]:
+        system = build(weight)
+        modes = system.eval_modes(pts)
+        proj = _kernel_sum(modes, modes, _projector_selection(system, 0.0).astype(float))
+        diffs = np.array(
+            [np.abs(_kernel_sum(modes, modes, _heat_weights(system, t)) - proj).max() for t in ts]
+        )
+        hot = system.eigenvalues > system.zero_tolerance()
+        bound = float((np.abs(modes[:, hot]) ** 2).max(axis=0).sum())
+        return diffs, spectral_gap(system), fit_exp_decay(ts, diffs), bound
+
+    rows = [r for _, r in _sweep(level, kss, row)]
+    diffs = np.array([r[0] for r in rows])
+    gaps, slopes, bounds = (tuple(r[i] for r in rows) for i in (1, 2, 3))
     spread = tuple(float(diffs[:, j].max() - diffs[:, j].min()) for j in range(len(ts)))
     return HeatRouteReport(
         ks=kss,
         c_values=cs,
         ts=tuple(float(t) for t in ts),
         diffs=diffs,
-        gaps=tuple(gaps),
-        slopes=tuple(slopes),
-        trace_bounds=tuple(bounds),
+        gaps=gaps,
+        slopes=slopes,
+        trace_bounds=bounds,
         spread_per_t=spread,
         grid=pts,
     )

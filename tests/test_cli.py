@@ -27,7 +27,6 @@ max_n = 2
 max_order = 3
 lambdas = 1
 degrees = 8, 16
-grid_points = 3
 """
 
 
@@ -509,6 +508,10 @@ def test_readme_config_example_parses(tmp_path):
         ("gap-cubic", "gap.linearity_tolerance=1"),
         ("torus-flat", "torus.margin_floor=0"),
         ("vanish-mismatched", "vanish.ks=3,3"),
+        # a repeated level would pass the checks that need two levels
+        ("gap-cubic", "gap.ks=3,3"),
+        ("heat-quadratic", "heat.ks=1,1"),
+        ("torus-flat", "torus.ks=2,2"),
         ("converge-cubic", "converge.ks=2,1"),
         ("vanish-mismatched", "vanish.q=2"),
         ("gap-cubic", "gap.q=2"),
@@ -565,4 +568,30 @@ def test_invalid_truncation_is_usage_error(config, override, tmp_path, capsys):
     code = main(argv)
     assert code == 1
     assert overrides[-1].split("=")[0] + ":" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ("converge-cubic", "converge.grid_points"),
+        ("converge-cubic", "converge.grid_radius"),
+        ("vanish-mismatched", "vanish.grid_points"),
+        ("vanish-mismatched", "vanish.grid_radius"),
+        ("vanish-mismatched", "vanish.min_ck"),
+        ("heat-quadratic", "heat.grid_points"),
+        ("heat-quadratic", "heat.grid_radius"),
+        ("model", "model.grid_points"),
+        ("model", "model.grid_radius"),
+        ("torus-flat", "torus.grid_n"),
+        ("torus-flat", "torus.gram_grid"),
+        ("torus-flat", "torus.trace_grid"),
+    ],
+)
+def test_checks_own_their_grids(config, key, tmp_path, capsys):
+    # where a check looks is part of what it claims: no key moves its grid or its levels
+    out = tmp_path / "o"
+    argv = ["run", "--config", str(CONFIGS / f"{config}.ini"), "--out", str(out)]
+    assert main(argv + ["--override", f"{key}=4"]) == 1
+    assert f"{key}: unknown key" in capsys.readouterr().err
     assert not out.exists()

@@ -37,8 +37,6 @@ def test_defaults_materialized(tmp_path):
     assert sec["ks"] == (1, 2, 3, 4, 5, 6, 7)
     assert sec["degree"] == 30
     assert sec["slope_target"] is None
-    assert sec["grid_points"] == 3
-    assert sec["grid_radius"] == 1.5
     fam = cfg.values["family"]
     assert "dimension" not in fam
     assert fam["ck_rule"] == 4.0
@@ -51,7 +49,6 @@ def test_torus_defaults(tmp_path):
     assert sec["tau_re"] == 0.0 and sec["tau_im"] == 1.0
     assert sec["degree"] == 1
     assert sec["psi"] == ()
-    assert sec["grid_n"] == 64
     assert sec["theta_max_k"] == 6
     bundle = cfg.bundle()
     assert bundle.tau == 1j and bundle.degree == 1
@@ -184,6 +181,15 @@ def test_psi_modes_rejections(tmp_path):
     for psi in ("0;0;0.3", "1;0;0.3\n    1;0;0.2", "1;0;0\n    1;0;0.3"):
         with pytest.raises(ConfigError, match=r"torus\.psi: (psi must have zero mean|duplicate)"):
             load_config(write(tmp_path, MINIMAL_TORUS + f"[torus]\npsi =\n    {psi}\n"))
+
+
+def test_psi_resolved_by_the_grids_in_use(tmp_path):
+    # the theta Gram grid has 48 points per axis, the Morse grid 64
+    path = write(tmp_path, MINIMAL_TORUS + "[torus]\npsi = 7;0;0.1\n")
+    with pytest.raises(ConfigError, match=r"torus\.psi: grid with 48 points .* need >= 56"):
+        load_config(path)
+    cfg = load_config(path, overrides=("torus.theta_max_k=0",))
+    assert cfg.bundle().top_frequency == 7
 
 
 def test_overrides(tmp_path):
