@@ -198,7 +198,6 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "ks": _Key(_increasing(int), "1, 2, 3, 4, 5, 6, 7"),
         "degree_coarse": _Key(_positive_int, "24"),
         "degree_fine": _Key(_positive_int, "32"),
-        "q": _Key(_optional(_form_degree), ""),
     },
     "heat": {
         "ks": _Key(_increasing(int), "1, 2, 3, 4, 5"),

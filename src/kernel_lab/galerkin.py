@@ -46,9 +46,16 @@ class is assembled and solved on its own.  The basis is graded by level and
 each class is ordered by level, so the degree-D' matrices are the leading
 (D'+1)(D'+2)/2 blocks of the degree-D ones for any D' <= D, and a leading
 block of the truncation is a leading block of every class:
-``leading_block_spectra`` takes the eigenvalues of several truncations from
-one exact assembly.  On the model weight |z|^2 every eigenvalue is exact to
-roundoff (2(b + q) with multiplicity D + 1 - b) up to at least D = 64.
+``leading_block_gaps`` reads the bottom of the spectrum of several
+truncations from one exact assembly, class block by class block, in order
+of their lowest diagonal entries.  Per truncation it solves the first class,
+which gives a candidate bottom g, and certifies each later class without
+solving it: by Sylvester's law of inertia, a Cholesky factorization of
+Q_c - (g - delta) I that succeeds proves that Q_c has no eigenvalue below
+g - delta, with delta = n eps ||Q_c||_inf the size of an eigensolver's own
+error.  A class whose factorization fails is solved too and lowers g.  On
+the model weight |z|^2 every eigenvalue is exact to roundoff (2(b + q) with
+multiplicity D + 1 - b) up to at least D = 64.
 
 The ladder coefficients are real, and conj(P_(n_a, n_b)) = P_(n_b, n_a), so
 for a weight with real coefficients (phi symmetric under y -> -y) the
@@ -68,10 +75,11 @@ is real, a real product over the y < 0 half of the rule with doubled weights
 the torus's theta Gram: a Gram that is not positive definite, or whose pivot
 ratio falls below GRAM_GUARD, raises GramConditioningError.
 
-Everything runs on numpy except the Laplacian eigensolve, which imports
-``scipy.linalg`` inside ``_solve_classes`` and calls ``eigh`` through the
-module attribute, which the benchmark's tracer rebinds.  Loading the package,
-or running an experiment with no Laplacian solve, never loads scipy.
+Everything runs on numpy except the Laplacian eigensolve of a full build,
+which imports ``scipy.linalg`` inside ``_solve_classes`` and calls ``eigh``
+through the module attribute, which the benchmark's tracer rebinds.  Loading
+the package, running ``leading_block_gaps`` or an experiment with no full
+build never loads scipy.
 """
 
 from __future__ import annotations
@@ -92,7 +100,7 @@ __all__ = [
     "GalerkinSystem",
     "HolomorphicBasis",
     "build_system",
-    "leading_block_spectra",
+    "leading_block_gaps",
     "holomorphic_subsystem",
     "bergman_kernel_numeric",
     "spectral_projector_kernel",
@@ -322,7 +330,8 @@ def build_system(weight: WeightPolynomial, q: int, degree: int) -> GalerkinSyste
     The reference Gaussian is the weight's own quadratic part at 0.
     """
     basis = _basis(weight, q, degree)
-    classes, blocks = _class_laplacians(basis, weight)
+    classes, _, block = _class_laplacians(basis, weight)
+    blocks = [block(c) for c in range(len(classes))]
     mu, vecs = _solve_classes(classes, blocks)
     _check_psd(mu, q, degree)
     return GalerkinSystem(basis, weight, mu, vecs, classes, blocks)
@@ -368,51 +377,64 @@ def _shift_terms(basis: GalerkinBasis, weight: WeightPolynomial) -> dict:
 
 @functools.lru_cache(maxsize=4)
 def _class_plan(degree: int, step: int, shifts: tuple) -> tuple[np.ndarray, ...]:
-    """(classes, starts, flat, left, right) of the blocks for charge step g, read-only.
+    """(classes, bounds, flat, left, right) of the blocks for charge step g, read-only.
 
-    Block c fills ``starts[c]:starts[c + 1]`` of one flat array.  Column |c>
-    meets row |c + sigma - sigma'> where its image under the shift sigma
-    meets the row's under sigma'; the row's sigma' term times the column's
-    sigma term (``left`` and ``right`` in the shift-major term table) adds at ``flat``.
+    Column |c> meets row |c + sigma - sigma'> where its image under the shift
+    sigma meets the row's under sigma'; the row's sigma' term times the
+    column's sigma term (``left`` and ``right`` in the shift-major term
+    table) adds at ``flat`` of the column's class block, read row-major.  The
+    entries of class c are ``bounds[c]:bounds[c + 1]``, in the same order
+    within the class as over all classes.
     """
     basis = GalerkinBasis(0, degree, 1.0)  # its states depend on D only
     n_a, n_b = basis.n_a, basis.n_b
     key = n_a - n_b if step == 0 else (n_a - n_b) % step
     classes = tuple(np.flatnonzero(key == c) for c in np.unique(key))
-    sizes = np.array([idx.size for idx in classes])
-    starts = np.concatenate(([0], np.cumsum(sizes**2)))
-    base, width, local = np.empty((3, n_a.size), dtype=int)
-    for idx, start, size in zip(classes, starts, sizes):
-        base[idx], width[idx], local[idx] = start, size, np.arange(size)
-    flat, left, right = [], [], []
+    owner, width, local = np.empty((3, n_a.size), dtype=int)
+    for c, idx in enumerate(classes):
+        owner[idx], width[idx], local[idx] = c, idx.size, np.arange(idx.size)
+    members, flat, left, right = [], [], [], []
     for (d, (da, db)), (e, (ea, eb)) in itertools.product(enumerate(shifts), repeat=2):
         row = _positions(n_a + da - ea, n_b + db - eb, degree)
         col = np.flatnonzero(row >= 0)
-        flat.append(base[col] + local[row[col]] * width[col] + local[col])
+        members.append(owner[col])
+        flat.append(local[row[col]] * width[col] + local[col])
         left.append(e * n_a.size + row[col])
         right.append(d * n_a.size + col)
-    plan = (classes, starts, *map(np.concatenate, (flat, left, right)))
+    members = np.concatenate(members)
+    order = np.argsort(members, kind="stable")
+    bounds = np.searchsorted(members[order], np.arange(len(classes) + 1))
+    plan = (classes, bounds, *(np.concatenate(a)[order] for a in (flat, left, right)))
     for a in (*classes, *plan[1:]):
         a.flags.writeable = False
     return plan
 
 
-def _class_laplacians(basis: GalerkinBasis, weight: WeightPolynomial) -> tuple[tuple, list]:
-    """The charge classes and the blocks of A^H A on them, Hermitian to the last bit."""
+def _class_laplacians(basis: GalerkinBasis, weight: WeightPolynomial) -> tuple:
+    """The charge classes, the diagonal of A^H A, and a function assembling its block on class c.
+
+    The diagonal is sum_sigma |f_sigma|^2 over the shift terms, in basis
+    order, without assembly.  Each block is Hermitian to the last bit, and
+    is assembled only when asked for, so a caller holds only the blocks it keeps.
+    """
     terms = _shift_terms(basis, weight)
     step = math.gcd(*(abs(a - b) for a, b in weight.coeffs))
-    classes, starts, flat, left, right = _class_plan(basis.degree, step, tuple(terms))
+    classes, bounds, flat, left, right = _class_plan(basis.degree, step, tuple(terms))
     table = np.concatenate(list(terms.values()))
     vals = table[left].conj()
     vals *= table[right]
-    lap = np.bincount(flat, vals.real, starts[-1])
-    if np.iscomplexobj(vals):
-        lap = lap + 1j * np.bincount(flat, vals.imag, starts[-1])
-    blocks = [lap[a:b].reshape(idx.size, -1) for a, b, idx in zip(starts, starts[1:], classes)]
-    for block in blocks:  # in place: every block stays a view of the one bincount
-        block += block.conj().T
-        block *= 0.5
-    return classes, blocks
+
+    def block(c: int) -> np.ndarray:
+        size, part = classes[c].size, slice(bounds[c], bounds[c + 1])
+        lap = np.bincount(flat[part], vals.real[part], size * size)
+        if np.iscomplexobj(vals):
+            lap = lap + 1j * np.bincount(flat[part], vals.imag[part], size * size)
+        lap = lap.reshape(size, size)
+        lap += lap.conj().T
+        lap *= 0.5
+        return lap
+
+    return classes, sum(np.abs(f) ** 2 for f in terms.values()), block
 
 
 def _node_product(x: np.ndarray, real: bool) -> np.ndarray:
@@ -453,29 +475,51 @@ def _solve_classes(classes: tuple, blocks: list) -> tuple[np.ndarray, np.ndarray
     return mu[order], vecs
 
 
-def leading_block_spectra(
-    weight, q: int, degree: int, blocks: tuple[int, ...]
-) -> tuple[np.ndarray, ...]:
-    """Eigenvalues of the exact Laplacian truncated at each degree in ``blocks``.
+def leading_block_gaps(weight, q: int, degree: int, blocks: tuple[int, ...]) -> tuple[float, ...]:
+    """The lowest eigenvalue of the exact Laplacian truncated at each degree in ``blocks``.
 
-    The Laplacian of the polynomial weight is assembled once at ``degree``,
-    in the charge states.  Each charge class is ordered by level, so the
-    degree-D' truncation, the leading (D'+1)(D'+2)/2 basis functions, is a
-    leading block of every class; each is solved for eigenvalues only (no
-    eigenvectors) and must be positive semidefinite like a full build.  The
-    N x N matrix is never formed.
+    The Laplacian is assembled at ``degree``, one class block at a time and
+    in order of the blocks' lowest diagonal entries, so only one block is
+    held and the N x N matrix is never formed.  A truncation's first class is
+    solved; each later one is certified or solved by ``_lower_bottom``.
     """
     if not all(0 <= b <= degree for b in blocks):
         raise ValueError(f"leading block degrees must lie in [0, {degree}], got {blocks}")
-    classes, laps = _class_laplacians(_basis(weight, q, degree), weight)
-    spectra = []
-    for b in blocks:
-        cuts = [np.searchsorted(idx, (b + 1) * (b + 2) // 2) for idx in classes]
-        parts = [np.linalg.eigvalsh(x[:m, :m]) for m, x in zip(cuts, laps) if m]
-        mu = np.sort(np.concatenate(parts), kind="stable")
-        _check_psd(mu, q, b)
-        spectra.append(mu)
-    return tuple(spectra)
+    classes, diagonal, block = _class_laplacians(_basis(weight, q, degree), weight)
+    bottoms = [math.inf] * len(blocks)
+    for c in sorted(range(len(classes)), key=lambda c: diagonal[classes[c]].min()):
+        lap = block(c)
+        for i, b in enumerate(blocks):
+            m = np.searchsorted(classes[c], (b + 1) * (b + 2) // 2)
+            if m:
+                bottoms[i] = _lower_bottom(lap[:m, :m], bottoms[i], q, b)
+    return tuple(bottoms)
+
+
+def _lower_bottom(block: np.ndarray, bottom: float, q: int, degree: int) -> float:
+    """min(bottom, the Hermitian block's lowest eigenvalue), up to delta = n eps ||block||_inf.
+
+    Below a finite bottom, a Cholesky factorization of block - (bottom - delta) I
+    that succeeds certifies the block, which is then not solved; delta, an
+    eigensolver's own error, lets a block whose bottom ties pass.  The shift
+    is applied to the diagonal in place and undone exactly.  Any other block
+    is solved, and its eigenvalues must be positive semidefinite like a full
+    build's.
+    """
+    if bottom < math.inf:
+        n = len(block)
+        diag, saved = np.arange(n), block.diagonal().copy()
+        block[diag, diag] -= bottom - n * np.finfo(float).eps * np.linalg.norm(block, np.inf)
+        try:
+            np.linalg.cholesky(block)
+            return bottom
+        except np.linalg.LinAlgError:
+            pass
+        finally:
+            block[diag, diag] = saved
+    mu = np.linalg.eigvalsh(block)
+    _check_psd(mu, q, degree)
+    return min(bottom, float(mu[0]))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from kernel_lab import (
     theta_trace_check,
     vanishing_convergence,
 )
-from kernel_lab.galerkin import gauss_hermite_nodes, leading_block_spectra
+from kernel_lab.galerkin import gauss_hermite_nodes, leading_block_gaps
 from kernel_lab.model import multi_indices
 
 
@@ -209,7 +209,7 @@ def _gap_sweep(family: WeightFamily, ks) -> tuple[list[float], list[float]]:
     rels, fine_gaps = [], []
     for k in ks:
         scaled = scale_weight(family, k)
-        coarse, fine = map(spectral_gap, leading_block_spectra(scaled, 1, 32, (24, 32)))
+        coarse, fine = leading_block_gaps(scaled, 1, 32, (24, 32))
         rels.append(abs(coarse - fine) / fine)
         fine_gaps.append(fine)
     return rels, fine_gaps

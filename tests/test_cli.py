@@ -350,13 +350,13 @@ def test_model_oracles_at_extreme_curvature(tmp_path):
 def test_gap_builds_once_per_distinct_level_weight(tmp_path, monkeypatch):
     # a model family scales to one weight at every k, whatever its C_k rule
     weights = []
-    spectra = experiments.leading_block_spectra
+    gaps = experiments.leading_block_gaps
 
     def counted(weight, *args):
         weights.append(weight)
-        return spectra(weight, *args)
+        return gaps(weight, *args)
 
-    monkeypatch.setattr(experiments, "leading_block_spectra", counted)
+    monkeypatch.setattr(experiments, "leading_block_gaps", counted)
     out = tmp_path / "gap"
     argv = ["run", "--config", str(CONFIGS / "gap-cubic.ini"), "--out", str(out)]
     argv += ["--override", "family.base=1;1;0.7", "--override", "family.ck_rule=3^k"]
@@ -594,4 +594,14 @@ def test_checks_own_their_grids(config, key, tmp_path, capsys):
     argv = ["run", "--config", str(CONFIGS / f"{config}.ini"), "--out", str(out)]
     assert main(argv + ["--override", f"{key}=4"]) == 1
     assert f"{key}: unknown key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "1", ""])
+def test_gap_reads_the_mismatched_degree_only(value, tmp_path, capsys):
+    # in 1 - q0 no kernel exists and the bottom of the spectrum is the gap, so no key picks q
+    out = tmp_path / "o"
+    argv = ["run", "--config", str(CONFIGS / "gap-cubic.ini"), "--out", str(out)]
+    assert main(argv + ["--override", f"gap.q={value}"]) == 1
+    assert "gap.q: unknown key" in capsys.readouterr().err
     assert not out.exists()

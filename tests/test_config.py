@@ -280,7 +280,8 @@ def test_gap_section_schema(tmp_path):
     sec = cfg.values["gap"]
     assert sec["degree_coarse"] == 24
     assert sec["degree_fine"] == 32
-    assert sec["q"] is None
+    # the gap is read in the mismatched degree 1 - q0 only
+    assert "q" not in sec
 
 
 def _family_config(tmp_path, experiment):

@@ -26,7 +26,7 @@ from kernel_lab import (
     spectral_projector_kernel,
 )
 from kernel_lab import galerkin
-from kernel_lab.galerkin import dbar_pairings, gauss_hermite_nodes, leading_block_spectra
+from kernel_lab.galerkin import dbar_pairings, gauss_hermite_nodes, leading_block_gaps
 from kernel_lab.weights import extend_weight, scale_weight
 
 UNIT = WeightPolynomial.quadratic([1.0])
@@ -77,6 +77,19 @@ def _assemble(basis, weight, order):
 def kernel_dimension(system) -> int:
     """Number of eigenvalues in the system's numerical zero band."""
     return int(np.count_nonzero(system.eigenvalues <= system.zero_tolerance()))
+
+
+def _roundoff(system) -> float:
+    """n eps ||Q||_inf of the whole Laplacian, which bounds each class's certificate slack."""
+    return len(system.basis) * np.finfo(float).eps * np.linalg.norm(system.laplacian, np.inf)
+
+
+def _leading_block_spectrum(system, b: int) -> np.ndarray:
+    """All eigenvalues of the system's degree-b truncation, solved class block by class block."""
+    n = (b + 1) * (b + 2) // 2
+    cuts = [np.searchsorted(idx, n) for idx in system._classes]
+    parts = [np.linalg.eigvalsh(x[:m, :m]) for m, x in zip(cuts, system._blocks) if m]
+    return np.sort(np.concatenate(parts))
 
 
 def test_gram_constant_section_norm():
@@ -332,8 +345,8 @@ def test_real_and_complex_solves_agree(amplitude):
     assert np.abs(mu - scipy.linalg.eigh(lap, eigvals_only=True)).max() <= 1e-12 * top
     assert np.abs(lap @ v - v * mu).max() <= 1e-12 * top
     assert np.abs(v.conj().T @ v - np.eye(len(mu))).max() <= 1e-12
-    (block,) = leading_block_spectra(weight, 1, 16, (16,))
-    assert np.abs(block - mu).max() <= 1e-12 * top
+    (bottom,) = leading_block_gaps(weight, 1, 16, (16,))
+    assert abs(bottom - mu[0]) <= _roundoff(system)
 
 
 def _full_rule_gram(weight, degree, order):
@@ -406,34 +419,83 @@ def _assert_same_spectrum(mu, system):
 @pytest.mark.parametrize("q", [0, 1])
 def test_leading_block_matches_independent_build(cubic_family, q):
     # the degree-24 basis is the leading block of the degree-32 one, so its
-    # eigenvalues must match a fresh exact build at degree 24
+    # eigenvalues must match a fresh exact build at degree 24, and the
+    # bottoms read from one degree-32 assembly must match both builds' within roundoff
     weight = scale_weight(cubic_family, 2)
-    coarse, fine = leading_block_spectra(weight, q, 32, (24, 32))
-    assert coarse.shape == (325,) and fine.shape == (561,)
-    _assert_same_spectrum(coarse, build_system(weight, q=q, degree=24))
-    _assert_same_spectrum(fine, build_system(weight, q=q, degree=32))
+    coarse, fine = (build_system(weight, q=q, degree=d) for d in (24, 32))
+    _assert_same_spectrum(_leading_block_spectrum(fine, 24), coarse)
+    bottoms = leading_block_gaps(weight, q, 32, (24, 32))
+    for bottom, system in zip(bottoms, (coarse, fine), strict=True):
+        assert type(bottom) is float
+        assert abs(bottom - system.eigenvalues[0]) <= _roundoff(system)
 
 
 @pytest.mark.parametrize("q", [0, 1])
 def test_leading_block_model_spectrum_exact(q):
-    # every mode of every block, up to D = 64
-    for degree, blocks in [(32, (20,)), (64, (48, 64))]:
-        spectra = leading_block_spectra(UNIT, q, degree, blocks)
-        for b, block in zip(blocks, spectra, strict=True):
-            assert len(block) == (b + 1) * (b + 2) // 2
-            exact = np.repeat(2.0 * (np.arange(b + 1) + q), np.arange(b + 1, 0, -1))
-            assert np.abs(block - exact).max() <= 1e-10
+    # every mode of every leading block, up to D = 64, and their bottoms 2q
+    blocks = (20, 48, 64)
+    system = build_system(UNIT, q=q, degree=64)
+    for b in blocks:
+        exact = np.repeat(2.0 * (np.arange(b + 1) + q), np.arange(b + 1, 0, -1))
+        assert np.abs(_leading_block_spectrum(system, b) - exact).max() <= 1e-10
+    bottoms = leading_block_gaps(UNIT, q, 64, blocks)
+    assert np.abs(np.array(bottoms) - 2.0 * q).max() <= 1e-10
+    assert leading_block_gaps(UNIT, q, 32, (20,)) == bottoms[:1]
 
 
 def test_leading_block_rejects_degree_outside_system():
     with pytest.raises(ValueError):
-        leading_block_spectra(UNIT, 0, 8, (9,))
+        leading_block_gaps(UNIT, 0, 8, (9,))
     with pytest.raises(ValueError):
-        leading_block_spectra(UNIT, 0, 8, (-1,))
+        leading_block_gaps(UNIT, 0, 8, (-1,))
     with pytest.raises(ValueError, match="polynomial"):
-        leading_block_spectra(BLENDED_UNIT, 0, 8, (8,))
-    (whole,) = leading_block_spectra(UNIT, 0, 8, (8,))
-    _assert_same_spectrum(whole, build_system(UNIT, q=0, degree=8))
+        leading_block_gaps(BLENDED_UNIT, 0, 8, (8,))
+    (whole,) = leading_block_gaps(UNIT, 0, 8, (8,))
+    system = build_system(UNIT, q=0, degree=8)
+    assert abs(whole - system.eigenvalues[0]) <= _roundoff(system)
+
+
+def _fallback_blocks(dtype):
+    # class 0 holds the lowest diagonal entry, 1, and its bottom is about 1;
+    # class 1 = 6 I - 5.75 v v^H has diagonal 4.85 but the bottom 0.25 in
+    # full, and 6 - 5.75 m / 5 > 1 in its leading m x m block for m <= 3
+    low = np.diag([1.0, 3.0, 5.0, 7.0, 9.0]).astype(dtype)
+    low[0, 1], low[1, 0] = (0.1j, -0.1j) if dtype == complex else (0.1, 0.1)
+    v = np.array([1, 1j, -1, -1j, 1] if dtype == complex else [1, 1, -1, -1, 1]) / math.sqrt(5)
+    return [low, 6.0 * np.eye(5, dtype=dtype) - 5.75 * np.outer(v, v.conj())]
+
+
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+def test_leading_block_gaps_solve_a_class_the_certificate_refuses(monkeypatch, dtype):
+    # the class with the lowest diagonal entry is solved first; the other is
+    # certified at D' = 2 and refused at D' = 3, where it holds the bottom
+    blocks = _fallback_blocks(dtype)
+    saved = [b.copy() for b in blocks]
+    classes = (np.arange(0, 10, 2), np.arange(1, 10, 2))
+    diagonal = np.empty(10)
+    for idx, block in zip(classes, blocks):
+        diagonal[idx] = block.diagonal().real
+    monkeypatch.setattr(
+        galerkin, "_class_laplacians", lambda basis, weight: (classes, diagonal, blocks.__getitem__)
+    )
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        solves.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    gaps = leading_block_gaps(UNIT, 1, 3, (2, 3))
+    solves_per_truncation = list(solves)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    for gap, m in zip(gaps, (3, 5), strict=True):
+        assert gap == min(np.linalg.eigvalsh(b[:m, :m])[0] for b in blocks)
+    assert gaps[1] == pytest.approx(0.25, rel=1e-14) and gaps[0] < 1.0
+    # class 0 at both truncations, class 1 only where its certificate fails
+    assert solves_per_truncation == [3, 5, 5]
+    for block, before in zip(blocks, saved):
+        assert block.tobytes() == before.tobytes()
 
 
 # g = gcd |a - b| over the monomials z^a zbar^b: the number of charge classes
@@ -477,8 +539,8 @@ def test_charge_blocks_match_dense_solve(name, q):
     assert np.abs(mu - dense).max() <= 1e-12 * top
     assert np.abs(lap @ v - v * mu).max() <= 1e-12 * top
     assert np.abs(v.conj().T @ v - np.eye(len(mu))).max() <= 1e-12
-    (block,) = leading_block_spectra(weight, q, degree, (degree,))
-    assert np.abs(block - dense).max() <= 1e-12 * top
+    (bottom,) = leading_block_gaps(weight, q, degree, (degree,))
+    assert abs(bottom - dense[0]) <= _roundoff(system)
 
 
 @pytest.mark.parametrize("name", ["g0", "g3", "g3-complex"])
@@ -554,12 +616,14 @@ def test_planned_blocks_match_plan_free_assembly(name, q):
     weight = PLAN_WEIGHTS[name]
     for degree in (15, 16):
         basis = galerkin._basis(weight, q, degree)
-        classes, blocks = galerkin._class_laplacians(basis, weight)
+        classes, diagonal, block = galerkin._class_laplacians(basis, weight)
         ref_classes, ref_blocks = _plan_free_blocks(basis, weight)
-        for idx, ref in zip(classes, ref_classes, strict=True):
-            np.testing.assert_array_equal(idx, ref)
-        for block, ref in zip(blocks, ref_blocks, strict=True):
-            assert block.dtype == ref.dtype and block.tobytes() == ref.tobytes()
+        refs = zip(classes, ref_classes, ref_blocks, strict=True)
+        for c, (idx, ref_idx, ref) in enumerate(refs):
+            np.testing.assert_array_equal(idx, ref_idx)
+            # each class is assembled on its own, to the same bits as over all classes
+            assert block(c).dtype == ref.dtype and block(c).tobytes() == ref.tobytes()
+            np.testing.assert_allclose(diagonal[idx], ref.diagonal().real, rtol=1e-14, atol=0)
 
 
 def test_gap_sweep_builds_one_class_plan():
@@ -567,7 +631,7 @@ def test_gap_sweep_builds_one_class_plan():
     # coefficients, so they share one class-assembly plan
     galerkin._class_plan.cache_clear()
     for k in range(1, 8):
-        leading_block_spectra(scale_weight(_GAP_CUBIC, k), 1, 32, (24, 32))
+        leading_block_gaps(scale_weight(_GAP_CUBIC, k), 1, 32, (24, 32))
     info = galerkin._class_plan.cache_info()
     assert (info.misses, info.hits) == (1, 6)
     weight = scale_weight(_GAP_CUBIC, 7)
@@ -575,6 +639,25 @@ def test_gap_sweep_builds_one_class_plan():
     plan = galerkin._class_plan(32, 3, tuple(terms))
     assert galerkin._class_plan.cache_info().misses == 1
     assert not any(a.flags.writeable for a in (*plan[0], *plan[1:]))
+
+
+def test_gap_sweep_solves_one_class_per_truncation(monkeypatch):
+    # every truncation of the gap-cubic sweep solves one of its three classes
+    # and certifies the other two, with no class refused
+    calls = {"eigvalsh": [], "cholesky": []}
+    for name, calls_of in calls.items():
+        original = getattr(np.linalg, name)
+
+        def counted(a, original=original, calls_of=calls_of):
+            calls_of.append(len(a))
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for k in range(1, 8):
+        leading_block_gaps(scale_weight(_GAP_CUBIC, k), 1, 32, (24, 32))
+    assert len(calls["eigvalsh"]) == 14 and len(calls["cholesky"]) == 28
+    # the classes hold 108 or 109 states at D = 24 and 187 at D = 32
+    assert set(calls["eigvalsh"] + calls["cholesky"]) <= {108, 109, 187}
 
 
 @pytest.mark.parametrize("name", ["g3", "g3-imaginary"])
@@ -588,10 +671,15 @@ def test_exact_dense_fields_built_on_first_read(name):
     assert system.laplacian is lap
 
 
+def _class_blocks(weight, q, degree):
+    # every class block of the exact Laplacian, assembled with no solve
+    classes, _, block = galerkin._class_laplacians(galerkin._basis(weight, q, degree), weight)
+    return [block(c) for c in range(len(classes))]
+
+
 def _q1_minus_q0_blocks(weight, degree):
     # the q = 1 class blocks minus the q = 0 ones, and the q = 0 blocks' scale
-    _, b0 = galerkin._class_laplacians(galerkin._basis(weight, 0, degree), weight)
-    _, b1 = galerkin._class_laplacians(galerkin._basis(weight, 1, degree), weight)
+    b0, b1 = (_class_blocks(weight, q, degree) for q in (0, 1))
     scale = max(np.abs(x).max() for x in b0)
     return [x1 - x0 for x0, x1 in zip(b0, b1, strict=True)], scale
 
