@@ -6,7 +6,8 @@ rejected with their full key path, defaults are materialized at parse time so
 the echoed configuration in ``summary.json`` reproduces the run exactly.  No
 key sets a check's bound: each is a constant of its check, reported under ``checks``.
 Nor does a key set where a check looks: its grid and the levels it reads are
-constants of its runner, and every ``ks`` is strictly increasing.
+constants of its runner, and every ``ks`` is strictly increasing.  Nor its
+target: converge's rate comes from the family, gap's coarse degree is 3D/4.
 
 Weight families live in ``[family]``: ``ck_rule`` (``BASE^k``), a ``base``
 polynomial given as term lines ``alpha;beta;re[;im]`` (one per line, each
@@ -185,8 +186,6 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
     "converge": {
         "ks": _Key(_increasing(int), "1, 2, 3, 4, 5, 6, 7"),
         "degree": _Key(_positive_int, "30"),
-        "slope_target": _Key(_optional(_float), ""),
-        "max_error": _Key(_optional(_positive_float), ""),
     },
     "vanish": {
         "ks": _Key(_increasing(int), "1, 2, 3, 4, 5, 6, 7"),
@@ -196,8 +195,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
     },
     "gap": {
         "ks": _Key(_increasing(int), "1, 2, 3, 4, 5, 6, 7"),
-        "degree_coarse": _Key(_positive_int, "24"),
-        "degree_fine": _Key(_positive_int, "32"),
+        "degree": _Key(_positive_int, "32"),
     },
     "heat": {
         "ks": _Key(_increasing(int), "1, 2, 3, 4, 5"),
@@ -264,7 +262,6 @@ def _parse_section(
     if section == "model":
         for lam in out["lambdas"]:
             _keyed("model.lambdas", ModelSpectrum, (lam,))
-    _check_truncation(section, out)
     return out, None
 
 
@@ -307,15 +304,6 @@ def _bundle(values: Mapping[str, object]) -> TorusBundle:
     bundle = _keyed("torus.tau_im", TorusBundle, complex(values["tau_re"], values["tau_im"]), 1)
     bundle = _keyed("torus.degree", replace, bundle, degree=values["degree"])
     return _keyed("torus.psi", replace, bundle, psi_modes=values["psi"])
-
-
-def _check_truncation(section: str, values: Mapping[str, object]) -> None:
-    """The degree rule of the gap section: its coarse degree is a leading block of the fine one."""
-    if section == "gap" and values["degree_coarse"] > values["degree_fine"]:
-        raise ConfigError(
-            f"gap.degree_coarse: must not exceed degree_fine"
-            f" ({values['degree_fine']}), got {values['degree_coarse']}"
-        )
 
 
 def _check_torus(values: Mapping[str, object], bundle: TorusBundle) -> None:

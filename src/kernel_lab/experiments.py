@@ -4,7 +4,7 @@ A runner returns an ExperimentResult whose rows become the CSV table and
 whose checks (value, tolerance, comparator) drive the process exit code.
 Each bound is a constant of its check, not a config key, so no run can
 loosen its own gate; ``summary.json`` reports it once, under ``checks``.
-So are the grid a check reads and the levels it selects.
+So are the grid a check reads and the levels it selects; its target comes from the run's inputs.
 A check whose data are missing or not finite has value None and fails (``_worst``).
 """
 
@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .config import ParsedConfig
-from .galerkin import gauss_hermite_nodes, leading_block_gaps
+from .galerkin import _model_lambda, gauss_hermite_nodes, leading_block_gaps
 from .model import (
     ModelSpectrum,
     eval_model_basis,
@@ -163,15 +163,14 @@ def _run_converge(cfg: ParsedConfig) -> ExperimentResult:
         for i, (k, c, e) in enumerate(zip(rep.ks, rep.c_values, rep.errors))
     )
 
-    checks: list[Check] = []
-    if not family.is_model:
+    # the family sets the target: its rate, else the model kernel itself
+    if family.rate is None:
+        checks = [Check("max_error", _worst(rep.errors), 1e-6, "<=")]
+    else:
         rises = [b - a for a, b in zip(rep.errors, rep.errors[1:])]
-        checks.append(Check("errors_strictly_decreasing", _worst(rises), 0.0, "<"))
-    if sec["slope_target"] is not None:
-        off = None if rep.slope is None else abs(rep.slope - sec["slope_target"])
+        off = None if rep.slope is None else abs(rep.slope - family.rate)
+        checks = [Check("errors_strictly_decreasing", _worst(rises), 0.0, "<")]
         checks.append(Check("slope_within_band", _worst([off]), 0.2, "<="))
-    if sec["max_error"] is not None:
-        checks.append(Check("max_error", _worst(rep.errors), sec["max_error"], "<="))
     # the routes are compared at the last k solved; with none solved the check is undecided
     route = None
     if rep.ks:
@@ -221,34 +220,33 @@ def _run_vanish(cfg: ParsedConfig) -> ExperimentResult:
 
 
 def _run_gap(cfg: ParsedConfig) -> ExperimentResult:
-    """The scaled Laplacian's gap in the mismatched degree q = 1 - q0, at both truncations.
+    """The scaled Laplacian's gap in the mismatched degree q = 1 - q0, at D and 3D/4.
 
     In that degree the Laplacian has no kernel, so the gap is the bottom of
     the spectrum, read from each truncation by ``leading_block_gaps`` with
-    no zero band to cut.
+    no zero band to cut.  The fine gap is compared with its level's limit 2|lambda_k|.
     """
     family = cfg.family()
     sec = cfg.values["gap"]
     q = 1 - family.model_spectrum().q0
-    degrees = (sec["degree_coarse"], sec["degree_fine"])
+    degree = sec["degree"]
+    blocks = (3 * degree // 4, degree)
 
-    def gaps(weight) -> tuple[float, ...]:
-        return leading_block_gaps(weight, q, degrees[1], degrees)
+    def gaps(weight) -> tuple[float, tuple[float, ...]]:
+        return _model_lambda(weight), leading_block_gaps(weight, q, degree, blocks)
 
     rows: list[tuple] = []
     rels: list[float] = []
-    fine_gaps: list[float] = []
-    for k, (coarse, fine) in _sweep(partial(scale_weight, family), sec["ks"], gaps):
+    offs: list[float] = []
+    for k, (lam, (coarse, fine)) in _sweep(partial(scale_weight, family), sec["ks"], gaps):
         ck = family.c_value(k)
         rel = abs(coarse - fine) / fine
         rows.append((k, ck, coarse, fine, rel, ck * fine))
         rels.append(rel)
-        fine_gaps.append(fine)
-    # linearity in C_k is max/min - 1 of the scaled gaps, which one k cannot test
-    spread = [g / min(fine_gaps) - 1.0 for g in fine_gaps] if len(fine_gaps) > 1 else []
+        offs.append(abs(fine / (2.0 * lam) - 1.0))
     checks = (
         Check("gap_stability", _worst(rels), 0.02, "<="),
-        Check("gap_linearity", _worst(spread), 0.05, "<="),
+        Check("gap_linearity", _worst(offs), 0.05, "<="),
     )
     return ExperimentResult(
         name="gap",

@@ -215,6 +215,18 @@ class WeightFamily:
         """No perturbation, and the base is its |z|^2 term: every level scales to the model."""
         return not self.perturbations and self.base == self.model_weight()
 
+    @property
+    def rate(self) -> float | None:
+        """Exponent r with |phi_(k) - model| ~ C_k^r: the top gamma - (a+b)/2 of ``scale_weight``.
+
+        Every term but the base's |z|^2 one counts; constants cancel from the
+        localized kernel and do not.  None when no term is left (the model).
+        """
+        shapes = [(self.base - self.model_weight(), 1.0)]
+        shapes += [(p.shape, p.gamma) for p in self.perturbations]
+        exponents = [g - (a + b) / 2.0 for s, g in shapes for a, b in s.coeffs if a + b]
+        return max(exponents, default=None)
+
     def model_weight(self) -> WeightPolynomial:
         """The |z|^2 term of the base, i.e. the quadratic model."""
         return WeightPolynomial({(1, 1): self.base.coeffs[(1, 1)]})

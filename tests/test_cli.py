@@ -369,16 +369,11 @@ def test_gap_builds_once_per_distinct_level_weight(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "config, overrides, undecided",
     [
-        (
-            "converge-cubic",
-            ("converge.slope_target=", "converge.ks=3"),
-            "errors_strictly_decreasing",
-        ),
-        ("gap-cubic", ("gap.ks=3",), "gap_linearity"),
+        ("converge-cubic", ("converge.ks=3",), "errors_strictly_decreasing"),
         ("heat-quadratic", ("heat.ks=3",), "k_stability"),
         ("heat-quadratic", ("heat.ts=1",), "slope_matches_gap"),
     ],
-    ids=["converge-one-k", "gap-one-k", "heat-one-k", "heat-one-t"],
+    ids=["converge-one-k", "heat-one-k", "heat-one-t"],
 )
 def test_undecidable_check_fails_as_null(config, overrides, undecided, tmp_path, capsys):
     # one k cannot show a decrease, a linearity or a spread over k, and one t
@@ -395,6 +390,15 @@ def test_undecidable_check_fails_as_null(config, overrides, undecided, tmp_path,
     assert summary["passed"] is False
 
 
+def test_gap_decides_one_k(tmp_path):
+    # each level's gap is compared with its own limit 2 lambda_k, so one k is enough
+    out = tmp_path / "o"
+    argv = ["run", "--config", str(CONFIGS / "gap-cubic.ini"), "--out", str(out)]
+    assert main([*argv, "--override", "gap.ks=3"]) == 0
+    checks = {c["name"]: c for c in read_summary(out)["checks"]}
+    assert checks["gap_linearity"]["value"] <= 1e-12 and checks["gap_linearity"]["passed"]
+
+
 def test_converge_with_no_solved_k_fails(tmp_path, monkeypatch, capsys):
     # every k refused by the Gram guard leaves no errors and no k for the route check
     def refuse(*args):
@@ -403,9 +407,10 @@ def test_converge_with_no_solved_k_fails(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(scaling, "_holomorphic", refuse)
     out = tmp_path / "o"
     argv = ["run", "--config", str(CONFIGS / "converge-quadratic.ini"), "--out", str(out)]
-    assert main([*argv, "--override", "converge.max_error=", "--override", "converge.ks=1, 2"]) == 2
-    (check,) = read_summary(out)["checks"]
-    assert check["name"] == "route_equivalence" and check["value"] is None
+    assert main([*argv, "--override", "converge.ks=1, 2"]) == 2
+    checks = read_summary(out)["checks"]
+    assert [c["name"] for c in checks] == ["max_error", "route_equivalence"]
+    assert all(c["value"] is None for c in checks)
     assert "note: k=1: forced" in capsys.readouterr().out
 
 
@@ -425,14 +430,14 @@ def test_readme_gap_override_runs(tmp_path):
     code = main(
         [
             "run", "--config", str(config), "--out", str(out),
-            "--override", "gap.degree_fine=36", "--override", "run.seed=7",
+            "--override", "gap.degree=36", "--override", "run.seed=7",
             "--override", "gap.ks=1, 2",
         ]
     )
     assert code == 0
     summary = read_summary(out)
     assert summary["passed"] is True
-    assert summary["config"]["gap"]["degree_fine"] == 36
+    assert summary["config"]["gap"]["degree"] == 36
 
 
 def test_gap_reaches_degree_64(tmp_path):
@@ -441,13 +446,13 @@ def test_gap_reaches_degree_64(tmp_path):
     code = main(
         [
             "run", "--config", str(CONFIGS / "gap-cubic.ini"), "--out", str(out),
-            "--override", "gap.degree_fine=64", "--override", "gap.ks=1, 2",
+            "--override", "gap.degree=64", "--override", "gap.ks=1, 2",
         ]
     )
     assert code == 0
     summary = read_summary(out)
     assert summary["passed"] is True
-    assert summary["config"]["gap"]["degree_fine"] == 64
+    assert summary["config"]["gap"]["degree"] == 64
 
 
 def test_converge_reaches_degree_48(tmp_path):
@@ -492,13 +497,17 @@ def test_readme_config_example_parses(tmp_path):
     cfg = load_config(str(path))
     assert cfg.experiment == "converge"
     assert cfg.family().perturbations
+    # its rate is gamma - 1 = -0.333, the pert1 term's, not the cubic's -1/2
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    (band,) = [c for c in read_summary(out)["checks"] if c["name"] == "slope_within_band"]
+    assert band["value"] <= 1e-3
 
 
 @pytest.mark.parametrize(
     "config, override",
     [
         ("gap-cubic", "gap.quad_order=30"),
-        ("gap-cubic", "gap.degree_coarse=40"),
         ("vanish-mismatched", "vanish.quad_order=20"),
         # converge's Gram order and blend exponent are constants, not keys
         ("converge-cubic", "converge.epsilon=0.1"),
@@ -536,9 +545,13 @@ def test_readme_config_example_parses(tmp_path):
         ("model", "model.degrees=40, 8"),
         ("heat-quadratic", "heat.ts=4, 2"),
         ("heat-quadratic", "heat.ts=0, 1"),
-        # every float the config reads must be finite
+        # checks own their targets: these keys are gone, refused as unknown
+        ("gap-cubic", "gap.degree_coarse=40"),
         ("converge-cubic", "converge.max_error=inf"),
         ("converge-cubic", "converge.slope_target=nan"),
+        # every float the config reads must be finite
+        ("vanish-mismatched", "vanish.d=inf"),
+        ("heat-quadratic", "heat.ts=1, nan"),
         ("model", "model.lambdas=nan"),
         ("torus-flat", "torus.tau_re=nan"),
         ("torus-flat", "torus.psi=1;0;inf"),
@@ -595,6 +608,46 @@ def test_checks_own_their_grids(config, key, tmp_path, capsys):
     assert main(argv + ["--override", f"{key}=4"]) == 1
     assert f"{key}: unknown key" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, override",
+    [
+        ("converge-cubic", "converge.slope_target=-0.5"),
+        ("converge-quadratic", "converge.max_error=1"),
+        ("gap-cubic", "gap.degree_coarse=24"),
+        ("gap-cubic", "gap.degree_fine=32"),
+    ],
+)
+def test_checks_own_their_targets(config, override, tmp_path, capsys):
+    # converge's rate comes from the family and gap's coarse degree from its degree
+    out = tmp_path / "o"
+    argv = ["run", "--config", str(CONFIGS / f"{config}.ini"), "--out", str(out)]
+    assert main(argv + ["--override", override]) == 1
+    assert f"{override.split('=')[0]}: unknown key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_converge_quartic_meets_its_own_rate(tmp_path):
+    # 0.1 |z|^4 decays as C_k^(1 - 2): the rate -1 it derives, where -0.5 missed by 0.49
+    out = tmp_path / "o"
+    argv = ["run", "--config", str(CONFIGS / "converge-cubic.ini"), "--out", str(out)]
+    assert main([*argv, "--override", "family.base=1;1;1.0\\n2;2;0.1"]) == 0
+    checks = {c["name"]: c["value"] for c in read_summary(out)["checks"]}
+    assert list(checks) == ["errors_strictly_decreasing", "slope_within_band", "route_equivalence"]
+    assert checks["slope_within_band"] <= 0.05
+
+
+def test_gap_of_a_sequence_meets_each_level_limit(tmp_path):
+    # L_k with lambda_k = 1 + C_k^(-1/2): each level is a model whose gap is 2 lambda_k,
+    # so the scaled gaps fall toward 2 and still match their own limits
+    out = tmp_path / "o"
+    argv = ["run", "--config", str(CONFIGS / "gap-cubic.ini"), "--out", str(out)]
+    for item in ("family.base=1;1;1.0", "family.pert1=1;1;1.0", "family.pert1_gamma=0.5"):
+        argv += ["--override", item]
+    assert main(argv) == 0
+    checks = {c["name"]: c["value"] for c in read_summary(out)["checks"]}
+    assert checks["gap_linearity"] <= 1e-12
 
 
 @pytest.mark.parametrize("value", ["0", "1", ""])

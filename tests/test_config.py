@@ -36,7 +36,8 @@ def test_defaults_materialized(tmp_path):
     sec = cfg.values["converge"]
     assert sec["ks"] == (1, 2, 3, 4, 5, 6, 7)
     assert sec["degree"] == 30
-    assert sec["slope_target"] is None
+    # the rate and the error bound are the family's, not keys
+    assert "slope_target" not in sec and "max_error" not in sec
     fam = cfg.values["family"]
     assert "dimension" not in fam
     assert fam["ck_rule"] == 4.0
@@ -278,8 +279,9 @@ def test_gap_section_schema(tmp_path):
     body = "[run]\nexperiment = gap\n[family]\nbase = 1;1;1\n"
     cfg = load_config(write(tmp_path, body))
     sec = cfg.values["gap"]
-    assert sec["degree_coarse"] == 24
-    assert sec["degree_fine"] == 32
+    # one truncation degree D; the coarse one, 3D/4, is the runner's
+    assert sec["degree"] == 32
+    assert "degree_coarse" not in sec and "degree_fine" not in sec
     # the gap is read in the mismatched degree 1 - q0 only
     assert "q" not in sec
 
@@ -308,8 +310,3 @@ def test_truncation_rules(tmp_path, experiment, override):
     key = override.split("=")[0]
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
         load_config(_family_config(tmp_path, experiment), overrides=(override,))
-
-
-def test_truncation_limits_accepted(tmp_path):
-    cfg = load_config(_family_config(tmp_path, "gap"), overrides=("gap.degree_coarse=32",))
-    assert cfg.experiment == "gap"

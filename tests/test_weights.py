@@ -143,6 +143,36 @@ def test_is_model(quadratic_family, cubic_family, perturbed_family):
     assert not perturbed_family.is_model
 
 
+def _pert(alpha, beta, amplitude, gamma):
+    return Perturbation(shape=real_term(1, (alpha,), (beta,), amplitude), gamma=gamma)
+
+
+@pytest.mark.parametrize(
+    "base, perturbations, rate",
+    [
+        # the shipped cubic configs: 0.25 z^3 decays as C_k^(1 - 3/2)
+        (((3, 0, 0.25),), (), -0.5),
+        # the quartic 0.1 |z|^4 as C_k^(1 - 2)
+        (((2, 2, 0.1),), (), -1.0),
+        # the README family: the cubic's -1/2 and a |z|^2 term with gamma = 0.667, the larger
+        (((3, 0, 0.25),), ((1, 1, 1.0, 0.667),), 0.667 - 1.0),
+        # the sequence L_k: each level a model, lambda_k = 1 + C_k^(-1/2)
+        ((), ((1, 1, 1.0, 0.5),), -0.5),
+        # a constant cancels from the localized kernel: no term is left
+        ((), ((0, 0, 2.0, 0.5),), None),
+        ((), (), None),
+    ],
+    ids=["cubic", "quartic", "readme", "sequence", "constant", "model"],
+)
+def test_rate_comes_from_the_family(base, perturbations, rate):
+    poly = WeightPolynomial.quadratic([1.0])
+    for alpha, beta, amplitude in base:
+        poly = poly + real_term(1, (alpha,), (beta,), amplitude)
+    perts = tuple(_pert(*p) for p in perturbations)
+    family = WeightFamily(base=poly, ck=CkRule(4.0), perturbations=perts)
+    assert family.rate == rate
+
+
 def test_scale_weight_identity_at_unit_scale():
     base = WeightPolynomial.quadratic([2.0]) + real_term(1, (3,), (0,), 0.1)
     family = WeightFamily(base=base, ck=CkRule(4.0))
