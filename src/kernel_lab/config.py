@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 from .model import ModelSpectrum
-from .scaling import _check_bergman
+from .scaling import _check_bergman, _gap_truncations
 from .torus import (
     DEFAULT_GRAM_GRID,
     DEFAULT_GRID,
@@ -402,4 +402,6 @@ def load_config(path: str, overrides=()) -> ParsedConfig:
         built = built or section_built
     if experiment == "converge":
         _keyed("family.base", _check_bergman, built)
+    if experiment == "gap":
+        _keyed("gap.degree", _gap_truncations, built, values["gap"]["degree"])
     return ParsedConfig(experiment, run["seed"], values, built)

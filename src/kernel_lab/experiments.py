@@ -28,6 +28,7 @@ from .model import (
     multi_indices,
 )
 from .scaling import (
+    _gap_truncations,
     _sweep,
     fit_loglog,
     heat_route_comparison,
@@ -230,7 +231,7 @@ def _run_gap(cfg: ParsedConfig) -> ExperimentResult:
     sec = cfg.values["gap"]
     q = 1 - family.model_spectrum().q0
     degree = sec["degree"]
-    blocks = (3 * degree // 4, degree)
+    blocks = _gap_truncations(family, degree)
 
     def gaps(weight) -> tuple[float, tuple[float, ...]]:
         return _model_lambda(weight), leading_block_gaps(weight, q, degree, blocks)

@@ -48,14 +48,18 @@ each class is ordered by level, so the degree-D' matrices are the leading
 block of the truncation is a leading block of every class:
 ``leading_block_gaps`` reads the bottom of the spectrum of several
 truncations from one exact assembly, class block by class block, in order
-of their lowest diagonal entries.  Per truncation it solves the first class,
-which gives a candidate bottom g, and certifies each later class without
-solving it: by Sylvester's law of inertia, a Cholesky factorization of
-Q_c - (g - delta) I that succeeds proves that Q_c has no eigenvalue below
+of their lowest diagonal entries.  Each truncation starts from a candidate
+bottom g, the smallest bottom found so far at it or at any smaller
+truncation: a smaller truncation's eigenvector, padded with zeros, is a
+trial vector of the larger one, so by Rayleigh-Ritz its eigenvalue bounds
+the larger bottom from above.  Once g is finite a class is certified
+without solving it: by Sylvester's law of inertia, a Cholesky factorization
+of Q_c - (g - delta) I that succeeds proves that Q_c has no eigenvalue below
 g - delta, with delta = n eps ||Q_c||_inf the size of an eigensolver's own
-error.  A class whose factorization fails is solved too and lowers g.  On
-the model weight |z|^2 every eigenvalue is exact to roundoff (2(b + q) with
-multiplicity D + 1 - b) up to at least D = 64.
+error.  A class whose factorization fails, and the first class of the
+smallest truncation, are solved and lower g.  On the model weight |z|^2
+every eigenvalue is exact to roundoff (2(b + q) with multiplicity D + 1 - b)
+up to at least D = 64.
 
 The ladder coefficients are real, and conj(P_(n_a, n_b)) = P_(n_b, n_a), so
 for a weight with real coefficients (phi symmetric under y -> -y) the
@@ -375,6 +379,14 @@ def _shift_terms(basis: GalerkinBasis, weight: WeightPolynomial) -> dict:
     return terms
 
 
+def _charge_classes(degree: int, step: int) -> tuple[np.ndarray, ...]:
+    """Basis positions of each class of charge n_a - n_b modulo g (g = 0: each charge), by level."""
+    basis = GalerkinBasis(0, degree, 1.0)  # its states depend on D only
+    charge = basis.n_a - basis.n_b
+    key = charge if step == 0 else charge % step
+    return tuple(np.flatnonzero(key == c) for c in np.unique(key))
+
+
 @functools.lru_cache(maxsize=4)
 def _class_plan(degree: int, step: int, shifts: tuple) -> tuple[np.ndarray, ...]:
     """(classes, bounds, flat, left, right) of the blocks for charge step g, read-only.
@@ -388,8 +400,7 @@ def _class_plan(degree: int, step: int, shifts: tuple) -> tuple[np.ndarray, ...]
     """
     basis = GalerkinBasis(0, degree, 1.0)  # its states depend on D only
     n_a, n_b = basis.n_a, basis.n_b
-    key = n_a - n_b if step == 0 else (n_a - n_b) % step
-    classes = tuple(np.flatnonzero(key == c) for c in np.unique(key))
+    classes = _charge_classes(degree, step)
     owner, width, local = np.empty((3, n_a.size), dtype=int)
     for c, idx in enumerate(classes):
         owner[idx], width[idx], local[idx] = c, idx.size, np.arange(idx.size)
@@ -418,8 +429,7 @@ def _class_laplacians(basis: GalerkinBasis, weight: WeightPolynomial) -> tuple:
     is assembled only when asked for, so a caller holds only the blocks it keeps.
     """
     terms = _shift_terms(basis, weight)
-    step = math.gcd(*(abs(a - b) for a, b in weight.coeffs))
-    classes, bounds, flat, left, right = _class_plan(basis.degree, step, tuple(terms))
+    classes, bounds, flat, left, right = _class_plan(basis.degree, weight.charge_step, tuple(terms))
     table = np.concatenate(list(terms.values()))
     vals = table[left].conj()
     vals *= table[right]
@@ -480,26 +490,32 @@ def leading_block_gaps(weight, q: int, degree: int, blocks: tuple[int, ...]) -> 
 
     The Laplacian is assembled at ``degree``, one class block at a time and
     in order of the blocks' lowest diagonal entries, so only one block is
-    held and the N x N matrix is never formed.  A truncation's first class is
-    solved; each later one is certified or solved by ``_lower_bottom``.
+    held and the N x N matrix is never formed.  Within a class the
+    truncations run from the smallest up, each from the smallest bottom so
+    far at it or below it, an upper bound on its own (Rayleigh-Ritz), which
+    ``_lower_bottom`` certifies or lowers by a solve.
     """
     if not all(0 <= b <= degree for b in blocks):
         raise ValueError(f"leading block degrees must lie in [0, {degree}], got {blocks}")
     classes, diagonal, block = _class_laplacians(_basis(weight, q, degree), weight)
     bottoms = [math.inf] * len(blocks)
+    upward = sorted(range(len(blocks)), key=blocks.__getitem__)
     for c in sorted(range(len(classes)), key=lambda c: diagonal[classes[c]].min()):
-        lap = block(c)
-        for i, b in enumerate(blocks):
-            m = np.searchsorted(classes[c], (b + 1) * (b + 2) // 2)
+        lap, seed = block(c), math.inf
+        for i in upward:
+            m = np.searchsorted(classes[c], (blocks[i] + 1) * (blocks[i] + 2) // 2)
             if m:
-                bottoms[i] = _lower_bottom(lap[:m, :m], bottoms[i], q, b)
+                bottoms[i] = _lower_bottom(lap[:m, :m], min(bottoms[i], seed), q, blocks[i])
+            seed = min(seed, bottoms[i])
     return tuple(bottoms)
 
 
 def _lower_bottom(block: np.ndarray, bottom: float, q: int, degree: int) -> float:
     """min(bottom, the Hermitian block's lowest eigenvalue), up to delta = n eps ||block||_inf.
 
-    Below a finite bottom, a Cholesky factorization of block - (bottom - delta) I
+    ``bottom`` is an upper bound on the truncation's lowest eigenvalue: inf,
+    a class already solved, or the bottom of a smaller truncation.  Below a
+    finite bottom, a Cholesky factorization of block - (bottom - delta) I
     that succeeds certifies the block, which is then not solved; delta, an
     eigensolver's own error, lets a block whose bottom ties pass.  The shift
     is applied to the diagonal in place and undone exactly.  Any other block

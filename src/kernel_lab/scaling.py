@@ -33,6 +33,7 @@ import numpy as np
 
 from .galerkin import (
     GramConditioningError,
+    _charge_classes,
     _heat_weights,
     _kernel_sum,
     _projector_selection,
@@ -204,6 +205,21 @@ def _check_bergman(family: WeightFamily) -> ModelSpectrum:
     if spec.q0 != 0:
         raise ValueError(f"the Bergman (q = 0) kernel needs lambda > 0, got {spec.lambdas[0]:g}")
     return spec
+
+
+def _gap_truncations(family: WeightFamily, degree: int) -> tuple[int, int]:
+    """The coarse and fine truncation degrees of a gap run, 3D/4 and D.
+
+    ValueError when a charge class of the family gains no state between the
+    two: its block is the same in both, so ``gap_stability`` would read 0 unmeasured.
+    """
+    coarse, step = 3 * degree // 4, family.charge_step
+    if any(idx[-1] < (coarse + 1) * (coarse + 2) // 2 for idx in _charge_classes(degree, step)):
+        raise ValueError(
+            f"a charge class (step {step}) gains no state from the coarse truncation"
+            f" {coarse} to {degree}, so stability would go unmeasured"
+        )
+    return coarse, degree
 
 
 def scaled_bergman_convergence(

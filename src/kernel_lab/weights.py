@@ -121,6 +121,11 @@ class WeightPolynomial(Polynomial):
     def value(self, pts) -> np.ndarray:
         return super().value(pts).real
 
+    @property
+    def charge_step(self) -> int:
+        """g = gcd |a - b| over the monomials z^a zbar^b: the Laplacian couples charges mod g."""
+        return math.gcd(*(abs(a - b) for a, b in self.coeffs))
+
 
 def real_term(n: int, alpha: Sequence[int], beta: Sequence[int], amplitude: complex) -> WeightPolynomial:
     """Real weight term c z^alpha zbar^beta + conj(c) z^beta zbar^alpha on C.
@@ -226,6 +231,11 @@ class WeightFamily:
         shapes += [(p.shape, p.gamma) for p in self.perturbations]
         exponents = [g - (a + b) / 2.0 for s, g in shapes for a, b in s.coeffs if a + b]
         return max(exponents, default=None)
+
+    @property
+    def charge_step(self) -> int:
+        """The charge step of every level: g over the base and perturbation monomials."""
+        return math.gcd(self.base.charge_step, *(p.shape.charge_step for p in self.perturbations))
 
     def model_weight(self) -> WeightPolynomial:
         """The |z|^2 term of the base, i.e. the quadratic model."""

@@ -650,6 +650,35 @@ def test_gap_of_a_sequence_meets_each_level_limit(tmp_path):
     assert checks["gap_linearity"] <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "base, step, refused, accepted",
+    [("1;1;1.0\\n3;0;0.25", 3, (1,), (2, 3, 4)), ("1;1;1.0\\n2;2;0.1", 0, (1, 2, 3, 4), (5, 6))],
+    ids=["cubic", "radial"],
+)
+def test_gap_degree_refines_every_charge_class(base, step, refused, accepted, tmp_path, capsys):
+    # a class with no state between 3D/4 and D has one block at both truncations,
+    # so gap_stability would read 0 for it without measuring anything
+    config, family = str(CONFIGS / "gap-cubic.ini"), f"family.base={base}"
+    for degree in refused:
+        out = tmp_path / f"refused{degree}"
+        argv = ["run", "--config", config, "--out", str(out), "--override", family]
+        assert main([*argv, "--override", f"gap.degree={degree}"]) == 1
+        assert "gap.degree: a charge class" in capsys.readouterr().err
+        assert not out.exists()
+    for degree in accepted:
+        cfg = load_config(config, (family, f"gap.degree={degree}"))
+        assert cfg.family().charge_step == step and cfg.values["gap"]["degree"] == degree
+
+
+def test_gap_degree_3_still_measures_instability(tmp_path):
+    # the smallest gap-cubic degree that refines every class is too coarse to be stable
+    out = tmp_path / "o"
+    argv = ["run", "--config", str(CONFIGS / "gap-cubic.ini"), "--out", str(out)]
+    assert main([*argv, "--override", "gap.degree=3"]) == 2
+    checks = {c["name"]: c["value"] for c in read_summary(out)["checks"]}
+    assert checks["gap_stability"] == pytest.approx(0.0274, abs=1e-4)
+
+
 @pytest.mark.parametrize("value", ["0", "1", ""])
 def test_gap_reads_the_mismatched_degree_only(value, tmp_path, capsys):
     # in 1 - q0 no kernel exists and the bottom of the spectrum is the gap, so no key picks q

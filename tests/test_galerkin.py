@@ -467,8 +467,9 @@ def _fallback_blocks(dtype):
 
 @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
 def test_leading_block_gaps_solve_a_class_the_certificate_refuses(monkeypatch, dtype):
-    # the class with the lowest diagonal entry is solved first; the other is
-    # certified at D' = 2 and refused at D' = 3, where it holds the bottom
+    # the class with the lowest diagonal entry is solved at D' = 2, and its
+    # D' = 3 block is certified by that bottom; the other class is certified
+    # at D' = 2 and refused at D' = 3, where it holds the bottom
     blocks = _fallback_blocks(dtype)
     saved = [b.copy() for b in blocks]
     classes = (np.arange(0, 10, 2), np.arange(1, 10, 2))
@@ -492,8 +493,8 @@ def test_leading_block_gaps_solve_a_class_the_certificate_refuses(monkeypatch, d
     for gap, m in zip(gaps, (3, 5), strict=True):
         assert gap == min(np.linalg.eigvalsh(b[:m, :m])[0] for b in blocks)
     assert gaps[1] == pytest.approx(0.25, rel=1e-14) and gaps[0] < 1.0
-    # class 0 at both truncations, class 1 only where its certificate fails
-    assert solves_per_truncation == [3, 5, 5]
+    # class 0 at D' = 2 only, class 1 only where its certificate fails
+    assert solves_per_truncation == [3, 5]
     for block, before in zip(blocks, saved):
         assert block.tobytes() == before.tobytes()
 
@@ -642,8 +643,10 @@ def test_gap_sweep_builds_one_class_plan():
 
 
 def test_gap_sweep_solves_one_class_per_truncation(monkeypatch):
-    # every truncation of the gap-cubic sweep solves one of its three classes
-    # and certifies the other two, with no class refused
+    # the coarse truncation of every level solves one of its three classes
+    # and certifies the other two; the fine one starts from the coarse bottom,
+    # which certifies all three classes from k = 2 on, and at k = 1 (where the
+    # fine bottom sits 1.3e-7 below the coarse one) refuses its first class only
     calls = {"eigvalsh": [], "cholesky": []}
     for name, calls_of in calls.items():
         original = getattr(np.linalg, name)
@@ -655,9 +658,35 @@ def test_gap_sweep_solves_one_class_per_truncation(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     for k in range(1, 8):
         leading_block_gaps(scale_weight(_GAP_CUBIC, k), 1, 32, (24, 32))
-    assert len(calls["eigvalsh"]) == 14 and len(calls["cholesky"]) == 28
+    assert len(calls["eigvalsh"]) == 8 and len(calls["cholesky"]) == 35
     # the classes hold 108 or 109 states at D = 24 and 187 at D = 32
+    assert calls["eigvalsh"] == [109, 187] + [109] * 6
     assert set(calls["eigvalsh"] + calls["cholesky"]) <= {108, 109, 187}
+
+
+def test_seeded_bottoms_hide_no_change_above_roundoff():
+    # k = 1 keeps the bits it had when each truncation was solved on its own,
+    # since its fine bottom sits 1.3e-7 below the coarse one; from k = 2 on
+    # the fine bottom is the certified coarse one, within roundoff of a fresh build
+    bottoms = leading_block_gaps(scale_weight(_GAP_CUBIC, 1), 1, 32, (24, 32))
+    assert bottoms == (2.00000013779256, 2.0000000043641126)
+    for k in range(2, 8):
+        weight = scale_weight(_GAP_CUBIC, k)
+        coarse, fine = leading_block_gaps(weight, 1, 32, (24, 32))
+        system = build_system(weight, q=1, degree=32)
+        assert fine == coarse
+        assert abs(fine - system.eigenvalues[0]) <= _roundoff(system)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_only_smaller_truncations_seed_larger_ones(k):
+    # the order of ``blocks`` does not matter: a larger truncation never seeds
+    # a smaller one, whose bottom it would undercut by 1.3e-7 at k = 1
+    weight = scale_weight(_GAP_CUBIC, k)
+    down = leading_block_gaps(weight, 1, 32, (32, 24))
+    up = leading_block_gaps(weight, 1, 32, (24, 32))
+    for a, b, d in zip(down[::-1], up, (24, 32), strict=True):
+        assert abs(a - b) <= _roundoff(build_system(weight, q=1, degree=d))
 
 
 @pytest.mark.parametrize("name", ["g3", "g3-imaginary"])
