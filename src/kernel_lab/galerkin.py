@@ -56,10 +56,16 @@ the larger bottom from above.  Once g is finite a class is certified
 without solving it: by Sylvester's law of inertia, a Cholesky factorization
 of Q_c - (g - delta) I that succeeds proves that Q_c has no eigenvalue below
 g - delta, with delta = n eps ||Q_c||_inf the size of an eigensolver's own
-error.  A class whose factorization fails, and the first class of the
-smallest truncation, are solved and lower g.  On the model weight |z|^2
-every eigenvalue is exact to roundoff (2(b + q) with multiplicity D + 1 - b)
-up to at least D = 64.
+error.  A larger truncation is not factored whole: the Laplacian is banded
+in level, so its new states couple only to the last rows of the smaller
+truncation's block, and a factor of that block, held from its certificate
+(or made at the new shift where it was solved or that certificate does not
+carry over), extends across those rows by the Cholesky factorization of a
+window of them and the new states (block form of Cholesky; on gap-cubic at
+D = 32, 110 states in place of 187).  A class whose factorization fails,
+and the first class of the smallest truncation, are solved and lower g.
+On the model weight |z|^2 every eigenvalue is exact to roundoff (2(b + q)
+with multiplicity D + 1 - b) up to at least D = 64.
 
 The ladder coefficients are real, and conj(P_(n_a, n_b)) = P_(n_b, n_a), so
 for a weight with real coefficients (phi symmetric under y -> -y) the
@@ -353,14 +359,14 @@ def _shift_terms(basis: GalerkinBasis, weight: WeightPolynomial) -> dict:
     By z = (a^+ + b) / s and zbar = (a + b^+) / s, a monomial c z^al zbar^be
     of phi's derivative is the sum over k, l of C(al, k) C(be, l) c s^-(al+be)
     (a^+)^k a^l b^(al-k) (b^+)^(be-l), whose coefficients on |i, j> are roots
-    of falling factorials.  Real for real weight coefficients.  Any weight but
-    a ``WeightPolynomial`` raises ValueError.
+    of falling factorials, kept per (D, al, be) by ``_ladder_roots``.  Real
+    for real weight coefficients.  Any weight but a ``WeightPolynomial``
+    raises ValueError.
     """
     if not isinstance(weight, WeightPolynomial):
         raise ValueError("Laplacians are assembled exactly, from a polynomial weight")
     s = math.sqrt(2.0 * basis.lam_ref)
     i, j = basis.n_a, basis.n_b
-    one = np.ones(i.shape)
     if basis.q == 0:  # d/dzbar = (s / 2)(b - a^+)
         terms = {(0, -1): 0.5 * s * np.sqrt(j), (1, 0): -0.5 * s * np.sqrt(i + 1)}
         coeff = weight.d_zbar()
@@ -368,15 +374,33 @@ def _shift_terms(basis: GalerkinBasis, weight: WeightPolynomial) -> dict:
         terms = {(-1, 0): -0.5 * s * np.sqrt(i), (0, 1): 0.5 * s * np.sqrt(j + 1)}
         coeff = weight.d_z()
     for (al, be), c in coeff.coeffs.items():
-        for k, l in itertools.product(range(al + 1), range(be + 1)):
-            m, r, binom = al - k, be - l, math.comb(al, k) * math.comb(be, l)
-            ga = math.prod([i - t for t in range(l)] + [i - l + 1 + t for t in range(k)], start=one)
-            gb = math.prod([j + r - t for t in [*range(r), *range(m)]], start=one)
-            f = np.sqrt(ga * gb) * (1.0 / s) ** (al + be) * (binom * c)
-            terms[k - l, r - m] = terms.get((k - l, r - m), 0.0) + f
+        for shift, binom, root in _ladder_roots(basis.degree, al, be):
+            f = root * (1.0 / s) ** (al + be) * (binom * c)
+            terms[shift] = terms.get(shift, 0.0) + f
     if all(c.imag == 0 for c in weight.coeffs.values()):  # phi symmetric under y -> -y
         return {shift: f.real for shift, f in terms.items()}
     return terms
+
+
+@functools.lru_cache(maxsize=16)
+def _ladder_roots(degree: int, al: int, be: int) -> tuple:
+    """(shift, C(al, k) C(be, l), root) of each term (a^+)^k a^l b^(al-k) (b^+)^(be-l), read-only.
+
+    ``root`` is the term's coefficient on |i, j>, the root of a product of
+    falling factorials, at every basis state; it depends on D only.
+    """
+    basis = GalerkinBasis(0, degree, 1.0)  # its states depend on D only
+    i, j = basis.n_a, basis.n_b
+    one = np.ones(i.shape)
+    roots = []
+    for k, l in itertools.product(range(al + 1), range(be + 1)):
+        m, r = al - k, be - l
+        ga = math.prod([i - t for t in range(l)] + [i - l + 1 + t for t in range(k)], start=one)
+        gb = math.prod([j + r - t for t in [*range(r), *range(m)]], start=one)
+        root = np.sqrt(ga * gb)
+        root.flags.writeable = False
+        roots.append(((k - l, r - m), math.comb(al, k) * math.comb(be, l), root))
+    return tuple(roots)
 
 
 def _charge_classes(degree: int, step: int) -> tuple[np.ndarray, ...]:
@@ -490,10 +514,12 @@ def leading_block_gaps(weight, q: int, degree: int, blocks: tuple[int, ...]) -> 
 
     The Laplacian is assembled at ``degree``, one class block at a time and
     in order of the blocks' lowest diagonal entries, so only one block is
-    held and the N x N matrix is never formed.  Within a class the
-    truncations run from the smallest up, each from the smallest bottom so
-    far at it or below it, an upper bound on its own (Rayleigh-Ritz), which
-    ``_lower_bottom`` certifies or lowers by a solve.
+    held, with the Cholesky factor of its last certified truncation, and the
+    N x N matrix is never formed.  Within a class the truncations run from
+    the smallest up, each from the smallest bottom so far at it or below it,
+    an upper bound on its own (Rayleigh-Ritz), which ``_lower_bottom``
+    certifies, extending the factor of the truncation below, or lowers by a
+    solve.
     """
     if not all(0 <= b <= degree for b in blocks):
         raise ValueError(f"leading block degrees must lie in [0, {degree}], got {blocks}")
@@ -501,41 +527,105 @@ def leading_block_gaps(weight, q: int, degree: int, blocks: tuple[int, ...]) -> 
     bottoms = [math.inf] * len(blocks)
     upward = sorted(range(len(blocks)), key=blocks.__getitem__)
     for c in sorted(range(len(classes)), key=lambda c: diagonal[classes[c]].min()):
-        lap, seed = block(c), math.inf
+        lap, seed, below = block(c), math.inf, None
         for i in upward:
             m = np.searchsorted(classes[c], (blocks[i] + 1) * (blocks[i] + 2) // 2)
             if m:
-                bottoms[i] = _lower_bottom(lap[:m, :m], min(bottoms[i], seed), q, blocks[i])
+                bottoms[i], below = _lower_bottom(
+                    lap[:m, :m], min(bottoms[i], seed), q, blocks[i], below
+                )
             seed = min(seed, bottoms[i])
+        del lap, below  # before the next block is assembled
     return tuple(bottoms)
 
 
-def _lower_bottom(block: np.ndarray, bottom: float, q: int, degree: int) -> float:
+def _lower_bottom(block: np.ndarray, bottom: float, q: int, degree: int, below) -> tuple:
     """min(bottom, the Hermitian block's lowest eigenvalue), up to delta = n eps ||block||_inf.
 
     ``bottom`` is an upper bound on the truncation's lowest eigenvalue: inf,
     a class already solved, or the bottom of a smaller truncation.  Below a
     finite bottom, a Cholesky factorization of block - (bottom - delta) I
     that succeeds certifies the block, which is then not solved; delta, an
-    eigensolver's own error, lets a block whose bottom ties pass.  The shift
-    is applied to the diagonal in place and undone exactly.  Any other block
-    is solved, and its eigenvalues must be positive semidefinite like a full
-    build's.
+    eigensolver's own error, lets a block whose bottom ties pass.  Any other
+    block is solved, and its eigenvalues must be positive semidefinite like a
+    full build's.
+
+    ``below`` is the truncation below, a leading block of this one, or None
+    if there is none: ``(rows, tail, shift)``, its size and its certificate's
+    factor square and shift (``_certify``), or ``(rows, None, None)`` where
+    it was solved.  The same triple for this block, which the next
+    truncation extends, is returned with the bottom.
     """
     if bottom < math.inf:
-        n = len(block)
-        diag, saved = np.arange(n), block.diagonal().copy()
-        block[diag, diag] -= bottom - n * np.finfo(float).eps * np.linalg.norm(block, np.inf)
-        try:
-            np.linalg.cholesky(block)
-            return bottom
-        except np.linalg.LinAlgError:
-            pass
-        finally:
-            block[diag, diag] = saved
+        shift = bottom - len(block) * np.finfo(float).eps * np.linalg.norm(block, np.inf)
+        tail = _certify(block, shift, below)
+        if tail is not None:
+            return bottom, (len(block), tail, shift)
     mu = np.linalg.eigvalsh(block)
     _check_psd(mu, q, degree)
-    return min(bottom, float(mu[0]))
+    return min(bottom, float(mu[0])), (len(block), None, None)
+
+
+def _certify(block: np.ndarray, shift: float, below) -> np.ndarray | None:
+    """Trailing square of a Cholesky factor proving block - shift I positive definite, else None.
+
+    With no truncation below, it is the factor of the whole shifted block.
+    Otherwise the block's leading ``rows`` states are the truncation below,
+    and ``tail`` the trailing square of the factor L of some M <= P - s I,
+    with P that leading block and s >= ``shift`` (None if it was solved).  The
+    class is ordered by level and the Laplacian is banded in level, so the new
+    states couple to the old ones only from a first row j on.  Eliminating
+    the rows before j through L leaves the window
+
+      W = [[L_jj L_jj^H + (s - shift) I, B_j], [B_j^H, E - shift I]],
+
+    where L_jj is L's trailing square from j, B_j the coupling and E the new
+    states' block (block form of Cholesky).  W lies below the Schur
+    complement of those rows in block - shift I, so a W that factors proves
+    the block positive definite, and its factor is the trailing square, from
+    j, of the factor of a matrix below block - shift I.  If W fails, or L
+    does not reach back to j, P is factored afresh at ``shift``: then W is
+    that Schur complement, and a W (or a P) that fails is final.
+    """
+    if below is None:
+        return _shifted_cholesky(block, shift)
+    rows, tail, held = below
+    coupled = np.flatnonzero(block[:rows, rows:].any(axis=1))
+    j = coupled[0] if coupled.size else rows
+    if tail is not None and held >= shift and j >= rows - len(tail):
+        factor = _window(block, rows, j, tail, held, shift)
+        if factor is not None:
+            return factor
+    tail = _shifted_cholesky(block[:rows, :rows], shift)
+    return None if tail is None else _window(block, rows, j, tail, shift, shift)
+
+
+def _window(block, rows: int, j: int, tail, held: float, shift: float) -> np.ndarray | None:
+    """Lower Cholesky factor of ``_certify``'s window W, or None if W is not positive definite."""
+    part = tail[len(tail) - rows + j :, len(tail) - rows + j :]
+    window = block[j:, j:].copy()
+    window[: rows - j, : rows - j] = part @ part.conj().T
+    diag = np.arange(len(window))
+    window[diag, diag] -= np.where(diag < rows - j, shift - held, shift)
+    try:
+        return np.linalg.cholesky(window)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _shifted_cholesky(block: np.ndarray, shift: float) -> np.ndarray | None:
+    """Lower Cholesky factor of block - shift I, or None when that is not positive definite.
+
+    The shift is applied to the diagonal in place and undone exactly.
+    """
+    diag, saved = np.arange(len(block)), block.diagonal().copy()
+    block[diag, diag] -= shift
+    try:
+        return np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        return None
+    finally:
+        block[diag, diag] = saved
 
 
 @dataclass(frozen=True)

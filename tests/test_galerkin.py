@@ -465,13 +465,8 @@ def _fallback_blocks(dtype):
     return [low, 6.0 * np.eye(5, dtype=dtype) - 5.75 * np.outer(v, v.conj())]
 
 
-@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
-def test_leading_block_gaps_solve_a_class_the_certificate_refuses(monkeypatch, dtype):
-    # the class with the lowest diagonal entry is solved at D' = 2, and its
-    # D' = 3 block is certified by that bottom; the other class is certified
-    # at D' = 2 and refused at D' = 3, where it holds the bottom
-    blocks = _fallback_blocks(dtype)
-    saved = [b.copy() for b in blocks]
+def _patch_classes(monkeypatch, blocks):
+    # two interleaved classes of five states each, with the given blocks, at D = 3
     classes = (np.arange(0, 10, 2), np.arange(1, 10, 2))
     diagonal = np.empty(10)
     for idx, block in zip(classes, blocks):
@@ -479,6 +474,16 @@ def test_leading_block_gaps_solve_a_class_the_certificate_refuses(monkeypatch, d
     monkeypatch.setattr(
         galerkin, "_class_laplacians", lambda basis, weight: (classes, diagonal, blocks.__getitem__)
     )
+
+
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+def test_leading_block_gaps_solve_a_class_the_certificate_refuses(monkeypatch, dtype):
+    # the class with the lowest diagonal entry is solved at D' = 2, and its
+    # D' = 3 block is certified by that bottom; the other class is certified
+    # at D' = 2 and refused at D' = 3, where it holds the bottom
+    blocks = _fallback_blocks(dtype)
+    saved = [b.copy() for b in blocks]
+    _patch_classes(monkeypatch, blocks)
     solves = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -631,22 +636,33 @@ def test_gap_sweep_builds_one_class_plan():
     # the seven scaled weights of the gap-cubic sweep differ only in their
     # coefficients, so they share one class-assembly plan
     galerkin._class_plan.cache_clear()
+    galerkin._ladder_roots.cache_clear()
     for k in range(1, 8):
         leading_block_gaps(scale_weight(_GAP_CUBIC, k), 1, 32, (24, 32))
     info = galerkin._class_plan.cache_info()
     assert (info.misses, info.hits) == (1, 6)
+    # and their ladder roots: phi_z has the monomials zbar and z^2 at every k
+    roots = galerkin._ladder_roots.cache_info()
+    assert (roots.misses, roots.hits) == (2, 12)
     weight = scale_weight(_GAP_CUBIC, 7)
     terms = galerkin._shift_terms(galerkin._basis(weight, 1, 32), weight)
     plan = galerkin._class_plan(32, 3, tuple(terms))
     assert galerkin._class_plan.cache_info().misses == 1
     assert not any(a.flags.writeable for a in (*plan[0], *plan[1:]))
+    assert not any(root.flags.writeable for *_, root in galerkin._ladder_roots(32, 2, 0))
 
 
 def test_gap_sweep_solves_one_class_per_truncation(monkeypatch):
     # the coarse truncation of every level solves one of its three classes
     # and certifies the other two; the fine one starts from the coarse bottom,
     # which certifies all three classes from k = 2 on, and at k = 1 (where the
-    # fine bottom sits 1.3e-7 below the coarse one) refuses its first class only
+    # fine bottom sits 1.3e-7 below the coarse one) refuses its first class only.
+    # No fine block (187 states) is factored whole: the solved class's coarse
+    # block (109) is factored at the fine shift, a certified class (108) keeps
+    # the factor of its coarse certificate, and each extends across a window of
+    # 32 coupled coarse rows and the 78 new states (110).  Where the coarse
+    # shift is too strong for that window (once at k = 1, twice at k = 2), the
+    # coarse block is factored again at the fine shift and extended once more.
     calls = {"eigvalsh": [], "cholesky": []}
     for name, calls_of in calls.items():
         original = getattr(np.linalg, name)
@@ -658,10 +674,112 @@ def test_gap_sweep_solves_one_class_per_truncation(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     for k in range(1, 8):
         leading_block_gaps(scale_weight(_GAP_CUBIC, k), 1, 32, (24, 32))
-    assert len(calls["eigvalsh"]) == 8 and len(calls["cholesky"]) == 35
     # the classes hold 108 or 109 states at D = 24 and 187 at D = 32
     assert calls["eigvalsh"] == [109, 187] + [109] * 6
-    assert set(calls["eigvalsh"] + calls["cholesky"]) <= {108, 109, 187}
+    retries = {1: 1, 2: 2}
+    expected = [n for k in range(1, 8) for n in [109, 110] + [108, 110] * (2 + retries.get(k, 0))]
+    assert calls["cholesky"] == expected and len(expected) == 48
+    assert sum(n**3 for n in expected) == 62_424_307  # 154,959,231 when each block was factored whole
+
+
+def _factors(block, bottom):
+    # whether block - (bottom - delta) I has a Cholesky factor, delta = n eps ||block||_inf
+    delta = len(block) * np.finfo(float).eps * np.linalg.norm(block, np.inf)
+    try:
+        np.linalg.cholesky(block - (bottom - delta) * np.eye(len(block)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _direct_gaps(weight, q, degree, blocks):
+    # leading_block_gaps with each certificate a Cholesky factorization of the
+    # whole shifted truncation, nothing carried from the truncation below
+    classes, diagonal, block = galerkin._class_laplacians(galerkin._basis(weight, q, degree), weight)
+    bottoms = [math.inf] * len(blocks)
+    upward = sorted(range(len(blocks)), key=blocks.__getitem__)
+    for c in sorted(range(len(classes)), key=lambda c: diagonal[classes[c]].min()):
+        lap, seed = block(c), math.inf
+        for i in upward:
+            m = np.searchsorted(classes[c], (blocks[i] + 1) * (blocks[i] + 2) // 2)
+            if m:
+                sub, bottom = lap[:m, :m], min(bottoms[i], seed)
+                if bottom == math.inf or not _factors(sub, bottom):
+                    bottom = min(bottom, float(np.linalg.eigvalsh(sub)[0]))
+                bottoms[i] = bottom
+            seed = min(seed, bottoms[i])
+    return tuple(bottoms)
+
+
+@pytest.mark.parametrize("name", list(CHARGE_WEIGHTS))
+@pytest.mark.parametrize("q", [0, 1])
+def test_extended_certificates_match_whole_factorizations(name, q):
+    # extending the factor of the truncation below decides every class as a
+    # Cholesky factorization of the whole shifted block does, to the last bit,
+    # whatever the truncations and their order
+    weight, _ = CHARGE_WEIGHTS[name]
+    for degree in (6, 13, 32):
+        half, three_quarters = degree // 2, 3 * degree // 4
+        for blocks in [
+            (three_quarters, degree),
+            (degree,),
+            (half, three_quarters, degree),
+            (degree, half),
+            (degree, degree),
+            (2, degree),
+        ]:
+            gaps = leading_block_gaps(weight, q, degree, blocks)
+            assert gaps == _direct_gaps(weight, q, degree, blocks), (degree, blocks)
+
+
+def _recorded_windows(monkeypatch):
+    # (states, coarse rows, first coupled row j, factor made at this shift, W factored) per window
+    windows, window = [], galerkin._window
+
+    def recorded(block, rows, j, tail, held, shift):
+        factor = window(block, rows, j, tail, held, shift)
+        windows.append((len(block), rows, j, held == shift, factor is not None))
+        return factor
+
+    monkeypatch.setattr(galerkin, "_window", recorded)
+    return windows
+
+
+def test_refused_window_solves_the_class(monkeypatch):
+    # at k = 1 the fine bottom sits 1.3e-7 below the coarse one: the first
+    # class's coarse block, solved and then factored at the fine shift, extends
+    # to a window of its 32 coupled rows and 78 new states that fails, which at
+    # that shift is final, so the class is solved and its fine block never factored
+    weight = scale_weight(_GAP_CUBIC, 1)
+    windows = _recorded_windows(monkeypatch)
+    solves, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(len(a)) or eigvalsh(a))
+    coarse, fine = leading_block_gaps(weight, 1, 32, (24, 32))
+    monkeypatch.undo()
+    assert windows[0] == (187, 109, 77, True, False)
+    assert solves == [109, 187]
+    classes, diagonal, block = galerkin._class_laplacians(galerkin._basis(weight, 1, 32), weight)
+    first = block(min(range(3), key=lambda c: diagonal[classes[c]].min()))
+    assert coarse == np.linalg.eigvalsh(first[:109, :109])[0]
+    assert fine == np.linalg.eigvalsh(first)[0] < coarse
+    system = build_system(weight, q=1, degree=32)
+    assert abs(fine - system.eigenvalues[0]) <= _roundoff(system)
+
+
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+def test_uncoupled_new_states_are_factored_alone(monkeypatch, dtype):
+    # class 0 of the fallback blocks couples its states 0 and 1 only, so its
+    # D' = 3 states 3 and 4 do not couple to its D' = 2 block: its window holds
+    # them alone and certifies the class.  Class 1 couples every state, so its
+    # window starts at row 0, fails at the coarse shift and again at the fine
+    # one, and the class is solved
+    blocks = _fallback_blocks(dtype)
+    _patch_classes(monkeypatch, blocks)
+    windows = _recorded_windows(monkeypatch)
+    gaps = leading_block_gaps(UNIT, 1, 3, (2, 3))
+    assert gaps == _direct_gaps(UNIT, 1, 3, (2, 3))
+    assert gaps[1] == np.linalg.eigvalsh(blocks[1])[0]
+    assert windows == [(5, 3, 3, True, True), (5, 3, 0, False, False), (5, 3, 0, True, False)]
 
 
 def test_seeded_bottoms_hide_no_change_above_roundoff():
