@@ -30,13 +30,20 @@ operator for a weight phi acts through
 both in L^2(dV), and the Laplacian is the form |A u|^2 of A = dbar_s (q = 0)
 or A = dbar_s^* (q = 1).  On the polynomial factors the derivatives are the
 ladders, dP/dzbar = s sqrt(n_b) P_(n_a, n_b-1) and dP/dz = s sqrt(n_a)
-P_(n_a-1, n_b).  The Laplacian is assembled exactly, with no quadrature,
-for a polynomial weight (``WeightPolynomial``): A expands into ladder terms
+P_(n_a-1, n_b).  The weight is split as phi = +-lam |z|^2 + psi, and the
+reference part merges with the derivative exactly, in algebra: A is one
+ladder operator, s b or -s a^+ (q = 0) and s b^+ or -s a (q = 1), by the
+sign of phi's |z|^2 coefficient, plus the terms of psi's derivative.  The
+Laplacian is assembled exactly, with no quadrature, for a polynomial weight
+(``WeightPolynomial``): psi's derivative expands into ladder terms
 (a^+)^k a^l b^m (b^+)^r, each a shift by (k - l, r - m) with a coefficient
 depending on n_a and n_b; terms with the same shift are merged, and A^H A is
 summed from pairs of shifts straight into its charge-class blocks by an index
-plan made once per D, g (below) and shifts.  The dense ``laplacian`` and the
-identity ``gram`` are built only when read.
+plan made once per D, g (below) and shifts.  Where A is the one ladder term
+(psi = 0: the model weight, up to a constant) A^H A is diagonal in the
+charge states and a build reads its eigenpairs off the diagonal, with no
+assembly and no eigensolve.  The dense ``laplacian`` and the identity
+``gram`` are built only when read.
 
 A monomial z^a zbar^b shifts the charge by a - b, so the exact Laplacian
 couples charges only modulo g = gcd |a - b| over the weight's monomials:
@@ -64,8 +71,9 @@ carry over), extends across those rows by the Cholesky factorization of a
 window of them and the new states (block form of Cholesky; on gap-cubic at
 D = 32, 110 states in place of 187).  A class whose factorization fails,
 and the first class of the smallest truncation, are solved and lower g.
-On the model weight |z|^2 every eigenvalue is exact to roundoff (2(b + q)
-with multiplicity D + 1 - b) up to at least D = 64.
+On the model weight lam |z|^2 every class block is exactly diagonal, and
+every eigenvalue, 2 lam (n_b + q) for lam > 0 and 2 |lam| (n_a + 1 - q) for
+lam < 0, is within 4 eps of the top of the spectrum up to at least D = 64.
 
 The ladder coefficients are real, and conj(P_(n_a, n_b)) = P_(n_b, n_a), so
 for a weight with real coefficients (phi symmetric under y -> -y) the
@@ -85,11 +93,11 @@ is real, a real product over the y < 0 half of the rule with doubled weights
 the torus's theta Gram: a Gram that is not positive definite, or whose pivot
 ratio falls below GRAM_GUARD, raises GramConditioningError.
 
-Everything runs on numpy except the Laplacian eigensolve of a full build,
-which imports ``scipy.linalg`` inside ``_solve_classes`` and calls ``eigh``
-through the module attribute, which the benchmark's tracer rebinds.  Loading
-the package, running ``leading_block_gaps`` or an experiment with no full
-build never loads scipy.
+Everything runs on numpy except the Laplacian eigensolve of a full build of
+a non-model weight, which imports ``scipy.linalg`` inside ``_solve_classes``
+and calls ``eigh`` through the module attribute, which the benchmark's
+tracer rebinds.  Loading the package, running ``leading_block_gaps``,
+building a model weight or running any shipped config never loads scipy.
 """
 
 from __future__ import annotations
@@ -98,6 +106,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -264,8 +273,9 @@ class GalerkinSystem:
 
     ``eigenvectors`` holds orthonormal coefficient columns, V^H V = I, real
     when the weight's coefficients are real.  Eigenvalues are sorted
-    ascending.  The Laplacian is kept in class blocks; the dense
-    ``laplacian`` and ``gram``, the identity, are built when read.
+    ascending.  The Laplacian is kept in class blocks, each returned by
+    ``_block`` (a diagonal one is made when read); the dense ``laplacian`` and
+    ``gram``, the identity, are built when read.
     """
 
     basis: GalerkinBasis
@@ -273,9 +283,13 @@ class GalerkinSystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     _classes: tuple[np.ndarray, ...] = field(repr=False)
-    _blocks: tuple[np.ndarray, ...] = field(repr=False)
+    _block: Callable[[int], np.ndarray] = field(repr=False)
     # the benchmark's build counter reads the quadrature order: 0, as no assembly integrates
     quad_order = 0
+
+    @property
+    def _blocks(self) -> tuple[np.ndarray, ...]:
+        return tuple(map(self._block, range(len(self._classes))))
 
     @functools.cached_property
     def laplacian(self) -> np.ndarray:
@@ -337,14 +351,30 @@ def build_system(weight: WeightPolynomial, q: int, degree: int) -> GalerkinSyste
     q : form degree, 0 or 1.
     degree : truncation degree D; the basis has (D+1)(D+2)/2 elements.
 
-    The reference Gaussian is the weight's own quadratic part at 0.
+    The reference Gaussian is the weight's own quadratic part at 0.  Where A
+    is one ladder term f (the model weight, up to a constant), Q is diagonal
+    in the charge states, Q_ii = |f(i)|^2: those are the eigenvalues, taken
+    class by class in the order ``_solve_classes`` gives, and the eigenvectors
+    are unit vectors, with no block assembled and no eigensolve.
     """
     basis = _basis(weight, q, degree)
-    classes, _, block = _class_laplacians(basis, weight)
-    blocks = [block(c) for c in range(len(classes))]
-    mu, vecs = _solve_classes(classes, blocks)
+    terms = _shift_terms(basis, weight)
+    if len(terms) == 1:
+        (f,) = terms.values()
+        classes = _charge_classes(degree, weight.charge_step)
+        diagonal = f.conj() * f
+        mu, vecs = _diagonal_pairs(classes, diagonal)
+
+        def block(c: int) -> np.ndarray:
+            return np.diag(diagonal[classes[c]])
+
+    else:
+        classes, _, assemble = _class_blocks(terms, degree, weight.charge_step)
+        blocks = [assemble(c) for c in range(len(classes))]
+        mu, vecs = _solve_classes(classes, blocks)
+        block = blocks.__getitem__
     _check_psd(mu, q, degree)
-    return GalerkinSystem(basis, weight, mu, vecs, classes, blocks)
+    return GalerkinSystem(basis, weight, mu, vecs, classes, block)
 
 
 def _positions(i: np.ndarray, j: np.ndarray, degree: int) -> np.ndarray:
@@ -356,23 +386,31 @@ def _positions(i: np.ndarray, j: np.ndarray, degree: int) -> np.ndarray:
 def _shift_terms(basis: GalerkinBasis, weight: WeightPolynomial) -> dict:
     """A = dbar_s (q = 0) or dbar_s^* (q = 1) as shifts: A|i, j> = sum f_(da, db) |i + da, j + db>.
 
-    By z = (a^+ + b) / s and zbar = (a + b^+) / s, a monomial c z^al zbar^be
-    of phi's derivative is the sum over k, l of C(al, k) C(be, l) c s^-(al+be)
-    (a^+)^k a^l b^(al-k) (b^+)^(be-l), whose coefficients on |i, j> are roots
-    of falling factorials, kept per (D, al, be) by ``_ladder_roots``.  Real
-    for real weight coefficients.  Any weight but a ``WeightPolynomial``
-    raises ValueError.
+    The weight is split first, phi = +-lam |z|^2 + psi with lam = lam_ref and
+    the sign of phi's |z|^2 coefficient (+ if it has none), and the reference
+    part merges with the derivative in algebra: with lam z = (s / 2)(a^+ + b),
+    d/dzbar +- lam z is s b or -s a^+, and -d/dz +- lam zbar is s b^+ or -s a.
+    Only psi's derivative is expanded.  By z = (a^+ + b) / s and
+    zbar = (a + b^+) / s, a monomial c z^al zbar^be of it is the sum over k,
+    l of C(al, k) C(be, l) c s^-(al+be) (a^+)^k a^l b^(al-k) (b^+)^(be-l),
+    whose coefficients on |i, j> are roots of falling factorials, kept per
+    (D, al, be) by ``_ladder_roots``.  Whatever |z|^2 coefficient phi has
+    beyond +-lam stays in psi, so the split holds for any lam_ref; for the
+    model weight psi is 0 and A is the one ladder term.  Real for real weight
+    coefficients.  Any weight but a ``WeightPolynomial`` raises ValueError.
     """
     if not isinstance(weight, WeightPolynomial):
         raise ValueError("Laplacians are assembled exactly, from a polynomial weight")
     s = math.sqrt(2.0 * basis.lam_ref)
     i, j = basis.n_a, basis.n_b
-    if basis.q == 0:  # d/dzbar = (s / 2)(b - a^+)
-        terms = {(0, -1): 0.5 * s * np.sqrt(j), (1, 0): -0.5 * s * np.sqrt(i + 1)}
-        coeff = weight.d_zbar()
-    else:  # -d/dz = (s / 2)(b^+ - a)
-        terms = {(-1, 0): -0.5 * s * np.sqrt(i), (0, 1): 0.5 * s * np.sqrt(j + 1)}
-        coeff = weight.d_z()
+    positive = weight.coeffs.get((1, 1), 0j).real >= 0
+    psi = weight - WeightPolynomial.quadratic([basis.lam_ref if positive else -basis.lam_ref])
+    if basis.q == 0:  # s b or -s a^+
+        terms = {(0, -1): s * np.sqrt(j)} if positive else {(1, 0): -s * np.sqrt(i + 1)}
+        coeff = psi.d_zbar()
+    else:  # s b^+ or -s a
+        terms = {(0, 1): s * np.sqrt(j + 1)} if positive else {(-1, 0): -s * np.sqrt(i)}
+        coeff = psi.d_z()
     for (al, be), c in coeff.coeffs.items():
         for shift, binom, root in _ladder_roots(basis.degree, al, be):
             f = root * (1.0 / s) ** (al + be) * (binom * c)
@@ -403,12 +441,16 @@ def _ladder_roots(degree: int, al: int, be: int) -> tuple:
     return tuple(roots)
 
 
+@functools.lru_cache(maxsize=8)
 def _charge_classes(degree: int, step: int) -> tuple[np.ndarray, ...]:
     """Basis positions of each class of charge n_a - n_b modulo g (g = 0: each charge), by level."""
     basis = GalerkinBasis(0, degree, 1.0)  # its states depend on D only
     charge = basis.n_a - basis.n_b
     key = charge if step == 0 else charge % step
-    return tuple(np.flatnonzero(key == c) for c in np.unique(key))
+    classes = tuple(np.flatnonzero(key == c) for c in np.unique(key))
+    for idx in classes:
+        idx.flags.writeable = False
+    return classes
 
 
 @functools.lru_cache(maxsize=4)
@@ -452,8 +494,12 @@ def _class_laplacians(basis: GalerkinBasis, weight: WeightPolynomial) -> tuple:
     order, without assembly.  Each block is Hermitian to the last bit, and
     is assembled only when asked for, so a caller holds only the blocks it keeps.
     """
-    terms = _shift_terms(basis, weight)
-    classes, bounds, flat, left, right = _class_plan(basis.degree, weight.charge_step, tuple(terms))
+    return _class_blocks(_shift_terms(basis, weight), basis.degree, weight.charge_step)
+
+
+def _class_blocks(terms: dict, degree: int, step: int) -> tuple:
+    """``_class_laplacians`` from A's shift terms and the charge step g."""
+    classes, bounds, flat, left, right = _class_plan(degree, step, tuple(terms))
     table = np.concatenate(list(terms.values()))
     vals = table[left].conj()
     vals *= table[right]
@@ -497,16 +543,37 @@ def _solve_classes(classes: tuple, blocks: list) -> tuple[np.ndarray, np.ndarray
     """Eigenpairs by class block, stably sorted; eigenvectors go straight to their columns."""
     import scipy.linalg
 
-    n = sum(idx.size for idx in classes)
     pairs = [scipy.linalg.eigh(block) for block in blocks]
-    mu = np.empty(n)
-    mu[np.concatenate(classes)] = np.concatenate([m for m, _ in pairs])
-    order = np.argsort(mu, kind="stable")
-    rank = np.argsort(order)
-    vecs = np.zeros((n, n), dtype=blocks[0].dtype)
+    slots = np.concatenate(classes)
+    mu, rank = _ranked(slots, np.concatenate([m for m, _ in pairs]))
+    vecs = np.zeros((slots.size,) * 2, dtype=blocks[0].dtype)
     for idx, (_, v) in zip(classes, pairs):
         vecs[idx[:, None], rank[idx]] = v
-    return mu[order], vecs
+    return mu, vecs
+
+
+def _diagonal_pairs(classes: tuple, diagonal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_solve_classes`` of a diagonal Laplacian, from its (real-valued) diagonal, with no solve.
+
+    Each class's entries are taken stably sorted, as an eigensolver returns a
+    diagonal block's eigenvalues, and the eigenvector of each is the unit
+    vector of its state, of the diagonal's dtype.
+    """
+    slots = np.concatenate(classes)
+    owner = np.repeat(np.arange(len(classes)), [idx.size for idx in classes])
+    states = slots[np.lexsort((diagonal.real[slots], owner))]
+    mu, rank = _ranked(slots, diagonal.real[states])
+    vecs = np.zeros((slots.size,) * 2, dtype=diagonal.dtype)
+    vecs[states, rank[slots]] = 1.0
+    return mu, vecs
+
+
+def _ranked(slots: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values, placed at the basis positions ``slots``, stably sorted; and each slot's rank."""
+    mu = np.empty(slots.size)
+    mu[slots] = values
+    order = np.argsort(mu, kind="stable")
+    return mu[order], np.argsort(order)
 
 
 def leading_block_gaps(weight, q: int, degree: int, blocks: tuple[int, ...]) -> tuple[float, ...]:

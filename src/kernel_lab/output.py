@@ -52,8 +52,6 @@ def write_csv(path: str, header: list[str], rows) -> None:
 
 
 def write_json(path: str, payload: dict) -> None:
-    def body(fh) -> None:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-
-    _atomic_write(path, body)
+    # one string, one write: json.dump would write each token on its own
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _atomic_write(path, lambda fh: fh.write(text))

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kernel_lab import WeightPolynomial, galerkin
+from kernel_lab import WeightPolynomial, galerkin, real_term
 
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -81,8 +81,9 @@ def test_counters_read_call_arguments_by_name():
 
 def test_tracer_counts_lazily_imported_eigensolves():
     # galerkin imports scipy.linalg inside its solves and calls eigh through
-    # the module attribute, which install() rebinds
-    weight = WeightPolynomial.quadratic([1.0])
+    # the module attribute, which install() rebinds; the gap-cubic weight, as a
+    # model weight's diagonal Laplacian needs no solve
+    weight = WeightPolynomial.quadratic([1.0]) + real_term(1, (3,), (0,), 0.25)
     tracer = _tracing.Tracer()
     uninstall = _tracing.install(tracer)
     try:

@@ -141,15 +141,17 @@ for name in names.split(","):
     argv = ["run", "--config", f"{configs}/{name}.ini", "--out", f"{out}/{name}"]
     assert kernel_lab.cli.main(argv) == 0, name
 if int(hodge):
-    from kernel_lab import WeightPolynomial, build_system, hodge_residual
+    from kernel_lab import WeightPolynomial, build_system, hodge_residual, real_term
     unit = WeightPolynomial.quadratic([1.0])
     s0, s1 = (build_system(unit, q=q, degree=8) for q in (0, 1))
     assert hodge_residual(None, s0, s1) <= 1e-6
+    build_system(unit + real_term(1, (3,), (0,), 0.25), q=1, degree=8)
 print([m for m in ("numpy.random", "scipy.linalg", "scipy.sparse") if m in sys.modules])
 """
 
 NUMPY_ONLY = (
-    "model", "torus-flat", "torus-wavy", "converge-cubic", "converge-quadratic", "gap-cubic"
+    "model", "torus-flat", "torus-wavy", "converge-cubic", "converge-quadratic", "gap-cubic",
+    "heat-quadratic", "vanish-mismatched",
 )
 SOLVES = (
     "converge-cubic", "converge-quadratic", "gap-cubic", "heat-quadratic", "vanish-mismatched"
@@ -172,21 +174,23 @@ def _cold_run_modules(tmp_path, names, hodge=0) -> str:
 
 def test_numpy_only_runs_never_load_scipy(tmp_path):
     # scipy.linalg alone is about half of a cold start; only the class eigensolves
-    # of full Galerkin builds need it, and converge and gap make none. numpy.random
-    # adds about 6 MB resident, and the model experiment draws its spectra from the
-    # stdlib generator instead
+    # of full non-model Galerkin builds need it. converge and gap make no full
+    # build, and heat and vanish build model weights, whose diagonal Laplacians
+    # are read with no solve. numpy.random adds about 6 MB resident, and the
+    # model experiment draws its spectra from the stdlib generator instead
     assert _cold_run_modules(tmp_path, NUMPY_ONLY) == "[]"
 
 
 def test_solve_runs_never_load_scipy_sparse(tmp_path):
-    # the exact path assembles its Laplacians with numpy; scipy.linalg solves them,
-    # and importing it loads numpy.random, which the Hodge residual draws from
+    # the exact path assembles its Laplacians with numpy; scipy.linalg solves those
+    # of non-model weights (here the gap-cubic weight at D = 8), and importing it
+    # loads numpy.random, which the Hodge residual draws from
     assert _cold_run_modules(tmp_path, SOLVES, hodge=1) == "['numpy.random', 'scipy.linalg']"
 
 
 def test_shipped_runs_load_numpy_random_only_through_scipy():
-    # the six configs above load neither; heat and vanish load numpy.random only
-    # because their class eigensolves import scipy.linalg, which imports it itself
+    # the shipped configs load neither; a non-model full build loads numpy.random
+    # only because its class eigensolves import scipy.linalg, which imports it itself
     assert {path.stem for path in CONFIGS.glob("*.ini")} == set(NUMPY_ONLY + SOLVES)
     probe = "import sys, scipy.linalg; print('numpy.random' in sys.modules)"
     done = subprocess.run(

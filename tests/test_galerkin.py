@@ -272,6 +272,82 @@ def test_model_spectrum_exact_at_every_mode(q, degree):
     assert np.abs(system.eigenvalues - exact).max() <= 1e-10
 
 
+MODEL_LAMBDAS = (1.0, -1.0, 0.37)
+
+
+def _model_spectrum(basis, lam):
+    # the model Laplacian's eigenvalue at each charge state: A is s b or s b^+
+    # for lam > 0 and -s a^+ or -s a for lam < 0, with s^2 = 2 |lam|
+    count = basis.n_b + basis.q if lam > 0 else basis.n_a + 1 - basis.q
+    return 2.0 * abs(lam) * count
+
+
+@pytest.mark.parametrize("lam", MODEL_LAMBDAS)
+@pytest.mark.parametrize("q", [0, 1])
+@pytest.mark.parametrize("degree", [4, 13, 30])
+def test_model_build_reads_the_assembled_solve(monkeypatch, lam, q, degree):
+    # A is one ladder operator, so the build reads the diagonal Laplacian with
+    # no eigensolve. The Laplacian is the assembled one to the bit, and the
+    # eigenpairs are the class solve's: the eigenvalues within one rounding
+    # (LAPACK's 2 x 2 formula rounds a diagonal block's) and the eigenvectors
+    # up to sign and to their order within a tie across classes
+    weight = WeightPolynomial.quadratic([lam])
+    classes, _, block = galerkin._class_laplacians(galerkin._basis(weight, q, degree), weight)
+    blocks = [block(c) for c in range(len(classes))]
+    mu, vecs = galerkin._solve_classes(classes, blocks)
+    n = len(mu)
+    lap = np.zeros((n, n))
+    for idx, b in zip(classes, blocks):
+        lap[np.ix_(idx, idx)] = b
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model build solved a class block")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    system = build_system(weight, q=q, degree=degree)
+    assert system.laplacian.tobytes() == lap.tobytes()
+    states = np.argmax(np.abs(system.eigenvectors), axis=0)
+    np.testing.assert_array_equal(system.eigenvectors, np.eye(n)[:, states])
+    assert system.eigenvalues.tobytes() == lap.diagonal()[states].tobytes()
+    np.testing.assert_allclose(mu, system.eigenvalues, rtol=np.finfo(float).eps, atol=0)
+    solved = np.argmax(np.abs(vecs), axis=0)
+    np.testing.assert_array_equal(np.abs(vecs), np.eye(n)[:, solved])
+    for value in np.unique(system.eigenvalues):
+        tie = system.eigenvalues == value
+        assert sorted(states[tie]) == sorted(solved[tie])
+
+
+@pytest.mark.parametrize("lam", MODEL_LAMBDAS)
+@pytest.mark.parametrize("q", [0, 1])
+def test_model_class_blocks_exactly_diagonal(lam, q):
+    # the reference |z|^2 merges with the derivative in algebra, not in floating
+    # point, so A is one shift and no roundoff term couples two model states
+    weight = WeightPolynomial.quadratic([lam])
+    assert len(galerkin._shift_terms(galerkin._basis(weight, q, 16), weight)) == 1
+    blocks = _class_blocks(weight, q, 16)
+    assert len(blocks) == 33
+    for block in blocks:
+        np.testing.assert_array_equal(block, np.diag(block.diagonal()))
+
+
+@pytest.mark.parametrize("lam", MODEL_LAMBDAS)
+@pytest.mark.parametrize("q", [0, 1])
+def test_model_spectrum_closed_form_at_every_mode(lam, q):
+    # up to D = 64 every eigenvalue is within 4 eps top of the closed form, its
+    # eigenvector is one charge state, and the zero modes are exactly 0
+    eps = np.finfo(float).eps
+    for degree in (16, 32, 64):
+        system = build_system(WeightPolynomial.quadratic([lam]), q=q, degree=degree)
+        mu, vecs = system.eigenvalues, system.eigenvectors
+        exact = _model_spectrum(system.basis, lam)
+        bound = 4 * eps * max(1.0, mu[-1])
+        assert np.abs(mu - np.sort(exact)).max() <= bound
+        states = np.argmax(np.abs(vecs), axis=0)
+        np.testing.assert_array_equal(np.abs(vecs), np.eye(len(mu))[:, states])
+        assert np.abs(mu - exact[states]).max() <= bound
+        np.testing.assert_array_equal(mu[exact[states] == 0], 0.0)
+
+
 def test_assembled_matrices_hermitian():
     weight = UNIT + real_term(1, (2,), (1,), 0.3)
     system = build_system(weight, q=1, degree=10)
@@ -641,9 +717,10 @@ def test_gap_sweep_builds_one_class_plan():
         leading_block_gaps(scale_weight(_GAP_CUBIC, k), 1, 32, (24, 32))
     info = galerkin._class_plan.cache_info()
     assert (info.misses, info.hits) == (1, 6)
-    # and their ladder roots: phi_z has the monomials zbar and z^2 at every k
+    # and their ladder roots: |z|^2 merges into the ladder operator b^+ exactly,
+    # so only psi_z, the monomial z^2, is expanded, at every k
     roots = galerkin._ladder_roots.cache_info()
-    assert (roots.misses, roots.hits) == (2, 12)
+    assert (roots.misses, roots.hits) == (1, 6)
     weight = scale_weight(_GAP_CUBIC, 7)
     terms = galerkin._shift_terms(galerkin._basis(weight, 1, 32), weight)
     plan = galerkin._class_plan(32, 3, tuple(terms))
@@ -787,7 +864,7 @@ def test_seeded_bottoms_hide_no_change_above_roundoff():
     # since its fine bottom sits 1.3e-7 below the coarse one; from k = 2 on
     # the fine bottom is the certified coarse one, within roundoff of a fresh build
     bottoms = leading_block_gaps(scale_weight(_GAP_CUBIC, 1), 1, 32, (24, 32))
-    assert bottoms == (2.00000013779256, 2.0000000043641126)
+    assert bottoms == (2.000000137792561, 2.0000000043641135)
     for k in range(2, 8):
         weight = scale_weight(_GAP_CUBIC, k)
         coarse, fine = leading_block_gaps(weight, 1, 32, (24, 32))

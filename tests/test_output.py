@@ -1,6 +1,7 @@
 """Artifact writers: cell formatting, CSV round-trips, atomic replacement."""
 
 import csv
+import io
 import json
 import math
 
@@ -82,6 +83,17 @@ def test_write_json(tmp_path):
     assert json.loads(text) == payload
     # keys are emitted sorted for reproducible bytes
     assert text.index('"a"') < text.index('"b"') < text.index('"x"')
+
+
+def test_write_json_bytes_match_streamed_dump(tmp_path):
+    # one write of the whole text, the same bytes json.dump streams in chunks
+    payload = {"checks": [{"name": "gap", "value": 2.0000000000000004, "passed": True}],
+               "rows": [[1, 1e-300, None, "x\ny"], [2, -0.0, False, "\u00e9"]], "seed": 0}
+    path = tmp_path / "summary.json"
+    write_json(str(path), payload)
+    streamed = io.StringIO()
+    json.dump(payload, streamed, indent=2, sort_keys=True, allow_nan=False)
+    assert path.read_bytes() == (streamed.getvalue() + "\n").encode("utf-8")
 
 
 def test_write_json_refuses_nan(tmp_path):
