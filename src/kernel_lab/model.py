@@ -60,6 +60,8 @@ class ModelSpectrum:
         lams = tuple(float(l) for l in self.lambdas)
         if len(lams) == 0:
             raise ValueError("spectrum needs at least one eigenvalue")
+        if not all(math.isfinite(l) for l in lams):
+            raise ValueError(f"each eigenvalue must be a finite number, got {lams}")
         if any(l == 0.0 for l in lams):
             raise ValueError("degenerate spectrum: zero eigenvalue not allowed")
         neg = [l < 0 for l in lams]
@@ -113,17 +115,17 @@ def eval_model_bergman(spec: ModelSpectrum, q: int, z, w) -> np.ndarray:
     zp, wp = _kernel_points(spec, q, z, w)
     if q != spec.q0:
         return np.zeros((len(zp), len(wp)), dtype=complex)
-    lam = np.abs(np.asarray(spec.lambdas))
-    sign = np.where(np.arange(spec.n) < spec.q0, -1.0, 1.0)
+    lam = [abs(l) for l in spec.lambdas]
+    # 2i s per coordinate, s = -1 on the first q0; -2j is complex(-0.0, -2.0), as 2j * -1.0 rounds
+    rot = [-2j if l < 0 else 2j for l in spec.lambdas]
     zb, wb = zp[:, None, :], wp[None, :, :]
     # 2i s Im(z w*) - |z - w|^2 cancels no O(|lam| |z|^2) terms; its phase is 0 at z = w
     phase = zb.imag * wb.real - zb.real * wb.imag
     with np.errstate(over="ignore"):
-        exponent = (lam * (2j * sign * phase - np.abs(zb - wb) ** 2)).sum(axis=-1)
+        exponent = (lam * (rot * phase - np.abs(zb - wb) ** 2)).sum(axis=-1)
     # where the Gaussian factor underflows the kernel is 0, even if the phase overflowed
     exponent[np.exp(exponent.real) == 0.0] = -np.inf
-    prefactor = float(np.prod(lam)) / math.pi ** spec.n
-    return prefactor * np.exp(exponent)
+    return math.prod(lam) / math.pi ** spec.n * np.exp(exponent)
 
 
 def _holomorphic_powers(degree: int, lam: float, z: np.ndarray) -> np.ndarray:
@@ -174,7 +176,9 @@ def model_kernel_from_basis(spec: ModelSpectrum, q: int, degree: int, z, w) -> n
 
     Independent oracle for :func:`eval_model_bergman`, with the same point
     shapes and return values; converges to it as degree grows, uniformly on
-    compact sets.  A zero matrix when q != q0.
+    compact sets.  A zero matrix when q != q0.  The model experiment reads
+    every degree from one basis table; this stays the reference that table
+    is tested against.
     """
     if degree < 0:
         raise ValueError(f"truncation degree must be nonnegative, got {degree}")

@@ -20,11 +20,13 @@ x-phases, so each section is tabulated as one matrix product over the
 lattice index, with exponentials taken per grid axis, not per grid point.
 The trace is contracted section by section: the Gram matrices on both grids
 are the inner products of pairs of sections, and no table of all sections
-over the grid is built.
+over the grid is built.  The Cholesky factor of the Gram G is the guard, and
+the trace is tr(G^-1 H), with H the trace grid's Gram, from one solve.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
@@ -55,6 +57,8 @@ class TorusBundle:
     def __post_init__(self) -> None:
         tau = complex(self.tau)
         object.__setattr__(self, "tau", tau)
+        if not cmath.isfinite(tau):
+            raise ValueError(f"lattice parameter must be a finite number, got {tau}")
         if not tau.imag > 0:
             raise ValueError("lattice parameter needs Im tau > 0")
         if self.degree == 0:
@@ -63,6 +67,8 @@ class TorusBundle:
         modes = []
         for m1, m2, amp in self.psi_modes:
             m1, m2, amp = int(m1), int(m2), float(amp)
+            if not math.isfinite(amp):
+                raise ValueError(f"psi amplitude must be a finite number, got {amp}")
             if (m1, m2) == (0, 0):
                 raise ValueError("psi must have zero mean: (0, 0) mode not allowed")
             if (m1, m2) in seen:
@@ -309,9 +315,9 @@ def theta_trace_check(
 
     The trace is the sum over the P trace-grid points of v_p G^-1 v_p^H, with
     v_p the row of section values at point p.  It is contracted over the grid
-    first: with G = L L^H and H the m x m inner products of the sections on
-    the trace grid, the sum is tr(L^-1 H L^-H), taken from two solves with L
-    on m x m matrices rather than one solve with P right-hand sides.  Both
+    first: with H the m x m inner products of the sections on the trace grid,
+    the sum is tr(G^-1 H), taken from one m x m solve rather than one with P
+    right-hand sides.  The Cholesky factor of G is only the guard.  Both
     grids are contracted section by section: each section is tabulated as
     its own n x n array and G and H are assembled from the inner products of
     pairs, so no P x m table of all sections, nor a conjugate copy, is formed.
@@ -327,11 +333,10 @@ def theta_trace_check(
     truncation = 2.0 * math.exp(-math.pi * m * tau2 * (radius - 1) ** 2)
 
     gram = _theta_gram(_theta_sections(bundle, k, gram_grid, radius)) * (bundle.area / gram_grid**2)
-    chol, _ = _guarded_cholesky(gram, f"theta_trace_check(k={k})")
+    _guarded_cholesky(gram, f"theta_trace_check(k={k})")
 
     inner = _theta_gram(_theta_sections(bundle, k, trace_grid, radius))
-    half = np.linalg.solve(chol, inner)
-    total = np.trace(np.linalg.solve(chol, half.conj().T)).real
+    total = np.trace(np.linalg.solve(gram, inner)).real
     trace = float(total) * bundle.area / trace_grid**2
     return TraceCheckResult(
         dimension=m,

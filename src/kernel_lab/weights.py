@@ -11,6 +11,7 @@ Gram of the Bergman sweep.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -41,6 +42,8 @@ def _clean(coeffs: dict) -> dict[Key, complex]:
         if a < 0 or b < 0:
             raise ValueError(f"negative exponent in {(a, b)}")
         c = complex(c)
+        if not cmath.isfinite(c):
+            raise ValueError(f"coefficient of {(a, b)} must be a finite number, got {c}")
         if c != 0:
             out[(a, b)] = out.get((a, b), 0j) + c
     return {k: v for k, v in out.items() if v != 0}

@@ -8,9 +8,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from kernel_lab import GramConditioningError, experiments, galerkin, scaling, torus
+from kernel_lab import (
+    GramConditioningError,
+    ModelSpectrum,
+    eval_model_bergman,
+    experiments,
+    galerkin,
+    model_kernel_from_basis,
+    scaling,
+    torus,
+)
 from kernel_lab.config import EXPERIMENTS, load_config
 from kernel_lab.cli import main
 
@@ -334,6 +344,21 @@ def test_failed_check_exits_two(model_config, tmp_path, capsys):
     failed = [c for c in summary["checks"] if not c["passed"]]
     assert [c["name"] for c in failed] == ["expansion"]
     assert failed[0]["tolerance"] == 1e-6 and failed[0]["value"] > 1e-6
+
+
+@pytest.mark.parametrize("overrides", [(), ("model.degrees=0, 5, 41",)], ids=["shipped", "0-5-41"])
+def test_model_expansion_rows_read_the_reference_expansion(overrides):
+    # each degree's row comes from the leading rows of one basis table, bit for bit
+    # the truncated expansion model_kernel_from_basis returns at that degree
+    cfg = load_config(str(CONFIGS / "model.ini"), overrides)
+    spec = ModelSpectrum((1.0,))
+    pts = scaling.kernel_grid(5, 1.0)
+    closed = eval_model_bergman(spec, 0, pts, pts)
+    rows = [r for r in experiments.run_experiment(cfg).rows if r[0] == "expansion"]
+    assert [r[1] for r in rows] == [f"degree={d}" for d in cfg.values["model"]["degrees"]]
+    for degree, (_, _, value) in zip(cfg.values["model"]["degrees"], rows):
+        reference = model_kernel_from_basis(spec, 0, degree, pts, pts)
+        assert value == np.abs(reference - closed).max()
 
 
 def test_model_oracles_at_extreme_curvature(tmp_path):

@@ -85,6 +85,14 @@ def test_off_diagonal_frozen_value():
     assert abs(truncated - value) <= 1e-8
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spectrum_rejects_non_finite_eigenvalues(value):
+    with pytest.raises(ValueError, match="must be a finite number"):
+        ModelSpectrum((value,))
+    with pytest.raises(ValueError, match="must be a finite number"):
+        ModelSpectrum((-1.0, value))
+
+
 def test_spectrum_rejects_misordered_signs():
     with pytest.raises(ValueError):
         ModelSpectrum((1.0, -1.0))
@@ -117,6 +125,11 @@ def test_multi_index_enumeration():
     assert len(list(multi_indices(2, 3))) == 10
     orders = [sum(a) for a in multi_indices(2, 3)]
     assert orders == sorted(orders)
+    # graded: the degree-D indices lead the degree-(D + 1) list, so one table serves every D
+    for n in (1, 2, 3):
+        for degree in range(8):
+            low = list(multi_indices(n, degree))
+            assert list(multi_indices(n, degree + 1))[: len(low)] == low
 
 
 def test_basis_orthonormality_by_quadrature():
@@ -289,6 +302,21 @@ def test_array_calls_match_single_points(n):
         for bad_alpha in ((1,) * (n + 1), (1,) * (n - 1) + (-1,)):
             with pytest.raises(ValueError):
                 eval_model_basis(spec, [bad_alpha], z)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_is_the_product_of_its_one_variable_kernels(n):
+    # Kuenneth: the n-variable kernel factors over the coordinates, each with its own sign
+    rng = np.random.default_rng(29 + n)
+    for q0 in range(n + 1):
+        spec = _mixed_spectrum(n, q0, rng)
+        z = 0.7 * (rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n)))
+        w = 0.7 * (rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n)))
+        product = np.ones((5, 4), dtype=complex)
+        for i, lam in enumerate(spec.lambdas):
+            product *= eval_model_bergman(ModelSpectrum((lam,)), int(lam < 0), z[:, i], w[:, i])
+        kernel = eval_model_bergman(spec, q0, z, w)
+        assert (np.abs(kernel - product) <= 1e-13 * np.abs(product)).all()
 
 
 def test_empty_basis_has_its_own_error():

@@ -50,6 +50,21 @@ def test_bundle_validation():
         TorusBundle(tau=1j, degree=1, psi_modes=((1, 0, 0.1), (1, 0, 0.2)))
 
 
+@pytest.mark.parametrize(
+    "tau, psi",
+    [
+        (complex(math.nan, 1.0), ()),
+        (complex(0.0, math.inf), ()),
+        (1j, ((1, 0, math.nan),)),
+        (1j, ((1, 0, math.inf),)),
+    ],
+    ids=["nan-tau", "inf-tau", "nan-psi", "inf-psi"],
+)
+def test_bundle_rejects_non_finite_inputs(tau, psi):
+    with pytest.raises(ValueError, match="must be a finite number"):
+        TorusBundle(tau=tau, degree=1, psi_modes=psi)
+
+
 def test_area_and_mean_zero_psi(wavy_torus):
     assert wavy_torus.area == pytest.approx(2.0)
     xs, ys = np.meshgrid(np.arange(64) / 64, np.arange(64) / 64, indexing="ij")

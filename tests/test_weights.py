@@ -62,6 +62,21 @@ def test_reality_rejected_when_broken():
         WeightPolynomial(coeffs={(1, 0): 1.0 + 0j})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: WeightPolynomial.quadratic([math.nan]),
+        lambda: real_term(1, (1,), (1,), math.inf),
+        lambda: real_term(1, (3,), (0,), complex(0.25, math.nan)),
+        lambda: WeightPolynomial({(1, 1): -math.inf}),
+    ],
+    ids=["nan-quadratic", "inf-diagonal", "nan-phase", "inf-coefficient"],
+)
+def test_non_finite_coefficients_rejected(build):
+    with pytest.raises(ValueError, match="must be a finite number"):
+        build()
+
+
 def test_curvature_matrix_quadratic():
     assert curvature_matrix(WeightPolynomial.quadratic([3.0]), 0.0) == pytest.approx(
         np.array([[3.0]])
